@@ -10,9 +10,9 @@ equivalence checking and executable termination certificates.
 from .contexts import Context, context, ctx_compatible, ctx_le, ctx_member, ctx_sup, format_context, o_lambda
 from .debruijn import (DApp, DBoldLam, DBSub, DBTerm, DComp, DId, DLam, DLift,
                        DShift, DSlash, FreeName, LAMBDA_UPSILON, One, UPSILON,
-                       UPSILON2, UPSILON_PRIME, db_apply, db_check,
-                       db_check_sub, db_find_redexes, db_normalize_upsilon,
-                       equiv_alpha, equiv_gamma, print_db, translate)
+                       UPSILON2, db_apply, db_check, db_check_sub,
+                       db_find_redexes, db_normalize_upsilon, equiv_alpha,
+                       equiv_gamma, print_db, translate)
 from .freevars import fv
 from .generators import GenConfig, gen_raw_term, gen_simply_typed, gen_wellformed
 from .judgements import (Derivation, IllFormed, NotDerivable, derive,

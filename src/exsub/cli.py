@@ -13,12 +13,12 @@ import sys
 
 from . import __version__
 from .contexts import format_context
-from .debruijn import UPSILON2, UPSILON_PRIME, equiv_alpha, equiv_gamma, print_db, translate
+from .debruijn import UPSILON, UPSILON2, equiv_alpha, equiv_gamma, print_db, translate
 from .freevars import fv
 from .generators import GenConfig
 from .judgements import IllFormed, NotDerivable, derive, format_derivation, is_good, well_formed
 from .normalforms import ContainsBlock, is_sigma_nf, to_pure
-from .rewrite import RULE_SETS, Strategy, normalize, step, Trace, TraceStep
+from .rewrite import RULE_SETS, Strategy, normalize
 from .suites import SUITES, run_suite
 from .syntax import ParseError, parse_context, parse_term, print_term
 
@@ -35,6 +35,17 @@ def _context(text: str):
         return parse_context(text)
     except ParseError as e:
         raise SystemExit(f"error: {e}") from e
+
+
+def _positive_int(text: str) -> int:
+    """Argument type of the numeric flags that count steps, fuel, trials or size."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
 
 
 def _strategy(text: str) -> Strategy:
@@ -92,17 +103,7 @@ def cmd_reduce(args) -> int:
         except NotDerivable as e:
             print(f"not derivable: {e.reason}")
             return 1
-    rules = RULE_SETS[args.rules]
-    strategy = _strategy(args.strategy)
-    steps = []
-    cur = t
-    for _ in range(args.steps):
-        r = step(cur, rules, strategy)
-        if r is None:
-            break
-        cur, rule, path, fresh = r
-        steps.append(TraceStep(rule, path, fresh, cur))
-    trace = Trace(t, tuple(steps))
+    _, trace, _ = normalize(t, RULE_SETS[args.rules], _strategy(args.strategy), args.steps)
     if args.trace == "json":
         print(trace.dumps())
     else:
@@ -127,7 +128,7 @@ def cmd_translate(args) -> int:
     except NotDerivable as e:
         print(f"not derivable: {e.reason}")
         return 1
-    flavor = UPSILON2 if args.calculus == "upsilon2" else UPSILON_PRIME
+    flavor = UPSILON2 if args.calculus == "upsilon2" else UPSILON
     print(print_db(translate(d, flavor), args.notation))
     return 0
 
@@ -194,14 +195,14 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--context", help="check derivability here before reducing")
     c.add_argument("--rules", choices=sorted(RULE_SETS), default="full")
     c.add_argument("--strategy", default="lo", help="lo, ri, or index:K")
-    c.add_argument("--steps", type=int, default=1)
+    c.add_argument("--steps", type=_positive_int, default=1)
     c.add_argument("--trace", choices=("text", "json"), default="text")
     c.set_defaults(fn=cmd_reduce)
 
     c = sub.add_parser("normalize", help="reduce to normal form, fuel permitting")
     c.add_argument("term")
     c.add_argument("--rules", choices=sorted(RULE_SETS), default="full")
-    c.add_argument("--fuel", type=int, default=10000)
+    c.add_argument("--fuel", type=_positive_int, default=10000)
     c.set_defaults(fn=cmd_normalize)
 
     c = sub.add_parser("translate", help="de Bruijn translation of a derivable term")
@@ -226,9 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("test", help="run a property suite")
     c.add_argument("suite", choices=sorted(SUITES))
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--count", type=int, default=1000)
-    c.add_argument("--size", type=int, default=40)
-    c.add_argument("--fuel", type=int, default=10000)
+    c.add_argument("--count", type=_positive_int, default=1000)
+    c.add_argument("--size", type=_positive_int, default=40)
+    c.add_argument("--fuel", type=_positive_int, default=10000)
     c.add_argument("--json", action="store_true")
     c.set_defaults(fn=cmd_test)
 

@@ -27,38 +27,43 @@ admitted by pure sets this is the replacement for alpha congruence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import ClassVar, Iterator, Optional, Union
 
 from .contexts import Context, ctx_member
 from .freevars import fv
 from .judgements import Derivation, NotDerivable, derive, is_good
-from .terms import Lam, Path, Sel, Term
+from .terms import (Children, InvalidRedex, Lam, Path, Sel, Term, replace_at,
+                    subterm_at)
 
 
 @dataclass(frozen=True)
 class FreeName:
     name: str
+    CHILDREN: ClassVar[Children] = ()
 
 
 @dataclass(frozen=True)
 class One:
-    pass
+    CHILDREN: ClassVar[Children] = ()
 
 
 @dataclass(frozen=True)
 class DApp:
     fn: "DBTerm"
     arg: "DBTerm"
+    CHILDREN: ClassVar[Children] = ((Sel.APP_LEFT, "fn"), (Sel.APP_RIGHT, "arg"))
 
 
 @dataclass(frozen=True)
 class DLam:
     body: "DBTerm"
+    CHILDREN: ClassVar[Children] = ((Sel.LAM_BODY, "body"),)
 
 
 @dataclass(frozen=True)
 class DBoldLam:
     body: "DBTerm"
+    CHILDREN: ClassVar[Children] = ((Sel.LAM_BODY, "body"),)
 
 
 @dataclass(frozen=True)
@@ -66,26 +71,29 @@ class DComp:
     # bracket form: DComp(s, a) is a[s]
     sub: "DBSub"
     body: "DBTerm"
+    CHILDREN: ClassVar[Children] = ((Sel.COMP_SUBST, "sub"), (Sel.COMP_BODY, "body"))
 
 
 @dataclass(frozen=True)
 class DSlash:
     term: "DBTerm"
+    CHILDREN: ClassVar[Children] = ((Sel.SLASH_BODY, "term"),)
 
 
 @dataclass(frozen=True)
 class DShift:
-    pass
+    CHILDREN: ClassVar[Children] = ()
 
 
 @dataclass(frozen=True)
 class DId:
-    pass
+    CHILDREN: ClassVar[Children] = ()
 
 
 @dataclass(frozen=True)
 class DLift:
     sub: "DBSub"
+    CHILDREN: ClassVar[Children] = ((Sel.LIFT_INNER, "sub"),)
 
 
 DBTerm = Union[FreeName, One, DApp, DLam, DBoldLam, DComp]
@@ -119,13 +127,6 @@ SYSTEM_RULES = {
     UPSILON2: frozenset(_SUB_RULES
                         + (DB_LAMBDAP, DB_LAMBDAPP, DB_LAMBDAPPP, DB_ALPHA, DB_XI)),
 }
-
-UPSILON_PRIME = "upsilon"  # translation flavors: plain, or marked binders
-
-
-class InvalidRedex(Exception):
-    pass
-
 
 def db_check(n: int, a: DBTerm) -> bool:
     """Decide the arity judgement: free names live at arity 0, the index
@@ -198,28 +199,17 @@ def _node_rules(a: DBTerm, rules: frozenset[str]) -> Iterator[str]:
                         yield r
 
 
-def _iter_db_redexes(a: DBTerm, rules: frozenset[str],
+def _iter_db_redexes(a: DBTerm | DBSub, rules: frozenset[str],
                      path: Path) -> Iterator[tuple[Path, str]]:
     for r in _node_rules(a, rules):
         yield path, r
-    match a:
-        case DApp(f, b):
-            yield from _iter_db_redexes(f, rules, path + (Sel.APP_LEFT,))
-            yield from _iter_db_redexes(b, rules, path + (Sel.APP_RIGHT,))
-        case DLam(b) | DBoldLam(b):
-            yield from _iter_db_redexes(b, rules, path + (Sel.LAM_BODY,))
-        case DComp(s, b):
-            yield from _iter_db_sub_redexes(s, rules, path + (Sel.COMP_SUBST,))
-            yield from _iter_db_redexes(b, rules, path + (Sel.COMP_BODY,))
+    for sel, f in a.CHILDREN:
+        yield from _iter_db_redexes(getattr(a, f), rules, path + (sel,))
 
 
-def _iter_db_sub_redexes(s: DBSub, rules: frozenset[str],
-                         path: Path) -> Iterator[tuple[Path, str]]:
-    match s:
-        case DSlash(b):
-            yield from _iter_db_redexes(b, rules, path + (Sel.SLASH_BODY,))
-        case DLift(inner):
-            yield from _iter_db_sub_redexes(inner, rules, path + (Sel.LIFT_INNER,))
+# The scan above descends into substitutions too; the old name stays bound
+# for the probes of perfbench/tracer.py.
+_iter_db_sub_redexes = _iter_db_redexes
 
 
 def db_find_redexes(a: DBTerm, system: str = UPSILON) -> list[tuple[Path, str]]:
@@ -259,62 +249,8 @@ def _db_contract(a: DBTerm, rule: str) -> DBTerm:
     raise InvalidRedex(f"rule {rule} does not match {print_db(a)}")
 
 
-def _db_child(a, sel: Sel):
-    match a, sel:
-        case DApp(f, _), Sel.APP_LEFT:
-            return f
-        case DApp(_, b), Sel.APP_RIGHT:
-            return b
-        case (DLam(b) | DBoldLam(b)), Sel.LAM_BODY:
-            return b
-        case DComp(s, _), Sel.COMP_SUBST:
-            return s
-        case DComp(_, b), Sel.COMP_BODY:
-            return b
-        case DSlash(b), Sel.SLASH_BODY:
-            return b
-        case DLift(s), Sel.LIFT_INNER:
-            return s
-    raise InvalidRedex(f"selector {sel.value} does not apply to {type(a).__name__}")
-
-
-def _db_replace(a, path: Path, new):
-    if not path:
-        return new
-    sel, rest = path[0], path[1:]
-    match a, sel:
-        case DApp(f, b), Sel.APP_LEFT:
-            return DApp(_db_replace(f, rest, new), b)
-        case DApp(f, b), Sel.APP_RIGHT:
-            return DApp(f, _db_replace(b, rest, new))
-        case DLam(b), Sel.LAM_BODY:
-            return DLam(_db_replace(b, rest, new))
-        case DBoldLam(b), Sel.LAM_BODY:
-            return DBoldLam(_db_replace(b, rest, new))
-        case DComp(s, b), Sel.COMP_SUBST:
-            return DComp(_db_replace(s, rest, new), b)
-        case DComp(s, b), Sel.COMP_BODY:
-            return DComp(s, _db_replace(b, rest, new))
-        case DSlash(b), Sel.SLASH_BODY:
-            return DSlash(_db_replace(b, rest, new))
-        case DLift(s), Sel.LIFT_INNER:
-            return DLift(_db_replace(s, rest, new))
-    raise InvalidRedex(f"selector {sel.value} does not apply to {type(a).__name__}")
-
-
 def db_apply(a: DBTerm, path: Path, rule: str) -> DBTerm:
-    node = a
-    for sel in path:
-        node = _db_child(node, sel)
-    return _db_replace(a, path, _db_contract(node, rule))
-
-
-def db_step(a: DBTerm, system: str = UPSILON) -> Optional[tuple[DBTerm, str, Path]]:
-    picked = next(_iter_db_redexes(a, SYSTEM_RULES[system], ()), None)
-    if picked is None:
-        return None
-    path, rule = picked
-    return db_apply(a, path, rule), rule, path
+    return replace_at(a, path, _db_contract(subterm_at(a, path), rule))
 
 
 def db_one_step_reducts(a: DBTerm, system: str = UPSILON) -> list[DBTerm]:
@@ -324,14 +260,13 @@ def db_one_step_reducts(a: DBTerm, system: str = UPSILON) -> list[DBTerm]:
 def db_normalize_upsilon(a: DBTerm) -> DBTerm:
     """Normal form under the substitution rules (they terminate on every
     term, so no fuel is needed)."""
-    while True:
-        r = db_step(a, UPSILON)
-        if r is None:
-            return a
-        a = r[0]
+    rules = SYSTEM_RULES[UPSILON]
+    while (picked := next(_iter_db_redexes(a, rules, ()), None)) is not None:
+        a = db_apply(a, *picked)
+    return a
 
 
-def translate(d: Derivation, flavor: str = UPSILON_PRIME) -> DBTerm | DBSub:
+def translate(d: Derivation, flavor: str = UPSILON) -> DBTerm | DBSub:
     """De Bruijn term of a derivation, by recursion over its unique tree.
 
     The upsilon2 flavor marks exactly the binders whose variable is free

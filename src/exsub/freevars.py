@@ -37,6 +37,19 @@ def fv(t: Term, *, memo: _Memo | None = None) -> Context | None:
     return _fv(t, memo)
 
 
+def _unfold(t: Comp) -> Term:
+    """The equivalent term that `fv` recurses into for a composition with a
+    slash, renaming or lift (see the module docstring)."""
+    match t:
+        case Comp(Slash(arg, x), b):
+            return App(Lam(x, b), arg)
+        case Comp(Rename(y, x), b):
+            return Comp(Weak(y), Lam(x, b))
+        case Comp(Lift(s, x), b):
+            return Comp(Weak(x), Comp(s, Lam(x, b)))
+    raise TypeError(f"not a term: {t!r}")
+
+
 def _fv(t: Term, memo: _Memo) -> Context | None:
     hit = memo.get(id(t))
     if hit is not None and hit[0] is t:
@@ -55,14 +68,8 @@ def _fv(t: Term, memo: _Memo) -> Context | None:
         case Comp(Weak(x), b):
             cb = _fv(b, memo)
             res = None if cb is None else cb.push(x)
-        case Comp(Slash(arg, x), b):
-            res = _fv(App(Lam(x, b), arg), memo)
-        case Comp(Rename(y, x), b):
-            res = _fv(Comp(Weak(y), Lam(x, b)), memo)
-        case Comp(Lift(s, x), b):
-            res = _fv(Comp(Weak(x), Comp(s, Lam(x, b))), memo)
         case _:
-            raise TypeError(f"not a term: {t!r}")
+            res = _fv(_unfold(t), memo)
     memo[id(t)] = (t, res)
     return res
 
@@ -80,16 +87,10 @@ def fv_blame(t: Term) -> Node | None:
         match u:
             case App(f, a):
                 return walk(f) or walk(a) or u
-            case Lam(_, b):
+            case Lam(_, b) | Comp(Weak(_), b):
                 return walk(b) or u
-            case Comp(Weak(_), b):
-                return walk(b) or u
-            case Comp(Slash(arg, x), b):
-                return walk(App(Lam(x, b), arg)) or u
-            case Comp(Rename(y, x), b):
-                return walk(Comp(Weak(y), Lam(x, b))) or u
-            case Comp(Lift(s, x), b):
-                return walk(Comp(Weak(x), Comp(s, Lam(x, b)))) or u
+            case Comp(_, _):
+                return walk(_unfold(u)) or u
         return u
 
     return walk(t)

@@ -24,7 +24,8 @@ deterministic order, so traces are reproducible).
 
 Redexes are reducible at any position reachable by descending into lambda
 bodies, both application children, both composition children, slash bodies,
-and lift inners.  Enumeration is deterministic: outside-in, left to right.
+and lift inners (the ``CHILDREN`` tables of :mod:`exsub.terms`).
+Enumeration is deterministic: outside-in, left to right.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ from typing import Iterator, Optional, Union
 from .contexts import Context, ctx_member
 from .freevars import _Memo, _fv
 from .syntax import print_term
-from .terms import (App, Comp, Lam, Lift, Path, Rename, Sel, Slash, Term,
-                    Var, VarRef, Weak, path_indices, replace_at, subterm_at)
+from .terms import (App, Comp, InvalidRedex, Lam, Lift, Node, Path, Rename,
+                    Slash, Term, Var, VarRef, Weak, path_indices, replace_at,
+                    subterm_at)
 
 BETA = "Beta"
 APP = "App"
@@ -67,10 +69,6 @@ RULE_SETS = {"sigma": SIGMA, "sigma-alpha": SIGMA_ALPHA, "full": FULL}
 # lo picks the first redex in enumeration order, ri the last, an integer k
 # the k-th (for harness exploration).
 Strategy = Union[str, int]
-
-
-class InvalidRedex(Exception):
-    """The rule's left-hand shape does not match at the given position."""
 
 
 _FRESH_HEAD = ("z", "y", "x", "w", "v", "u", "t", "s")
@@ -123,8 +121,10 @@ def _sigma_rule(s, b) -> str | None:
     return None
 
 
-def _iter_redexes(t: Term, rules: frozenset[str], path: Path,
+def _iter_redexes(t: Node, rules: frozenset[str], path: Path,
                   memo: _Memo) -> Iterator[tuple[Path, str]]:
+    # the root rule: the left-hand shapes of Beta, Alpha and the propagation
+    # rules are pairwise disjoint, so at most one matches
     match t:
         case App(Lam(_, _), _) if BETA in rules:
             yield path, BETA
@@ -136,24 +136,13 @@ def _iter_redexes(t: Term, rules: frozenset[str], path: Path,
             r = _sigma_rule(s, b)
             if r is not None and r in rules:
                 yield path, r
-    match t:
-        case App(f, a):
-            yield from _iter_redexes(f, rules, path + (Sel.APP_LEFT,), memo)
-            yield from _iter_redexes(a, rules, path + (Sel.APP_RIGHT,), memo)
-        case Lam(_, b):
-            yield from _iter_redexes(b, rules, path + (Sel.LAM_BODY,), memo)
-        case Comp(s, b):
-            yield from _iter_sub_redexes(s, rules, path + (Sel.COMP_SUBST,), memo)
-            yield from _iter_redexes(b, rules, path + (Sel.COMP_BODY,), memo)
+    for sel, f in t.CHILDREN:
+        yield from _iter_redexes(getattr(t, f), rules, path + (sel,), memo)
 
 
-def _iter_sub_redexes(s, rules, path, memo) -> Iterator[tuple[Path, str]]:
-    # compatible closure descends into slash bodies and lift inners only
-    match s:
-        case Slash(inner, _):
-            yield from _iter_redexes(inner, rules, path + (Sel.SLASH_BODY,), memo)
-        case Lift(inner, _):
-            yield from _iter_sub_redexes(inner, rules, path + (Sel.LIFT_INNER,), memo)
+# The scan above descends into substitutions too; the old name stays bound
+# for the probes of perfbench/tracer.py.
+_iter_sub_redexes = _iter_redexes
 
 
 def find_redexes(t: Term, rules: frozenset[str] = FULL, *,

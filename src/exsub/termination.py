@@ -57,20 +57,7 @@ def weights12(node: DBTerm | DBSub) -> tuple[int, int]:
 def weight(node: DBTerm | DBSub) -> int:
     """The additive weight: binders add one, composition adds, application
     takes the maximum, everything atomic weighs nothing."""
-    match node:
-        case FreeName(_) | One() | DShift() | DId():
-            return 0
-        case DApp(f, a):
-            return max(weight(f), weight(a))
-        case DLam(b) | DBoldLam(b):
-            return weight(b) + 1
-        case DComp(s, b):
-            return weight(s) + weight(b)
-        case DSlash(b):
-            return weight(b)
-        case DLift(s):
-            return weight(s)
-    raise TypeError(f"not a de Bruijn node: {node!r}")
+    return _label(node)[1]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Abstract syntax for terms and substitutions with named variables.
+"""Abstract syntax for terms and substitutions with named variables, and
+positions and traversal for the node classes of both calculi.
 
 Terms are variables, applications, abstractions, and compositions ``S * A``
 of a substitution with a term.  Substitutions come in four forms: a slash
@@ -9,69 +10,22 @@ bound y as x), and a lift ``S^x`` (push S under one binder for x).
 All nodes are immutable values; no binding discipline is enforced at
 construction.  Well-formedness is a separate judgement (see
 :mod:`exsub.judgements`).
+
+Every node class, here and in :mod:`exsub.debruijn`, declares its children
+in scan order as ``CHILDREN``: (selector, field) pairs.  Paths, subterm
+lookup, rebuilding, size and the redex scans of both engines read only
+this table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import ClassVar, Iterator, Union
 
 # Variable names are plain interned strings drawn from [a-z][a-zA-Z0-9_]*,
 # with the keyword "W" excluded by the lexer.
 Var = str
-
-
-@dataclass(frozen=True)
-class VarRef:
-    name: Var
-
-
-@dataclass(frozen=True)
-class App:
-    fn: "Term"
-    arg: "Term"
-
-
-@dataclass(frozen=True)
-class Lam:
-    var: Var
-    body: "Term"
-
-
-@dataclass(frozen=True)
-class Comp:
-    sub: "Subst"
-    body: "Term"
-
-
-@dataclass(frozen=True)
-class Slash:
-    term: "Term"
-    var: Var
-
-
-@dataclass(frozen=True)
-class Weak:
-    var: Var
-
-
-@dataclass(frozen=True)
-class Rename:
-    # {new old}: consumes a binding for `new`, produces one for `old`.
-    new: Var
-    old: Var
-
-
-@dataclass(frozen=True)
-class Lift:
-    sub: "Subst"
-    var: Var
-
-
-Term = Union[VarRef, App, Lam, Comp]
-Subst = Union[Slash, Weak, Rename, Lift]
-Node = Union[Term, Subst]
 
 
 class Sel(str, Enum):
@@ -90,89 +44,120 @@ class Sel(str, Enum):
 
 
 Path = tuple[Sel, ...]
+Children = tuple[tuple[Sel, str], ...]
+
+
+@dataclass(frozen=True)
+class VarRef:
+    name: Var
+    CHILDREN: ClassVar[Children] = ()
+
+
+@dataclass(frozen=True)
+class App:
+    fn: "Term"
+    arg: "Term"
+    CHILDREN: ClassVar[Children] = ((Sel.APP_LEFT, "fn"), (Sel.APP_RIGHT, "arg"))
+
+
+@dataclass(frozen=True)
+class Lam:
+    var: Var
+    body: "Term"
+    CHILDREN: ClassVar[Children] = ((Sel.LAM_BODY, "body"),)
+
+
+@dataclass(frozen=True)
+class Comp:
+    sub: "Subst"
+    body: "Term"
+    CHILDREN: ClassVar[Children] = ((Sel.COMP_SUBST, "sub"), (Sel.COMP_BODY, "body"))
+
+
+@dataclass(frozen=True)
+class Slash:
+    term: "Term"
+    var: Var
+    CHILDREN: ClassVar[Children] = ((Sel.SLASH_BODY, "term"),)
+
+
+@dataclass(frozen=True)
+class Weak:
+    var: Var
+    CHILDREN: ClassVar[Children] = ()
+
+
+@dataclass(frozen=True)
+class Rename:
+    # {new old}: consumes a binding for `new`, produces one for `old`.
+    new: Var
+    old: Var
+    CHILDREN: ClassVar[Children] = ()
+
+
+@dataclass(frozen=True)
+class Lift:
+    sub: "Subst"
+    var: Var
+    CHILDREN: ClassVar[Children] = ((Sel.LIFT_INNER, "sub"),)
+
+
+Term = Union[VarRef, App, Lam, Comp]
+Subst = Union[Slash, Weak, Rename, Lift]
+Node = Union[Term, Subst]
 
 # Numeric child position of each selector, used by trace serialization.
-CHILD_INDEX: dict[Sel, int] = {
-    Sel.APP_LEFT: 0,
-    Sel.APP_RIGHT: 1,
-    Sel.LAM_BODY: 0,
-    Sel.COMP_SUBST: 0,
-    Sel.COMP_BODY: 1,
-    Sel.SLASH_BODY: 0,
-    Sel.LIFT_INNER: 0,
-}
+CHILD_INDEX: dict[Sel, int] = {sel: i for cls in (App, Lam, Comp, Slash, Lift)
+                               for i, (sel, _) in enumerate(cls.CHILDREN)}
 
 
 def path_indices(path: Path) -> list[int]:
     return [CHILD_INDEX[s] for s in path]
 
 
-class BadPath(Exception):
+class InvalidRedex(Exception):
+    """A rule's left-hand shape does not match at the given position."""
+
+
+class BadPath(InvalidRedex):
     """A path selector does not apply to the node it reached."""
 
 
-def child(node: Node, sel: Sel) -> Node:
-    match node, sel:
-        case App(f, _), Sel.APP_LEFT:
+def children(node) -> Iterator[tuple[Sel, object]]:
+    """The (selector, child) pairs of a node of either calculus, in scan
+    order."""
+    return ((sel, getattr(node, f)) for sel, f in node.CHILDREN)
+
+
+def _field(node, sel: Sel) -> str:
+    for s, f in node.CHILDREN:
+        if s == sel:
             return f
-        case App(_, a), Sel.APP_RIGHT:
-            return a
-        case Lam(_, b), Sel.LAM_BODY:
-            return b
-        case Comp(s, _), Sel.COMP_SUBST:
-            return s
-        case Comp(_, b), Sel.COMP_BODY:
-            return b
-        case Slash(t, _), Sel.SLASH_BODY:
-            return t
-        case Lift(s, _), Sel.LIFT_INNER:
-            return s
     raise BadPath(f"selector {sel.value} does not apply to {type(node).__name__}")
 
 
-def subterm_at(node: Node, path: Path) -> Node:
+def child(node, sel: Sel):
+    return getattr(node, _field(node, sel))
+
+
+def subterm_at(node, path: Path):
     for sel in path:
         node = child(node, sel)
     return node
 
 
-def replace_at(node: Node, path: Path, new: Node) -> Node:
+def replace_at(node, path: Path, new):
     """Rebuild `node` with the subtree at `path` replaced by `new`.
 
     Untouched subtrees are shared, not copied.
     """
     if not path:
         return new
-    sel, rest = path[0], path[1:]
-    match node, sel:
-        case App(f, a), Sel.APP_LEFT:
-            return App(replace_at(f, rest, new), a)
-        case App(f, a), Sel.APP_RIGHT:
-            return App(f, replace_at(a, rest, new))
-        case Lam(x, b), Sel.LAM_BODY:
-            return Lam(x, replace_at(b, rest, new))
-        case Comp(s, b), Sel.COMP_SUBST:
-            return Comp(replace_at(s, rest, new), b)
-        case Comp(s, b), Sel.COMP_BODY:
-            return Comp(s, replace_at(b, rest, new))
-        case Slash(t, x), Sel.SLASH_BODY:
-            return Slash(replace_at(t, rest, new), x)
-        case Lift(s, x), Sel.LIFT_INNER:
-            return Lift(replace_at(s, rest, new), x)
-    raise BadPath(f"selector {sel.value} does not apply to {type(node).__name__}")
+    f = _field(node, path[0])
+    # a node's __dict__ holds exactly its dataclass fields
+    return type(node)(**(vars(node) | {f: replace_at(getattr(node, f), path[1:], new)}))
 
 
-def node_size(node: Node) -> int:
-    """Number of constructors in a term or substitution."""
-    match node:
-        case VarRef(_) | Weak(_) | Rename(_, _):
-            return 1
-        case App(f, a):
-            return 1 + node_size(f) + node_size(a)
-        case Lam(_, b) | Lift(b, _):
-            return 1 + node_size(b)
-        case Comp(s, b):
-            return 1 + node_size(s) + node_size(b)
-        case Slash(t, _):
-            return 1 + node_size(t)
-    raise TypeError(f"not a term or substitution: {node!r}")
+def node_size(node) -> int:
+    """Number of constructors in a term or substitution of either calculus."""
+    return 1 + sum(node_size(c) for _, c in children(node))
