@@ -7,7 +7,7 @@ step of its own.  Companion de Bruijn calculi support translation-based
 equivalence checking and executable termination certificates.
 """
 
-from .contexts import Context, context, ctx_compatible, ctx_le, ctx_member, ctx_sup, format_context, o_lambda
+from .contexts import Context, context, ctx_compatible, ctx_le, ctx_sup, format_context, o_lambda
 from .debruijn import (DApp, DBoldLam, DBSub, DBTerm, DComp, DId, DLam, DLift,
                        DShift, DSlash, FreeName, LAMBDA_UPSILON, One, UPSILON,
                        UPSILON2, db_apply, db_check, db_check_sub,

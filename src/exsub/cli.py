@@ -49,14 +49,17 @@ def _positive_int(text: str) -> int:
 
 
 def _strategy(text: str) -> Strategy:
+    """Argument type of --strategy: lo, ri, or index:K with K >= 0."""
     if text in ("lo", "ri"):
         return text
     if text.startswith("index:"):
         try:
-            return int(text.split(":", 1)[1])
+            k = int(text.removeprefix("index:"))
         except ValueError:
-            pass
-    raise SystemExit(f"error: bad strategy {text!r}; use lo, ri, or index:K")
+            k = -1
+        if k >= 0:
+            return k
+    raise argparse.ArgumentTypeError(f"expected lo, ri, or index:K with K >= 0, got {text!r}")
 
 
 def cmd_check(args) -> int:
@@ -103,7 +106,7 @@ def cmd_reduce(args) -> int:
         except NotDerivable as e:
             print(f"not derivable: {e.reason}")
             return 1
-    _, trace, _ = normalize(t, RULE_SETS[args.rules], _strategy(args.strategy), args.steps)
+    _, trace, _ = normalize(t, RULE_SETS[args.rules], args.strategy, args.steps)
     if args.trace == "json":
         print(trace.dumps())
     else:
@@ -194,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("term")
     c.add_argument("--context", help="check derivability here before reducing")
     c.add_argument("--rules", choices=sorted(RULE_SETS), default="full")
-    c.add_argument("--strategy", default="lo", help="lo, ri, or index:K")
+    c.add_argument("--strategy", type=_strategy, default="lo", help="lo, ri, or index:K")
     c.add_argument("--steps", type=_positive_int, default=1)
     c.add_argument("--trace", choices=("text", "json"), default="text")
     c.set_defaults(fn=cmd_reduce)

@@ -47,10 +47,6 @@ def context(globs=(), locs=()) -> Context:
 EMPTY = context()
 
 
-def ctx_member(x: Var, ctx: Context) -> bool:
-    return x in ctx
-
-
 def ctx_le(a: Context, b: Context) -> bool:
     """The order on contexts.
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar, Iterator, Optional, Union
 
-from .contexts import Context, ctx_member
+from .contexts import Context
 from .freevars import fv
 from .judgements import Derivation, NotDerivable, derive, is_good
 from .terms import (Children, InvalidRedex, Lam, Path, Sel, Term, replace_at,
@@ -288,7 +288,7 @@ def translate(d: Derivation, flavor: str = UPSILON) -> DBTerm | DBSub:
                 lam = d.subject
                 assert isinstance(lam, Lam)
                 c = fv(lam)
-                if c is not None and ctx_member(lam.var, c):
+                if c is not None and lam.var in c:
                     return DBoldLam(body)
             return DLam(body)
         case "R6":

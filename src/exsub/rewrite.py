@@ -35,7 +35,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .contexts import Context, ctx_member
+from .contexts import Context
 from .freevars import _Memo, _fv
 from .syntax import print_term
 from .terms import (App, Comp, InvalidRedex, Lam, Lift, Node, Path, Rename,
@@ -78,11 +78,11 @@ def fresh_var(avoid: Context, x: Var) -> Var:
     """First name in the fixed order z y x w v u t s a1 a2 ... that differs
     from `x` and does not occur in `avoid`."""
     for c in _FRESH_HEAD:
-        if c != x and not ctx_member(c, avoid):
+        if c != x and c not in avoid:
             return c
     for i in itertools.count(1):
         c = f"a{i}"
-        if c != x and not ctx_member(c, avoid):
+        if c != x and c not in avoid:
             return c
     raise AssertionError("unreachable")
 
@@ -130,7 +130,7 @@ def _iter_redexes(t: Node, rules: frozenset[str], path: Path,
             yield path, BETA
         case Lam(x, _) if ALPHA in rules:
             c = _fv(t, memo)
-            if c is not None and ctx_member(x, c):
+            if c is not None and x in c:
                 yield path, ALPHA
         case Comp(s, b):
             r = _sigma_rule(s, b)
@@ -183,7 +183,7 @@ def _contract(t: Term, rule: str, memo: _Memo) -> tuple[Term, Optional[Var]]:
             return VarRef(z), None
         case "Alpha", Lam(x, a):
             c = _fv(t, memo)
-            if c is None or not ctx_member(x, c):
+            if c is None or x not in c:
                 raise InvalidRedex(f"Alpha does not apply: {x} is not free in the binder")
             y = fresh_var(c, x)
             return Lam(y, Comp(Rename(y, x), a)), y
@@ -200,22 +200,26 @@ def apply_rule(t: Term, at: Path, rule: str, *,
     return replace_at(t, at, new), fresh
 
 
+def _pick(t: Term, rules: frozenset[str], strategy: Strategy,
+          memo: _Memo) -> Optional[tuple[Path, str]]:
+    """The (path, rule) the strategy contracts next, or None."""
+    if strategy == "lo":
+        return next(_iter_redexes(t, rules, (), memo), None)
+    redexes = find_redexes(t, rules, _memo=memo)
+    if not redexes:
+        return None
+    if strategy == "ri":
+        return redexes[-1]
+    if isinstance(strategy, int):
+        return redexes[strategy] if 0 <= strategy < len(redexes) else None
+    raise ValueError(f"unknown strategy: {strategy!r}")
+
+
 def step(t: Term, rules: frozenset[str] = FULL, strategy: Strategy = "lo", *,
          _memo: _Memo | None = None) -> Optional[tuple[Term, str, Path, Optional[Var]]]:
     """One reduction step under the strategy, or None when no redex exists."""
     memo = {} if _memo is None else _memo
-    if strategy == "lo":
-        picked = next(_iter_redexes(t, rules, (), memo), None)
-    else:
-        redexes = find_redexes(t, rules, _memo=memo)
-        if not redexes:
-            picked = None
-        elif strategy == "ri":
-            picked = redexes[-1]
-        elif isinstance(strategy, int):
-            picked = redexes[strategy] if 0 <= strategy < len(redexes) else None
-        else:
-            raise ValueError(f"unknown strategy: {strategy!r}")
+    picked = _pick(t, rules, strategy, memo)
     if picked is None:
         return None
     path, rule = picked
@@ -280,5 +284,5 @@ def normalize(t: Term, rules: frozenset[str] = FULL, strategy: Strategy = "lo",
             return cur, Trace(t, tuple(steps)), False
         cur, rule, path, fresh = r
         steps.append(TraceStep(rule, path, fresh, cur))
-    exhausted = step(cur, rules, strategy, _memo=memo) is not None
+    exhausted = _pick(cur, rules, strategy, memo) is not None
     return cur, Trace(t, tuple(steps)), exhausted

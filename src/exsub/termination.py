@@ -18,15 +18,23 @@ Two instruments:
 
   Symbols not forced apart by those generators stay incomparable; the
   order used here is exactly their transitive closure.
+
+A labelled node, as returned by :func:`label`, is a plain pair
+``(symbol, args)``.  The symbol is a tuple of the constructor name and,
+for ``comp`` and ``mark``, the label, or for ``name`` the free name:
+``("comp", 2)``, ``("mark", 1)``, ``("name", "x")``, ``("app",)``.  The
+args are the labelled children in ``CHILDREN`` order, so ``DComp(s, a)``
+labels to ``(("comp", i), (label(s), label(a)))``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
-
 from .debruijn import (DApp, DBoldLam, DBSub, DBTerm, DComp, DId, DLam,
                        DLift, DShift, DSlash, FreeName, One)
+from .terms import children
+
+# (symbol, args); see the module docstring
+Labelled = tuple[tuple, tuple]
 
 
 def weights12(node: DBTerm | DBSub) -> tuple[int, int]:
@@ -60,144 +68,41 @@ def weight(node: DBTerm | DBSub) -> int:
     return _label(node)[1]
 
 
-@dataclass(frozen=True)
-class LName:
-    name: str
-
-
-@dataclass(frozen=True)
-class LOne:
-    pass
-
-
-@dataclass(frozen=True)
-class LApp:
-    fn: "LTerm"
-    arg: "LTerm"
-
-
-@dataclass(frozen=True)
-class LLam:
-    body: "LTerm"
-
-
-@dataclass(frozen=True)
-class LBoldLam:
-    body: "LTerm"
-    label: int
-
-
-@dataclass(frozen=True)
-class LComp:
-    sub: "LSub"
-    body: "LTerm"
-    label: int
-
-
-@dataclass(frozen=True)
-class LSlash:
-    term: "LTerm"
-
-
-@dataclass(frozen=True)
-class LShift:
-    pass
-
-
-@dataclass(frozen=True)
-class LId:
-    pass
-
-
-@dataclass(frozen=True)
-class LLift:
-    sub: "LSub"
-
-
-LTerm = Union[LName, LOne, LApp, LLam, LBoldLam, LComp]
-LSub = Union[LSlash, LShift, LId, LLift]
-Labelled = Union[LTerm, LSub]
-
-
 def label(node: DBTerm | DBSub) -> Labelled:
     """Label every composition and marked binder with the additive weight
     of the whole node; other nodes carry no label."""
     return _label(node)[0]
 
 
+_SYMBOL = {FreeName: "name", One: "one", DApp: "app", DLam: "lam",
+           DBoldLam: "mark", DComp: "comp", DSlash: "slash", DShift: "shift",
+           DId: "id", DLift: "lift"}
+
+
 def _label(node) -> tuple[Labelled, int]:
-    match node:
-        case FreeName(x):
-            return LName(x), 0
-        case One():
-            return LOne(), 0
-        case DApp(f, a):
-            lf, wf = _label(f)
-            la, wa = _label(a)
-            return LApp(lf, la), max(wf, wa)
-        case DLam(b):
-            lb, wb = _label(b)
-            return LLam(lb), wb + 1
-        case DBoldLam(b):
-            lb, wb = _label(b)
-            return LBoldLam(lb, wb + 1), wb + 1
-        case DComp(s, b):
-            ls, ws = _label(s)
-            lb, wb = _label(b)
-            return LComp(ls, lb, ws + wb), ws + wb
-        case DSlash(b):
-            lb, wb = _label(b)
-            return LSlash(lb), wb
-        case DShift():
-            return LShift(), 0
-        case DId():
-            return LId(), 0
-        case DLift(s):
-            ls, ws = _label(s)
-            return LLift(ls), ws
-    raise TypeError(f"not a de Bruijn node: {node!r}")
-
-
-def _sym(n: Labelled) -> tuple:
-    match n:
-        case LApp(_, _):
-            return ("app",)
-        case LLam(_):
-            return ("lam",)
-        case LBoldLam(_, i):
-            return ("mark", i)
-        case LComp(_, _, i):
-            return ("comp", i)
-        case LSlash(_):
-            return ("slash",)
-        case LShift():
-            return ("shift",)
-        case LId():
-            return ("id",)
-        case LLift(_):
-            return ("lift",)
-        case LOne():
-            return ("one",)
-        case LName(x):
-            return ("name", x)
-    raise TypeError(f"not a labelled node: {n!r}")
+    sym = _SYMBOL.get(type(node))
+    if sym is None:
+        raise TypeError(f"not a de Bruijn node: {node!r}")
+    if sym == "name":
+        return (("name", node.name), ()), 0
+    args, ws = [], []
+    for _, c in children(node):
+        lc, wc = _label(c)
+        args.append(lc)
+        ws.append(wc)
+    if sym == "app":
+        w = max(ws)
+    elif sym in ("lam", "mark"):
+        w = ws[0] + 1
+    else:
+        w = sum(ws)
+    return ((sym, w) if sym in ("comp", "mark") else (sym,), tuple(args)), w
 
 
 def _args(n: Labelled) -> tuple[Labelled, ...]:
-    match n:
-        case LApp(f, a):
-            return (f, a)
-        case LLam(b):
-            return (b,)
-        case LBoldLam(b, _):
-            return (b,)
-        case LComp(s, b, _):
-            return (s, b)
-        case LSlash(t):
-            return (t,)
-        case LLift(s):
-            return (s,)
-    return ()
+    # lpo_gt unpacks its operands itself; perfbench/tracer.py sizes them
+    # through this function
+    return n[1]
 
 
 def _prec_gt(f: tuple, g: tuple) -> bool:
@@ -236,15 +141,13 @@ def lpo_gt(a: Labelled, b: Labelled) -> bool:
     head symbols."""
     if a == b:
         return False
-    for arg in _args(a):
+    (fa, aargs), (fb, bargs) = a, b
+    for arg in aargs:
         if arg == b or lpo_gt(arg, b):
             return True
-    fa, fb = _sym(a), _sym(b)
-    bargs = _args(b)
     if _prec_gt(fa, fb):
         return all(lpo_gt(a, x) for x in bargs)
     if fa == fb:
-        aargs = _args(a)
         for x, y in zip(aargs, bargs):
             if x == y:
                 continue

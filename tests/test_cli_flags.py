@@ -1,7 +1,9 @@
-"""The numeric flags of the command line accept positive integers only.
+"""The numeric flags of the command line accept positive integers only,
+and --strategy accepts lo, ri or index:K with K >= 0.
 
-A zero or negative count of steps, fuel, trials or size is a usage error:
-exit 2 with a message on stderr, never a traceback or a silent success.
+A zero or negative count of steps, fuel, trials or size, or any other
+strategy, is a usage error: exit 2 with a message on stderr, never a
+traceback, the exit code for "false" or a silent success.
 """
 
 from __future__ import annotations
@@ -36,3 +38,23 @@ def test_non_positive_numeric_flag_is_usage_error(capsys, argv, flag, value):
 def test_smallest_positive_value_is_accepted(capsys, argv, flag):
     assert main(argv + [flag, "1"]) == 0
     assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["bogus", "index:x", "index:-1", "index:", "1"])
+def test_bad_strategy_is_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["reduce", r"(\x. x) y", "--strategy", value])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --strategy: expected lo, ri, or index:K with K >= 0, got '{value}'" \
+        in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("value, steps", [("lo", 1), ("ri", 1), ("index:0", 1),
+                                          ("index:5", 0)])
+def test_strategy_is_accepted(capsys, value, steps):
+    # an index past the last redex is a valid run that takes no step
+    assert main(["reduce", r"(\x. x) y", "--strategy", value]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + steps

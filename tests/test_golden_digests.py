@@ -4,8 +4,9 @@ The byte-identity tests elsewhere compare two runs in one process, so a
 change that reorders the redex scan, the fresh-name choice or a suite's
 generator would still pass them.  The digests below were recorded before
 the named and de Bruijn engines were moved onto the shared position table
-of `exsub.terms`; a change that alters any of them alters observable
-output and must say so.
+of `exsub.terms`, and the path-order digest before labelled terms became
+plain tuples; a change that alters any of them alters observable output
+and must say so.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from random import Random
 import pytest
 
 from exsub.cli import main
-from exsub.debruijn import UPSILON2, db_find_redexes
+from exsub.debruijn import UPSILON2, db_apply, db_find_redexes
 from exsub.generators import GenConfig, gen_db_marked
 from exsub.rewrite import FULL, normalize
 from exsub.suites import SUITES, run_suite
 from exsub.syntax import parse_term
 from exsub.terms import path_indices
+from exsub.termination import label, lpo_gt, weight
 
 SUITE_DIGESTS = {
     "confluence": "9dbeea5ad73b310db771856922131f5741bb67779ceb886b351e760dfbef6c09",
@@ -87,3 +89,21 @@ def test_de_bruijn_scan_order_digest():
         found.append([(path_indices(p), r) for p, r in db_find_redexes(a, UPSILON2)])
     assert sha256(repr(found)) == (
         "45c6395e9375280a03f9caf247445c6ff8f29c1373564d854751b2403ffbe0c6")
+
+
+def test_path_order_digest():
+    # The lpo-decrease report counts only failures, so it cannot tell a
+    # path order that orients every step from the right one.  This pins
+    # both directions on unrelated pairs and on every upsilon2 step.
+    rng, cfg = Random(7), GenConfig(seed=7)
+    found = []
+    for _ in range(1500):
+        a = gen_db_marked(rng, cfg, rng.randint(2, 16))
+        b = gen_db_marked(rng, cfg, rng.randint(2, 16))
+        la, lb = label(a), label(b)
+        found += [lpo_gt(la, lb), lpo_gt(lb, la), weight(a)]
+        for p, r in db_find_redexes(a, UPSILON2):
+            lc = label(db_apply(a, p, r))
+            found += [lpo_gt(la, lc), lpo_gt(lc, la)]
+    assert sha256(repr(found)) == (
+        "ab01409b0a530cde79d4bbe81fd8deb802d715f786cc671beaeb3dda95d8c1cf")

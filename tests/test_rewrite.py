@@ -12,6 +12,8 @@ from random import Random
 
 import pytest
 
+from exsub import rewrite
+from exsub.cli import main
 from exsub.contexts import context, ctx_le
 from exsub.freevars import fv
 from exsub.generators import GenConfig, gen_wellformed
@@ -259,3 +261,20 @@ def test_trace_serialization_fields():
 def test_normalize_rejects_nonpositive_fuel():
     with pytest.raises(ValueError):
         normalize(parse_term("x"), FULL, "lo", 0)
+
+
+@pytest.mark.parametrize("strategy", ["lo", "ri"])
+def test_running_out_of_fuel_contracts_no_extra_redex(monkeypatch, capsys, strategy):
+    # the exhaustion check only asks whether a redex is left
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return apply_rule(*args, **kwargs)
+
+    monkeypatch.setattr(rewrite, "apply_rule", counting)
+    mult, c3 = r"(\m. \n. \f. m (n f))", r"(\f. \x. f (f (f x)))"
+    assert main(["reduce", f"{mult} {c3} {c3}", "--strategy", strategy,
+                 "--steps", "40"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 41   # initial + 40 steps
+    assert len(calls) == 40

@@ -17,8 +17,7 @@ from exsub.debruijn import (UPSILON, UPSILON2, DApp, DBoldLam, DComp, DId,
                             DLam, DLift, DShift, DSlash, FreeName, One,
                             db_apply, db_find_redexes)
 from exsub.generators import GenConfig, gen_db, gen_db_marked
-from exsub.termination import (LBoldLam, LComp, LName, LShift, label,
-                               lpo_gt, weight, weights12)
+from exsub.termination import label, lpo_gt, weight, weights12
 
 x, y = FreeName("x"), FreeName("y")
 
@@ -47,13 +46,15 @@ def test_weight_goldens():
 
 def test_label_goldens():
     t = DBoldLam(DComp(DShift(), x))
-    assert label(t) == LBoldLam(LComp(LShift(), LName("x"), 0), 1)
-    assert label(One()).__class__.__name__ == "LOne"
+    shift, name_x = (("shift",), ()), (("name", "x"), ())
+    assert label(t) == (("mark", 1), ((("comp", 0), (shift, name_x)),))
+    assert label(One()) == (("one",), ())
     flat = DComp(DSlash(DComp(DShift(), x)), DComp(DShift(), DComp(DShift(), y)))
     lab = label(flat)
-    assert lab.label == 0
-    assert lab.sub.term.label == 0
-    assert lab.body.label == 0 and lab.body.body.label == 0
+    sub, body = lab[1]
+    assert lab[0] == ("comp", 0)
+    assert sub[1][0][0] == ("comp", 0)
+    assert body[0] == ("comp", 0) and body[1][1][0] == ("comp", 0)
 
 
 def test_lpo_alpha_instances():
