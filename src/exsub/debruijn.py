@@ -32,8 +32,8 @@ from typing import ClassVar, Iterator, Optional, Union
 from .contexts import Context
 from .freevars import fv
 from .judgements import Derivation, NotDerivable, derive, is_good
-from .terms import (Children, InvalidRedex, Lam, Path, Sel, Term, replace_at,
-                    subterm_at)
+from .terms import (Children, InvalidRedex, Lam, LeftmostOutermost, Path, Sel,
+                    Term, replace_at, subterm_at)
 
 
 @dataclass(frozen=True)
@@ -201,10 +201,13 @@ def _node_rules(a: DBTerm, rules: frozenset[str]) -> Iterator[str]:
 
 def _iter_db_redexes(a: DBTerm | DBSub, rules: frozenset[str],
                      path: Path) -> Iterator[tuple[Path, str]]:
-    for r in _node_rules(a, rules):
-        yield path, r
-    for sel, f in a.CHILDREN:
-        yield from _iter_db_redexes(getattr(a, f), rules, path + (sel,))
+    stack = [(a, path)]
+    while stack:
+        node, p = stack.pop()
+        for r in _node_rules(node, rules):
+            yield p, r
+        for sel, f in reversed(node.CHILDREN):
+            stack.append((getattr(node, f), p + (sel,)))
 
 
 # The scan above descends into substitutions too; the old name stays bound
@@ -261,9 +264,10 @@ def db_normalize_upsilon(a: DBTerm) -> DBTerm:
     """Normal form under the substitution rules (they terminate on every
     term, so no fuel is needed)."""
     rules = SYSTEM_RULES[UPSILON]
-    while (picked := next(_iter_db_redexes(a, rules, ()), None)) is not None:
-        a = db_apply(a, *picked)
-    return a
+    lo = LeftmostOutermost(a, lambda n: next(_node_rules(n, rules), None))
+    while (picked := lo.next_redex()) is not None:
+        lo.replace(db_apply(lo.focus, (), picked[1]))
+    return lo.root
 
 
 def translate(d: Derivation, flavor: str = UPSILON) -> DBTerm | DBSub:

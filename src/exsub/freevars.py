@@ -54,24 +54,45 @@ def _fv(t: Term, memo: _Memo) -> Context | None:
     hit = memo.get(id(t))
     if hit is not None and hit[0] is t:
         return hit[1]
-    res: Context | None
-    match t:
-        case VarRef(x):
-            res = Context(frozenset((x,)), ())
-        case App(f, a):
-            cf = _fv(f, memo)
-            ca = _fv(a, memo)
-            res = None if cf is None or ca is None else ctx_sup(cf, ca)
-        case Lam(x, b):
-            cb = _fv(b, memo)
-            res = None if cb is None else o_lambda(x, cb)
-        case Comp(Weak(x), b):
-            cb = _fv(b, memo)
-            res = None if cb is None else cb.push(x)
-        case _:
-            res = _fv(_unfold(t), memo)
-    memo[id(t)] = (t, res)
-    return res
+    # Post-order on an explicit stack, so that deep terms do not hit the
+    # recursion limit.  A node is pushed bare to be visited, then as a pair
+    # (node, operands), under its operands (its children or its unfolding),
+    # to be combined once their contexts are in the memo.
+    stack: list = [t]
+    while stack:
+        u = stack.pop()
+        if type(u) is tuple:
+            u, ops = u
+            match u:
+                case App(_, _):
+                    cf, ca = memo[id(ops[0])][1], memo[id(ops[1])][1]
+                    res = None if cf is None or ca is None else ctx_sup(cf, ca)
+                case Lam(x, _):
+                    cb = memo[id(ops[0])][1]
+                    res = None if cb is None else o_lambda(x, cb)
+                case Comp(Weak(x), _):
+                    cb = memo[id(ops[0])][1]
+                    res = None if cb is None else cb.push(x)
+                case _:
+                    res = memo[id(ops[0])][1]
+            memo[id(u)] = (u, res)
+            continue
+        hit = memo.get(id(u))
+        if hit is not None and hit[0] is u:
+            continue
+        match u:
+            case VarRef(x):
+                memo[id(u)] = (u, Context(frozenset((x,)), ()))
+                continue
+            case App(f, a):
+                stack += ((u, (f, a)), a, f)
+                continue
+            case Lam(_, b) | Comp(Weak(_), b):
+                ops = (b,)
+            case _:
+                ops = (_unfold(u),)
+        stack += ((u, ops), ops[0])
+    return memo[id(t)][1]
 
 
 def fv_blame(t: Term) -> Node | None:

@@ -26,6 +26,12 @@ Redexes are reducible at any position reachable by descending into lambda
 bodies, both application children, both composition children, slash bodies,
 and lift inners (the ``CHILDREN`` tables of :mod:`exsub.terms`).
 Enumeration is deterministic: outside-in, left to right.
+
+The lo strategy contracts the first redex in that order, ri the last and
+index:K the K-th.  Under lo, one walk of the term
+(:class:`exsub.terms.LeftmostOutermost`) serves every step of a
+normalization and resumes next to the last contraction; ri and index:K
+list every redex of the whole term at each step.
 """
 
 from __future__ import annotations
@@ -38,9 +44,9 @@ from typing import Iterator, Optional, Union
 from .contexts import Context
 from .freevars import _Memo, _fv
 from .syntax import print_term
-from .terms import (App, Comp, InvalidRedex, Lam, Lift, Node, Path, Rename,
-                    Slash, Term, Var, VarRef, Weak, path_indices, replace_at,
-                    subterm_at)
+from .terms import (App, Comp, InvalidRedex, Lam, LeftmostOutermost, Lift,
+                    Node, Path, Rename, Slash, Term, Var, VarRef, Weak,
+                    path_indices, replace_at, subterm_at)
 
 BETA = "Beta"
 APP = "App"
@@ -121,23 +127,34 @@ def _sigma_rule(s, b) -> str | None:
     return None
 
 
-def _iter_redexes(t: Node, rules: frozenset[str], path: Path,
-                  memo: _Memo) -> Iterator[tuple[Path, str]]:
-    # the root rule: the left-hand shapes of Beta, Alpha and the propagation
-    # rules are pairwise disjoint, so at most one matches
+def _root_rule(t: Node, rules: frozenset[str], memo: _Memo) -> str | None:
+    """The rule whose left-hand side matches at the root of `t`, if any.
+
+    The left-hand shapes of Beta, Alpha and the propagation rules are
+    pairwise disjoint, so at most one matches.
+    """
     match t:
         case App(Lam(_, _), _) if BETA in rules:
-            yield path, BETA
+            return BETA
         case Lam(x, _) if ALPHA in rules:
             c = _fv(t, memo)
-            if c is not None and x in c:
-                yield path, ALPHA
+            return ALPHA if c is not None and x in c else None
         case Comp(s, b):
             r = _sigma_rule(s, b)
-            if r is not None and r in rules:
-                yield path, r
-    for sel, f in t.CHILDREN:
-        yield from _iter_redexes(getattr(t, f), rules, path + (sel,), memo)
+            return r if r in rules else None
+    return None
+
+
+def _iter_redexes(t: Node, rules: frozenset[str], path: Path,
+                  memo: _Memo) -> Iterator[tuple[Path, str]]:
+    stack = [(t, path)]
+    while stack:
+        node, p = stack.pop()
+        r = _root_rule(node, rules, memo)
+        if r is not None:
+            yield p, r
+        for sel, f in reversed(node.CHILDREN):
+            stack.append((getattr(node, f), p + (sel,)))
 
 
 # The scan above descends into substitutions too; the old name stays bound
@@ -200,33 +217,6 @@ def apply_rule(t: Term, at: Path, rule: str, *,
     return replace_at(t, at, new), fresh
 
 
-def _pick(t: Term, rules: frozenset[str], strategy: Strategy,
-          memo: _Memo) -> Optional[tuple[Path, str]]:
-    """The (path, rule) the strategy contracts next, or None."""
-    if strategy == "lo":
-        return next(_iter_redexes(t, rules, (), memo), None)
-    redexes = find_redexes(t, rules, _memo=memo)
-    if not redexes:
-        return None
-    if strategy == "ri":
-        return redexes[-1]
-    if isinstance(strategy, int):
-        return redexes[strategy] if 0 <= strategy < len(redexes) else None
-    raise ValueError(f"unknown strategy: {strategy!r}")
-
-
-def step(t: Term, rules: frozenset[str] = FULL, strategy: Strategy = "lo", *,
-         _memo: _Memo | None = None) -> Optional[tuple[Term, str, Path, Optional[Var]]]:
-    """One reduction step under the strategy, or None when no redex exists."""
-    memo = {} if _memo is None else _memo
-    picked = _pick(t, rules, strategy, memo)
-    if picked is None:
-        return None
-    path, rule = picked
-    new, fresh = apply_rule(t, path, rule, _memo=memo)
-    return new, rule, path, fresh
-
-
 @dataclass(frozen=True)
 class TraceStep:
     rule: str
@@ -265,24 +255,92 @@ class Trace:
         return json.dumps(self.to_json(), indent=2)
 
 
+class _Rescan:
+    """The ri and index:K strategies, behind the interface of
+    `LeftmostOutermost`: each step lists every redex of the whole term."""
+
+    def __init__(self, t: Term, rules: frozenset[str], strategy: Strategy,
+                 memo: _Memo):
+        self.root = t
+        self._rules, self._strategy, self._memo = rules, strategy, memo
+        self._found: tuple[Path, str] | None = None
+
+    def next_redex(self) -> tuple[Path, str] | None:
+        if self._found is None:
+            redexes = find_redexes(self.root, self._rules, _memo=self._memo)
+            k = self._strategy
+            if k == "ri":
+                self._found = redexes[-1] if redexes else None
+            elif isinstance(k, int):
+                self._found = redexes[k] if 0 <= k < len(redexes) else None
+            else:
+                raise ValueError(f"unknown strategy: {k!r}")
+        return self._found
+
+    @property
+    def focus(self) -> Term:
+        return subterm_at(self.root, self._found[0])
+
+    def replace(self, new: Term) -> Term:
+        self.root = replace_at(self.root, self._found[0], new)
+        self._found = None
+        return self.root
+
+
+def _reducer(t: Term, rules: frozenset[str], strategy: Strategy,
+             memo: _Memo) -> LeftmostOutermost | _Rescan:
+    if strategy != "lo":
+        return _Rescan(t, rules, strategy, memo)
+    # Alpha at a binder depends on its whole body.  A binder whose
+    # free-variable context is defined is well-formed, and a step below it
+    # only shrinks that context, so it gains no Alpha redex; one whose
+    # context is undefined may gain one when a step makes it defined.
+    unsettled = None
+    if ALPHA in rules:
+        def unsettled(u: Node) -> bool:
+            return isinstance(u, Lam) and _fv(u, memo) is None
+    return LeftmostOutermost(t, lambda u: _root_rule(u, rules, memo), unsettled)
+
+
+def _advance(red: LeftmostOutermost | _Rescan, memo: _Memo) -> Optional[TraceStep]:
+    """Contract the redex the strategy picks next, if there is one."""
+    picked = red.next_redex()
+    if picked is None:
+        return None
+    path, rule = picked
+    new, fresh = apply_rule(red.focus, (), rule, _memo=memo)
+    return TraceStep(rule, path, fresh, red.replace(new))
+
+
+def step(t: Term, rules: frozenset[str] = FULL, strategy: Strategy = "lo", *,
+         _memo: _Memo | None = None) -> Optional[tuple[Term, str, Path, Optional[Var]]]:
+    """One reduction step under the strategy, or None when no redex exists."""
+    memo = {} if _memo is None else _memo
+    s = _advance(_reducer(t, rules, strategy, memo), memo)
+    return None if s is None else (s.result, s.rule, s.at, s.fresh)
+
+
 def normalize(t: Term, rules: frozenset[str] = FULL, strategy: Strategy = "lo",
               fuel: int = 10000) -> tuple[Term, Trace, bool]:
-    """Iterate `step` until no redex remains or `fuel` steps were taken.
+    """Reduce under the strategy until no redex remains or `fuel` steps
+    were taken.
 
-    Returns the final term, the trace, and an exhaustion flag.  Exhaustion
-    is a normal outcome for the full rule set (untyped Beta); the
-    propagation rules with Alpha terminate on well-formed terms.
+    Under lo one `LeftmostOutermost` walk serves every step: it resumes
+    next to the last contraction instead of rescanning from the root.
+    Returns the final term, the trace, and an exhaustion flag, which says
+    whether a redex is left after the last step (none is contracted to
+    find out).  Exhaustion is a normal outcome for the full rule set
+    (untyped Beta); the propagation rules with Alpha terminate on
+    well-formed terms.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     memo: _Memo = {}
+    red = _reducer(t, rules, strategy, memo)
     steps: list[TraceStep] = []
-    cur = t
     for _ in range(fuel):
-        r = step(cur, rules, strategy, _memo=memo)
-        if r is None:
-            return cur, Trace(t, tuple(steps)), False
-        cur, rule, path, fresh = r
-        steps.append(TraceStep(rule, path, fresh, cur))
-    exhausted = _pick(cur, rules, strategy, memo) is not None
-    return cur, Trace(t, tuple(steps)), exhausted
+        s = _advance(red, memo)
+        if s is None:
+            return red.root, Trace(t, tuple(steps)), False
+        steps.append(s)
+    return red.root, Trace(t, tuple(steps)), red.next_redex() is not None

@@ -13,15 +13,16 @@ construction.  Well-formedness is a separate judgement (see
 
 Every node class, here and in :mod:`exsub.debruijn`, declares its children
 in scan order as ``CHILDREN``: (selector, field) pairs.  Paths, subterm
-lookup, rebuilding, size and the redex scans of both engines read only
-this table.
+lookup, rebuilding, size, the redex scans of both engines and their shared
+leftmost-outermost driver (:class:`LeftmostOutermost`) read only this
+table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, Iterator, Union
+from typing import Callable, ClassVar, Iterator, Optional, Union
 
 # Variable names are plain interned strings drawn from [a-z][a-zA-Z0-9_]*,
 # with the keyword "W" excluded by the lexer.
@@ -146,18 +147,123 @@ def subterm_at(node, path: Path):
     return node
 
 
+def _with_child(node, field: str, new):
+    """`node` with the child in `field` replaced by `new` (one level)."""
+    # a node's __dict__ holds exactly its dataclass fields
+    return type(node)(**(vars(node) | {field: new}))
+
+
 def replace_at(node, path: Path, new):
     """Rebuild `node` with the subtree at `path` replaced by `new`.
 
     Untouched subtrees are shared, not copied.
     """
-    if not path:
-        return new
-    f = _field(node, path[0])
-    # a node's __dict__ holds exactly its dataclass fields
-    return type(node)(**(vars(node) | {f: replace_at(getattr(node, f), path[1:], new)}))
+    spine = []
+    for sel in path:
+        f = _field(node, sel)
+        spine.append((node, f))
+        node = getattr(node, f)
+    for parent, f in reversed(spine):
+        new = _with_child(parent, f, new)
+    return new
 
 
 def node_size(node) -> int:
     """Number of constructors in a term or substitution of either calculus."""
     return 1 + sum(node_size(c) for _, c in children(node))
+
+
+class LeftmostOutermost:
+    """Leftmost-outermost reduction of one term, resumed between steps.
+
+    `rule_at(node)` names the rule whose left-hand side matches at the root
+    of `node`, or returns None.  `next_redex` walks the term in the order of
+    the redex scans (outside-in, left to right) on an explicit stack of
+    (node, child index) frames and stops at the first node with a rule, the
+    focus.  `replace` puts the contractum in place of the focus and rebuilds
+    only the frames above it.  The next walk does not restart at the root:
+
+    * A subtree the walk has finished holds no redex, and later steps do
+      not change it.  A memo, keyed by id and holding the node, keeps these
+      subtrees, and the walk skips them wherever they show up again.
+    * Every left-hand side looks at most two levels below its root, so a
+      contraction can make a new redex only at the contractum, its parent
+      or its grandparent.  The walk resumes at the grandparent.
+    * A rule that reads a whole subtree is the exception.  When
+      `unsettled(node)` is given, the walk asks it of every node it enters
+      without a rule, and resumes at the topmost frame that answered yes
+      when that frame lies above the grandparent.
+    """
+
+    def __init__(self, root, rule_at: Callable[[object], Optional[str]],
+                 unsettled: Callable[[object], bool] | None = None):
+        self.root = root
+        self._rule_at = rule_at
+        self._unsettled = unsettled
+        self._nodes = [root]    # the path from the root to the walk's position
+        self._next: list[int] = []      # per frame: the child being walked
+        self._marked: list[int] = []    # depths of unsettled frames, ascending
+        self._clean: dict[int, object] = {}
+        self._found: tuple[Path, str] | None = None
+
+    @property
+    def focus(self):
+        """The redex `next_redex` found."""
+        return self._nodes[-1]
+
+    def next_redex(self) -> tuple[Path, str] | None:
+        """Path and rule of the leftmost-outermost redex, or None when the
+        term holds none."""
+        if self._found is not None:
+            return self._found
+        nodes, nxt, clean = self._nodes, self._next, self._clean
+        while nodes:
+            node = nodes[-1]
+            if len(nxt) < len(nodes):       # entering `node`
+                rule = self._rule_at(node)
+                if rule is not None:
+                    path = tuple(n.CHILDREN[i][0] for n, i in zip(nodes, nxt))
+                    self._found = path, rule
+                    return self._found
+                if self._unsettled is not None and self._unsettled(node):
+                    self._marked.append(len(nxt))
+                nxt.append(0)
+            kids, i = node.CHILDREN, nxt[-1]
+            while i < len(kids):
+                c = getattr(node, kids[i][1])
+                if clean.get(id(c)) is not c:
+                    break
+                i += 1
+            if i < len(kids):
+                nxt[-1] = i
+                nodes.append(c)
+                continue
+            clean[id(node)] = node          # finished: no redex below
+            nodes.pop()
+            nxt.pop()
+            if self._marked and self._marked[-1] == len(nodes):
+                self._marked.pop()
+            if nxt:
+                nxt[-1] += 1
+        return None
+
+    def replace(self, new):
+        """Put `new` in place of the focus, rebuild the frames above it and
+        return the new root."""
+        if self._found is None:
+            raise ValueError("no redex found to replace")
+        nodes, nxt, marked = self._nodes, self._next, self._marked
+        depth = len(nxt)
+        nodes[depth] = new
+        for k in range(depth - 1, -1, -1):
+            parent = nodes[k]
+            nodes[k] = _with_child(parent, parent.CHILDREN[nxt[k]][1], nodes[k + 1])
+        self.root = nodes[0]
+        resume = max(depth - 2, 0)
+        if marked and marked[0] < resume:
+            resume = marked[0]
+        del nodes[resume + 1:], nxt[resume:]
+        while marked and marked[-1] >= resume:
+            marked.pop()
+        self._found = None
+        return self.root

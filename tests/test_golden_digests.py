@@ -4,9 +4,11 @@ The byte-identity tests elsewhere compare two runs in one process, so a
 change that reorders the redex scan, the fresh-name choice or a suite's
 generator would still pass them.  The digests below were recorded before
 the named and de Bruijn engines were moved onto the shared position table
-of `exsub.terms`, and the path-order digest before labelled terms became
-plain tuples; a change that alters any of them alters observable output
-and must say so.
+of `exsub.terms`, the path-order digest before labelled terms became
+plain tuples, and the digests of reductions of arbitrary (mostly
+ill-formed) terms and of the named scan order before leftmost-outermost
+reduction resumed next to the last contraction; a change that alters any
+of them alters observable output and must say so.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from random import Random
 import pytest
 
 from exsub.cli import main
-from exsub.debruijn import UPSILON2, db_apply, db_find_redexes
-from exsub.generators import GenConfig, gen_db_marked
-from exsub.rewrite import FULL, normalize
+from exsub.debruijn import (UPSILON2, db_apply, db_find_redexes,
+                            db_normalize_upsilon, print_db)
+from exsub.generators import GenConfig, gen_db_marked, gen_raw_term
+from exsub.rewrite import FULL, SIGMA, SIGMA_ALPHA, find_redexes, normalize
 from exsub.suites import SUITES, run_suite
 from exsub.syntax import parse_term
 from exsub.terms import path_indices
@@ -107,3 +110,43 @@ def test_path_order_digest():
             found += [lpo_gt(la, lc), lpo_gt(lc, la)]
     assert sha256(repr(found)) == (
         "ab01409b0a530cde79d4bbe81fd8deb802d715f786cc671beaeb3dda95d8c1cf")
+
+
+# Suite reports hold only counts, so they stay byte-identical when the
+# engine picks other redexes on ill-formed input; these traces would not.
+RAW_LO_TRACE_DIGESTS = {
+    "full": (FULL, "7d31751069a174ff74986c37f43bea95861b124bd2c7c1c9012454d489a43c32"),
+    "sigma": (SIGMA, "a0d36efadd1d150110b452dc629e1e465d45638ad146e0e0043420db021c3696"),
+    "sigma-alpha":
+        (SIGMA_ALPHA, "d7f837e6fec769fccb9a362baa6a4616f223fb1e2b8839783c6a9822073c33a3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAW_LO_TRACE_DIGESTS))
+def test_raw_term_lo_trace_digest(name):
+    rules, digest = RAW_LO_TRACE_DIGESTS[name]
+    rng = Random(0)
+    out = []
+    for _ in range(300):
+        t = gen_raw_term(rng, rng.randint(2, 20))
+        _, trace, exhausted = normalize(t, rules, "lo", 200)
+        out.append(f"{trace.to_text()}\n{exhausted}")
+    assert sha256("\n\n".join(out)) == digest
+
+
+def test_raw_term_scan_order_digest():
+    rng = Random(0)
+    found = []
+    for _ in range(300):
+        t = gen_raw_term(rng, rng.randint(2, 20))
+        found.append([(path_indices(p), r) for p, r in find_redexes(t, FULL)])
+    assert sha256(repr(found)) == (
+        "a3c3d46fe7c319f704a09f14f7b21534a62b881d8ab2bfbfcab3d865296dd386")
+
+
+def test_de_bruijn_upsilon_normal_form_digest():
+    rng, cfg = Random(0), GenConfig(seed=0)
+    nfs = [print_db(db_normalize_upsilon(gen_db_marked(rng, cfg, rng.randint(2, 20))))
+           for _ in range(300)]
+    assert sha256("\n".join(nfs)) == (
+        "a1db348c00ebb63fae7afa3167e740cf701e1c114b1d7b16336c3f06ff24899b")

@@ -1,0 +1,147 @@
+r"""Leftmost-outermost reduction that resumes next to the last contraction
+must pick the same redexes as a rescan from the root.
+
+The oracles below are the simple engines: take the first redex that the
+full scan lists, contract it with `apply_rule` (or `db_apply`), repeat.
+"""
+
+from __future__ import annotations
+
+from random import Random
+
+import pytest
+
+from exsub.debruijn import (UPSILON, DApp, DComp, DSlash, FreeName, One,
+                            db_apply, db_find_redexes, db_normalize_upsilon)
+from exsub.generators import (GenConfig, gen_db, gen_db_marked, gen_raw_term,
+                              gen_simply_typed, gen_wellformed)
+from exsub.rewrite import (FULL, SIGMA, SIGMA_ALPHA, Trace, TraceStep, _root_rule,
+                           apply_rule, find_redexes, normalize)
+from exsub.syntax import parse_term
+from exsub.terms import App, Lam, LeftmostOutermost, Sel, VarRef, path_indices
+
+RULE_SETS = {"full": FULL, "sigma": SIGMA, "sigma-alpha": SIGMA_ALPHA}
+
+
+def oracle_normalize(t, rules, fuel):
+    cur, steps = t, []
+    for _ in range(fuel):
+        redexes = find_redexes(cur, rules)
+        if not redexes:
+            return Trace(t, tuple(steps)).to_text(), False
+        path, rule = redexes[0]
+        cur, fresh = apply_rule(cur, path, rule)
+        steps.append(TraceStep(rule, path, fresh, cur))
+    return Trace(t, tuple(steps)).to_text(), bool(find_redexes(cur, rules))
+
+
+def oracle_db_normalize(a):
+    while redexes := db_find_redexes(a, UPSILON):
+        a = db_apply(a, *redexes[0])
+    return a
+
+
+def named_inputs(seed):
+    rng, cfg = Random(seed), GenConfig(seed=seed, size=20)
+    for _ in range(120):
+        yield gen_wellformed(cfg, rng)[1]
+        yield gen_simply_typed(rng, cfg)
+        yield gen_raw_term(rng, rng.randint(2, 20))
+
+
+@pytest.mark.parametrize("fuel", [300, 7])
+@pytest.mark.parametrize("name", sorted(RULE_SETS))
+def test_lo_traces_match_the_rescanning_oracle(name, fuel):
+    rules = RULE_SETS[name]
+    for t in named_inputs(seed=fuel):
+        _, trace, exhausted = normalize(t, rules, "lo", fuel)
+        assert (trace.to_text(), exhausted) == oracle_normalize(t, rules, fuel)
+
+
+def test_upsilon_normal_forms_match_the_rescanning_oracle():
+    rng, cfg = Random(3), GenConfig(seed=3)
+    for _ in range(300):
+        for a in (gen_db(rng, cfg, rng.randint(0, 2), rng.randint(2, 20)),
+                  gen_db_marked(rng, cfg, rng.randint(2, 20))):
+            assert db_normalize_upsilon(a) == oracle_db_normalize(a)
+
+
+PINNED = r"{w y} * W w * \w. y"
+
+
+def test_pinned_alpha_above_the_grandparent():
+    # W at 0.1.1 makes the free-variable context of the whole term defined,
+    # which turns the binder at the root, three levels up, into an Alpha
+    # redex.
+    t = parse_term(PINNED)
+    _, trace, exhausted = normalize(t, SIGMA_ALPHA)
+    assert not exhausted
+    assert (trace.to_text(), exhausted) == oracle_normalize(t, SIGMA_ALPHA, 100)
+    rows = [(s.rule, path_indices(s.at), s.fresh) for s in trace.steps]
+    assert len(rows) == 9
+    assert rows[4] == ("W", [0, 1, 1], None)
+    assert rows[5] == ("Alpha", [], "z")
+
+
+def test_pinned_needs_the_unsettled_binders():
+    # Without re-checking binders whose context was undefined, the walk
+    # resumes at the grandparent of 0.1.1 and misses the root.
+    memo = {}
+    lo = LeftmostOutermost(parse_term(PINNED), lambda u: _root_rule(u, SIGMA_ALPHA, memo))
+    rows = []
+    while len(rows) < 6 and (picked := lo.next_redex()) is not None:
+        path, rule = picked
+        lo.replace(apply_rule(lo.focus, (), rule, _memo=memo)[0])
+        rows.append((rule, path_indices(path)))
+    assert rows[4] == ("W", [0, 1, 1])
+    assert rows[5] == ("IdVar", [0, 1])
+
+
+def test_replace_needs_a_found_redex():
+    lo = LeftmostOutermost(parse_term("x"), lambda u: None)
+    assert lo.next_redex() is None
+    with pytest.raises(ValueError):
+        lo.replace(parse_term("y"))
+
+
+DEPTH = 5000    # well past the default recursion limit
+
+
+def spine(t):
+    """The length of the chain f (f (... u)) and its tail u."""
+    n = 0
+    while isinstance(t, (App, DApp)) and t.fn in (VarRef("f"), FreeName("f")):
+        n, t = n + 1, t.arg
+    return n, t
+
+
+def chain(tail, app=App, f=VarRef("f")):
+    for _ in range(DEPTH):
+        tail = app(f, tail)
+    return tail
+
+
+def test_deep_named_term():
+    t = chain(App(Lam("x", VarRef("x")), VarRef("y")))
+    path = (Sel.APP_RIGHT,) * DEPTH
+    assert find_redexes(t) == [(path, "Beta")]
+    beta, _ = apply_rule(t, path, "Beta")
+    assert spine(beta)[0] == DEPTH and spine(beta)[1].body == VarRef("x")
+    nf, trace, exhausted = normalize(t)
+    assert [s.rule for s in trace.steps] == ["Beta", "Var"] and not exhausted
+    assert spine(nf) == (DEPTH, VarRef("y"))
+
+
+def test_deep_binder():
+    # Alpha at the root binder needs the free-variable context of the
+    # whole chain below it.
+    t = Lam("f", chain(App(Lam("x", VarRef("x")), VarRef("y"))))
+    nf, trace, exhausted = normalize(t)
+    assert [s.rule for s in trace.steps] == ["Beta", "Var"] and not exhausted
+    assert nf.var == "f" and spine(nf.body) == (DEPTH, VarRef("y"))
+
+
+def test_deep_de_bruijn_term():
+    a = chain(DComp(DSlash(FreeName("y")), One()), DApp, FreeName("f"))
+    assert db_find_redexes(a) == [((Sel.APP_RIGHT,) * DEPTH, "Var")]
+    assert spine(db_normalize_upsilon(a)) == (DEPTH, FreeName("y"))
