@@ -241,7 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except RecursionError:
+        # the parser, derive and translate recurse once or more per level
+        print("error: input nested too deeply for this command "
+              f"(Python's recursion limit is {sys.getrecursionlimit()})", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

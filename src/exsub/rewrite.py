@@ -43,10 +43,10 @@ from typing import Iterator, Optional, Union
 
 from .contexts import Context
 from .freevars import _Memo, _fv
-from .syntax import print_term
-from .terms import (App, Comp, InvalidRedex, Lam, LeftmostOutermost, Lift,
+from .syntax import PrintMemo, print_shared, print_term
+from .terms import (App, BadPath, Comp, InvalidRedex, Lam, LeftmostOutermost, Lift,
                     Node, Path, Rename, Slash, Term, Var, VarRef, Weak,
-                    path_indices, replace_at, subterm_at)
+                    child, children, path_indices, replace_at, subterm_at)
 
 BETA = "Beta"
 APP = "App"
@@ -230,25 +230,59 @@ class Trace:
     initial: Term
     steps: tuple[TraceStep, ...]
 
+    def _printed(self) -> Iterator[str]:
+        """The printed initial term, then the printed result of each step.
+
+        One memo serves the whole trace.  A step rebuilds only the spine
+        above its redex, so every other subtree of its result keeps the
+        text it had in the term before.  Once a result is printed, the
+        entries of the nodes the step replaced are dropped: the spine, the
+        nodes along the step's path in the previous term, and the two
+        levels below the redex, the most any left-hand side reads.  A step
+        keeps every deeper subtree whole or drops it, so only the entries
+        inside a subtree dropped whole stay behind, and the memo follows
+        the live term instead of growing with the trace.  Dropping an entry
+        only costs a reprint, so a trace built by hand, whose steps need not
+        be reductions, still prints right.
+        """
+        memo: PrintMemo = {}
+        prev = self.initial
+        yield print_shared(prev, memo)
+        for s in self.steps:
+            yield print_shared(s.result, memo)
+            spine = [prev]
+            try:
+                for sel in s.at:
+                    spine.append(child(spine[-1], sel))
+            except BadPath:
+                pass
+            below = [c for _, c in children(spine[-1])]
+            below += [g for c in below for _, g in children(c)]
+            for node in spine + below:
+                memo.pop(id(node), None)
+            prev = s.result
+
     def to_json(self) -> dict:
+        texts = self._printed()
         return {
-            "initial": print_term(self.initial),
+            "initial": next(texts),
             "steps": [
                 {
                     "ruleName": s.rule,
                     "pathAsChildIndices": path_indices(s.at),
                     "freshVariableOrNull": s.fresh,
-                    "printedTerm": print_term(s.result),
+                    "printedTerm": text,
                 }
-                for s in self.steps
+                for s, text in zip(self.steps, texts)
             ],
         }
 
     def to_text(self) -> str:
-        lines = [print_term(self.initial)]
-        for s in self.steps:
+        texts = self._printed()
+        lines = [next(texts)]
+        for s, text in zip(self.steps, texts):
             p = ".".join(str(i) for i in path_indices(s.at)) or "-"
-            lines.append(f"{s.rule}\t{p}\t{s.fresh or '-'}\t{print_term(s.result)}")
+            lines.append(f"{s.rule}\t{p}\t{s.fresh or '-'}\t{text}")
         return "\n".join(lines)
 
     def dumps(self) -> str:

@@ -104,10 +104,10 @@ class _Run:
         self.trial += 1
 
     def check(self, cond: bool, term, ctx: Context | None, detail: str) -> bool:
-        shown = term if isinstance(term, str) else print_term(term)
         if cond:
             self.ok()
         else:
+            shown = term if isinstance(term, str) else print_term(term)
             self.fail(shown, format_context(ctx) if ctx else "-", detail)
         return cond
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .contexts import Context
-from .terms import App, Comp, Lam, Lift, Rename, Slash, Subst, Term, VarRef, Weak
+from .terms import App, Comp, Lam, Lift, Node, Rename, Slash, Subst, Term, VarRef, Weak
 
 
 class ParseError(Exception):
@@ -199,36 +199,118 @@ def parse_context(text: str) -> Context:
     return c
 
 
-def _print_atom(t: Term) -> str:
-    # parenthesize anything that is not self-delimiting in argument position
-    if isinstance(t, VarRef):
-        return t.name
-    return "(" + print_term(t) + ")"
+# Entries hold the node itself so its id stays valid for the cache key.
+PrintMemo = dict[int, tuple[Node, str]]
+
+# The longest text a print memo records.  Recording every subterm of a
+# chain of n nodes would hold texts of total length O(n^2): 0.4 GB for a
+# chain of 10^4 binders.
+_MEMO_TEXT_MAX = 1 << 13
+
+_TERMS = frozenset((VarRef, App, Lam, Comp))
+_SUBSTS = frozenset((Slash, Weak, Rename, Lift))
+
+
+def _expect(node, sorts: frozenset, what: str) -> None:
+    if type(node) not in sorts:
+        raise TypeError(f"not a {what}: {node!r}")
+
+
+def _print(root: Node, memo: PrintMemo | None) -> str:
+    """The text of `root`, whose class the caller has checked.
+
+    Pre-order on an explicit stack, so that deep terms do not hit the
+    recursion limit.  The stack holds nodes still to print and literal text;
+    both come off it in output order.  With a memo, the text of a node with
+    children is looked up before it is printed; otherwise a pair (node,
+    start) goes on the stack under its parts, and when it comes off, the
+    output from `start` on is joined into the node's text and recorded.
+    Variables, weakenings and renamings are cheaper to print than to look
+    up and are not recorded.  Nor is a text longer than `_MEMO_TEXT_MAX`:
+    from the first such node up, the output stays in pieces until the end.
+    """
+    out: list[str] = []
+    stack: list = [root]
+    long_from = -1      # where the output of the last too-long text starts
+    while stack:
+        u = stack.pop()
+        cls = type(u)
+        if cls is str:
+            out.append(u)
+            continue
+        if cls is tuple:
+            u, start = u
+            if start <= long_from:      # u holds a text too long to record
+                continue
+            text = "".join(out[start:])
+            del out[start:]
+            out.append(text)
+            if len(text) > _MEMO_TEXT_MAX:
+                long_from = start
+            else:
+                memo[id(u)] = (u, text)
+            continue
+        if cls is VarRef:
+            out.append(u.name)
+            continue
+        if cls is Weak:
+            out.append(f"W {u.var}")
+            continue
+        if cls is Rename:
+            out.append(f"{{{u.new} {u.old}}}")
+            continue
+        if memo is not None:
+            hit = memo.get(id(u))
+            if hit is not None and hit[0] is u:
+                out.append(hit[1])
+                continue
+            stack.append((u, len(out)))
+        if cls is App:
+            # application is left associative: a left App needs no parens,
+            # and an argument needs them unless it is a variable
+            f, a = u.fn, u.arg
+            _expect(f, _TERMS, "term")
+            _expect(a, _TERMS, "term")
+            if type(a) is VarRef:
+                stack.append(" " + a.name)
+            else:
+                stack += (")", a, " (")
+            if type(f) is App or type(f) is VarRef:
+                stack.append(f)
+            else:
+                stack += (")", f, "(")
+        elif cls is Lam:
+            _expect(u.body, _TERMS, "term")
+            stack += (u.body, f"\\{u.var}. ")
+        elif cls is Comp:
+            _expect(u.sub, _SUBSTS, "substitution")
+            _expect(u.body, _TERMS, "term")
+            stack += (u.body, " * ", u.sub)
+        elif cls is Slash:
+            _expect(u.term, _TERMS, "term")
+            stack += (f"/{u.var}]", u.term, "[")
+        else:  # Lift
+            _expect(u.sub, _SUBSTS, "substitution")
+            stack += (f"^{u.var}", u.sub)
+    return "".join(out)
 
 
 def print_term(t: Term) -> str:
-    match t:
-        case VarRef(x):
-            return x
-        case App(f, a):
-            # application is left associative; a left App needs no parens
-            left = print_term(f) if isinstance(f, (App, VarRef)) else _print_atom(f)
-            return f"{left} {_print_atom(a)}"
-        case Lam(x, b):
-            return f"\\{x}. {print_term(b)}"
-        case Comp(s, b):
-            return f"{print_subst(s)} * {print_term(b)}"
-    raise TypeError(f"not a term: {t!r}")
+    _expect(t, _TERMS, "term")
+    return _print(t, None)
 
 
 def print_subst(s: Subst) -> str:
-    match s:
-        case Slash(t, x):
-            return f"[{print_term(t)}/{x}]"
-        case Weak(x):
-            return f"W {x}"
-        case Rename(y, x):
-            return f"{{{y} {x}}}"
-        case Lift(inner, x):
-            return f"{print_subst(inner)}^{x}"
-    raise TypeError(f"not a substitution: {s!r}")
+    _expect(s, _SUBSTS, "substitution")
+    return _print(s, None)
+
+
+def print_shared(t: Term, memo: PrintMemo) -> str:
+    """`print_term(t)`, reusing and recording in `memo` the text of every
+    subterm and substitution with children.
+
+    The memo is for printing many terms that share subtrees, such as the
+    steps of a trace; the caller may drop entries at any time.
+    """
+    _expect(t, _TERMS, "term")
+    return _print(t, memo)

@@ -149,8 +149,14 @@ def subterm_at(node, path: Path):
 
 def _with_child(node, field: str, new):
     """`node` with the child in `field` replaced by `new` (one level)."""
-    # a node's __dict__ holds exactly its dataclass fields
-    return type(node)(**(vars(node) | {field: new}))
+    # A node's __dict__ holds exactly its dataclass fields, and no node class
+    # has __slots__ or __post_init__, so a copy of the dict builds the value
+    # the constructor would, without its keyword call.
+    copy = object.__new__(type(node))
+    d = copy.__dict__
+    d.update(node.__dict__)
+    d[field] = new
+    return copy
 
 
 def replace_at(node, path: Path, new):

@@ -1,0 +1,225 @@
+r"""The printer: its iterative core against the recursive definition, the
+print memo that a trace shares across its steps, and terms deeper than the
+recursion limit.
+
+`spec_term`/`spec_subst` below are the printer's definition, written as the
+plain recursion over the grammar; the library's printer must agree with it
+everywhere, and a trace must print each step exactly as a fresh
+`print_term` of that step's result would.
+"""
+
+from __future__ import annotations
+
+from random import Random
+
+import pytest
+
+from exsub import rewrite
+from exsub.generators import GenConfig, gen_raw_subst, gen_raw_term, gen_wellformed
+from exsub.rewrite import FULL, SIGMA, SIGMA_ALPHA, Trace, TraceStep, normalize
+from exsub.syntax import parse_term, print_shared, print_subst, print_term
+from exsub.terms import (App, Comp, Lam, Lift, Rename, Sel, Slash, VarRef, Weak, node_size,
+                         path_indices)
+
+
+def spec_term(t) -> str:
+    match t:
+        case VarRef(x):
+            return x
+        case App(f, a):
+            left = spec_term(f) if isinstance(f, (App, VarRef)) else f"({spec_term(f)})"
+            right = a.name if isinstance(a, VarRef) else f"({spec_term(a)})"
+            return f"{left} {right}"
+        case Lam(x, b):
+            return f"\\{x}. {spec_term(b)}"
+        case Comp(s, b):
+            return f"{spec_subst(s)} * {spec_term(b)}"
+    raise TypeError(t)
+
+
+def spec_subst(s) -> str:
+    match s:
+        case Slash(t, x):
+            return f"[{spec_term(t)}/{x}]"
+        case Weak(x):
+            return f"W {x}"
+        case Rename(y, x):
+            return f"{{{y} {x}}}"
+        case Lift(inner, x):
+            return f"{spec_subst(inner)}^{x}"
+    raise TypeError(s)
+
+
+def test_printer_matches_the_recursive_definition():
+    rng = Random(0)
+    for _ in range(3000):
+        t = gen_raw_term(rng, rng.randint(1, 40))
+        assert print_term(t) == spec_term(t)
+        s = gen_raw_subst(rng, rng.randint(1, 20))
+        assert print_subst(s) == spec_subst(s)
+
+
+def test_shared_printing_matches_fresh_printing():
+    rng, memo = Random(1), {}
+    terms = [gen_raw_term(rng, rng.randint(1, 40)) for _ in range(500)]
+    # the second round prints every term from the memo's texts
+    for t in terms + terms:
+        assert print_shared(t, memo) == print_term(t)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (Weak("x"), "not a term: Weak(var='x')"),
+    (App(VarRef("x"), Weak("y")), "not a term: Weak(var='y')"),
+    (Lam("x", Rename("y", "z")), "not a term: Rename(new='y', old='z')"),
+    (Comp(VarRef("x"), VarRef("y")), "not a substitution: VarRef(name='x')"),
+    (Comp(Lift(VarRef("x"), "y"), VarRef("z")), "not a substitution: VarRef(name='x')"),
+    (Comp(Slash(Weak("x"), "y"), VarRef("z")), "not a term: Weak(var='x')"),
+])
+def test_printing_a_malformed_tree_is_a_type_error(bad, message):
+    with pytest.raises(TypeError, match=message.replace("(", r"\(").replace(")", r"\)")):
+        print_term(bad)
+    with pytest.raises(TypeError):
+        print_shared(bad, {})
+
+
+def test_print_subst_rejects_a_term():
+    with pytest.raises(TypeError, match="not a substitution"):
+        print_subst(VarRef("x"))
+
+
+# --- traces ---------------------------------------------------------------
+
+RULE_SETS = {"full": FULL, "sigma": SIGMA, "sigma-alpha": SIGMA_ALPHA}
+
+
+def fresh_text(trace) -> str:
+    lines = [print_term(trace.initial)]
+    for s in trace.steps:
+        p = ".".join(str(i) for i in path_indices(s.at)) or "-"
+        lines.append(f"{s.rule}\t{p}\t{s.fresh or '-'}\t{print_term(s.result)}")
+    return "\n".join(lines)
+
+
+def fresh_json(trace) -> dict:
+    return {"initial": print_term(trace.initial),
+            "steps": [{"ruleName": s.rule, "pathAsChildIndices": path_indices(s.at),
+                       "freshVariableOrNull": s.fresh, "printedTerm": print_term(s.result)}
+                      for s in trace.steps]}
+
+
+@pytest.mark.parametrize("strategy", ["lo", "ri", 1], ids=["lo", "ri", "index:1"])
+@pytest.mark.parametrize("name", sorted(RULE_SETS))
+def test_trace_prints_each_step_as_a_fresh_print(name, strategy):
+    # ri makes steps away from the last one, and App steps share the
+    # substitution between both sides of their result
+    rules = RULE_SETS[name]
+    rng, cfg = Random(7), GenConfig(seed=7, size=20)
+    for _ in range(40):
+        for t in (gen_raw_term(rng, rng.randint(2, 30)), gen_wellformed(cfg, rng)[1]):
+            _, trace, _ = normalize(t, rules, strategy, 60)
+            assert trace.to_text() == fresh_text(trace)
+            assert trace.to_json() == fresh_json(trace)
+
+
+def test_trace_built_by_hand_prints_each_step_as_a_fresh_print():
+    # the steps are not reductions, and the second path does not even apply
+    # to the term before it
+    x, y = parse_term("x"), parse_term(r"(\x. x) y")
+    trace = Trace(y, (TraceStep("Beta", (), None, x),
+                      TraceStep("Var", (Sel.APP_LEFT, Sel.LAM_BODY), None, y),
+                      TraceStep("Beta", (), None, x)))
+    assert trace.to_text() == fresh_text(trace)
+    assert trace.to_json() == fresh_json(trace)
+
+
+def numeral(n: int):
+    body = VarRef("x")
+    for _ in range(n):
+        body = App(VarRef("f"), body)
+    return Lam("f", Lam("x", body))
+
+
+def mult(k: int):
+    m = parse_term(r"\m. \n. \f. m (n f)")
+    return App(App(m, numeral(k)), numeral(k))
+
+
+def memo_after_printing(trace, monkeypatch):
+    memos = []
+
+    def spy(t, memo):
+        memos.append(memo)
+        return print_shared(t, memo)
+
+    monkeypatch.setattr(rewrite, "print_shared", spy)
+    text = trace.to_json()
+    assert all(m is memos[0] for m in memos)
+    assert text == fresh_json(trace)
+    return memos[0]
+
+
+@pytest.mark.parametrize("term, strategy, fuel", [
+    (mult(12), "lo", 100_000),
+    # each step drops a whole redex, not only the spine above it
+    (parse_term(r"(\x. x x) (\x. x x)"), "ri", 2000),
+], ids=["mult c_12 c_12", "omega under ri"])
+def test_trace_print_memo_follows_the_live_term(term, strategy, fuel, monkeypatch):
+    _, trace, _ = normalize(term, FULL, strategy, fuel)
+    memo = memo_after_printing(trace, monkeypatch)
+    largest = max(node_size(s.result) for s in trace.steps)
+    assert len(memo) <= 2 * largest
+
+
+# --- depth ----------------------------------------------------------------
+
+DEPTH = 10_000      # well past the default recursion limit
+
+
+def test_deep_left_application_chain():
+    t = VarRef("x")
+    for _ in range(DEPTH):
+        t = App(t, VarRef("y"))
+    assert print_term(t) == "x" + " y" * DEPTH
+
+
+def test_deep_right_application_chain():
+    t = VarRef("x")
+    for _ in range(DEPTH):
+        t = App(VarRef("f"), t)
+    assert print_term(t) == "f (" * (DEPTH - 1) + "f x" + ")" * (DEPTH - 1)
+
+
+def test_deep_binder_chain():
+    t = VarRef("x")
+    for _ in range(DEPTH):
+        t = Lam("x", t)
+    assert print_term(t) == "\\x. " * DEPTH + "x"
+
+
+def test_deep_composition_chains():
+    t = VarRef("x")
+    for _ in range(DEPTH):
+        t = Comp(Weak("y"), t)
+    assert print_term(t) == "W y * " * DEPTH + "x"
+    s = Weak("y")
+    for _ in range(DEPTH):
+        s = Lift(s, "z")
+    assert print_subst(s) == "W y" + "^z" * DEPTH
+    t = VarRef("x")
+    for _ in range(DEPTH):
+        t = Comp(Slash(t, "y"), VarRef("z"))
+    assert print_term(t) == "[" * DEPTH + "x" + "/y] * z" * DEPTH
+
+
+def test_deep_trace_records_no_long_text(monkeypatch):
+    # the texts of every subterm of one of these chains add up to 2 * 10**8
+    # characters, quadratic in its depth
+    t = App(Lam("y", VarRef("y")), VarRef("x"))
+    for _ in range(DEPTH):
+        t = Lam("x", t)
+    _, trace, _ = normalize(t, FULL, "lo", 10)
+    assert [s.rule for s in trace.steps] == ["Beta", "Var"]
+    memo = memo_after_printing(trace, monkeypatch)
+    path = ".".join(["0"] * DEPTH)
+    assert trace.to_text().splitlines()[-1] == f"Var\t{path}\t-\t" + "\\x. " * DEPTH + "x"
+    assert sum(len(text) for _, text in memo.values()) <= 4 * 10**7

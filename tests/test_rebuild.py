@@ -1,0 +1,48 @@
+"""A one-level rebuild copies the node's fields instead of calling its
+constructor.  That is sound only while every node class of both calculi is
+a plain frozen dataclass: no __slots__, no __post_init__, and a __dict__
+that holds exactly its fields.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+
+from exsub import debruijn, terms
+from exsub.terms import _with_child
+
+NODE_CLASSES = [cls for mod in (terms, debruijn) for cls in vars(mod).values()
+                if isinstance(cls, type) and cls.__module__ == mod.__name__
+                and "CHILDREN" in vars(cls)]
+# two distinct leaves of each calculus
+LEAVES = {terms: (terms.VarRef("a"), terms.VarRef("b")),
+          debruijn: (debruijn.One(), debruijn.FreeName("b"))}
+
+
+def test_every_node_class_is_found():
+    assert len(NODE_CLASSES) == 18
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
+def test_node_class_is_a_plain_frozen_dataclass(cls):
+    assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
+    assert not any("__slots__" in vars(k) for k in cls.__mro__)
+    assert not hasattr(cls, "__post_init__")
+
+
+@pytest.mark.parametrize("cls", [c for c in NODE_CLASSES if c.CHILDREN],
+                         ids=lambda c: c.__name__)
+def test_rebuild_equals_the_constructor(cls):
+    old, new = LEAVES[terms if cls.__module__ == terms.__name__ else debruijn]
+    kids = {f for _, f in cls.CHILDREN}
+    node = cls(**{f.name: old if f.name in kids else "x" for f in dataclasses.fields(cls)})
+    for field in kids:
+        rebuilt = _with_child(node, field, new)
+        expected = dataclasses.replace(node, **{field: new})
+        assert type(rebuilt) is cls and vars(rebuilt) == vars(expected)
+        assert rebuilt == expected and hash(rebuilt) == hash(expected)
+        assert getattr(node, field) == old      # the original is untouched
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rebuilt, field, old)
