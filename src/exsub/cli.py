@@ -2,7 +2,8 @@
 
 Subcommands: check, fv, good, reduce, normalize, translate, equiv, nf,
 test.  Exit codes: 0 for success or a true answer, 1 for a false answer
-or an ill-formed term, 2 for usage errors.
+or an ill-formed term, 2 for usage errors, input that does not parse and
+input nested too deeply.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NoReturn
 
 from . import __version__
 from .contexts import format_context
@@ -23,18 +25,25 @@ from .suites import SUITES, run_suite
 from .syntax import ParseError, parse_context, parse_term, print_term
 
 
+def _unparsable(e: ParseError) -> NoReturn:
+    """Input that does not parse is a usage error: one line on stderr and
+    exit 2, as argparse does for a bad flag."""
+    print(f"error: {e}", file=sys.stderr)
+    raise SystemExit(2) from e
+
+
 def _term(text: str):
     try:
         return parse_term(text)
     except ParseError as e:
-        raise SystemExit(f"error: {e}") from e
+        _unparsable(e)
 
 
 def _context(text: str):
     try:
         return parse_context(text)
     except ParseError as e:
-        raise SystemExit(f"error: {e}") from e
+        _unparsable(e)
 
 
 def _positive_int(text: str) -> int:

@@ -217,12 +217,61 @@ def apply_rule(t: Term, at: Path, rule: str, *,
     return replace_at(t, at, new), fresh
 
 
-@dataclass(frozen=True)
 class TraceStep:
-    rule: str
-    at: Path
-    fresh: Optional[Var]
-    result: Term
+    """One reduction step: the rule, the path of its redex, the fresh name
+    Alpha chose (else None), and the term after the step.
+
+    A step that the lo walk made does not hold its result.  It holds the
+    contractum and the step before it (or the initial term), and its result
+    is `replace_at(previous result, at, contractum)`, built on first read
+    and then kept.  The replay rebuilds the spine above the redex and
+    shares every other subtree, as an eager rebuild does, so a normalization
+    that reads only its normal form never builds the intermediate terms.
+    """
+
+    __slots__ = ("rule", "at", "fresh", "_result", "_before", "_contractum")
+
+    def __init__(self, rule: str, at: Path, fresh: Optional[Var], result: Term):
+        self.rule, self.at, self.fresh = rule, at, fresh
+        self._result, self._before, self._contractum = result, None, None
+
+    @classmethod
+    def replayed(cls, rule: str, at: Path, fresh: Optional[Var],
+                 before: "TraceStep | Term", contractum: Term) -> "TraceStep":
+        """The step that puts `contractum` at `at` in the result of `before`."""
+        s = cls(rule, at, fresh, None)
+        s._before, s._contractum = before, contractum
+        return s
+
+    @property
+    def result(self) -> Term:
+        # The unread steps before this one are replayed oldest first, in a
+        # loop, so that reading the last step of a long trace first does
+        # not recurse once per step.
+        pending, before = [], self
+        while isinstance(before, TraceStep) and before._contractum is not None:
+            pending.append(before)
+            before = before._before
+        term = before._result if isinstance(before, TraceStep) else before
+        for p in reversed(pending):
+            term = replace_at(term, p.at, p._contractum)
+            p._result, p._before, p._contractum = term, None, None
+        return self._result
+
+    def _key(self) -> tuple:
+        return self.rule, self.at, self.fresh, self.result
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TraceStep):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"TraceStep(rule={self.rule!r}, at={self.at!r}, fresh={self.fresh!r}, "
+                f"result={self.result!r})")
 
 
 @dataclass(frozen=True)
@@ -315,10 +364,9 @@ class _Rescan:
     def focus(self) -> Term:
         return subterm_at(self.root, self._found[0])
 
-    def replace(self, new: Term) -> Term:
+    def replace(self, new: Term) -> None:
         self.root = replace_at(self.root, self._found[0], new)
         self._found = None
-        return self.root
 
 
 def _reducer(t: Term, rules: frozenset[str], strategy: Strategy,
@@ -336,21 +384,26 @@ def _reducer(t: Term, rules: frozenset[str], strategy: Strategy,
     return LeftmostOutermost(t, lambda u: _root_rule(u, rules, memo), unsettled)
 
 
-def _advance(red: LeftmostOutermost | _Rescan, memo: _Memo) -> Optional[TraceStep]:
-    """Contract the redex the strategy picks next, if there is one."""
+def _advance(red: LeftmostOutermost | _Rescan, memo: _Memo,
+             before: TraceStep | Term) -> Optional[TraceStep]:
+    """Contract the redex the strategy picks next, if there is one;
+    `before` is the previous step, or the initial term."""
     picked = red.next_redex()
     if picked is None:
         return None
     path, rule = picked
     new, fresh = apply_rule(red.focus, (), rule, _memo=memo)
-    return TraceStep(rule, path, fresh, red.replace(new))
+    red.replace(new)
+    if isinstance(red, _Rescan):        # it has rebuilt the whole term already
+        return TraceStep(rule, path, fresh, red.root)
+    return TraceStep.replayed(rule, path, fresh, before, new)
 
 
 def step(t: Term, rules: frozenset[str] = FULL, strategy: Strategy = "lo", *,
          _memo: _Memo | None = None) -> Optional[tuple[Term, str, Path, Optional[Var]]]:
     """One reduction step under the strategy, or None when no redex exists."""
     memo = {} if _memo is None else _memo
-    s = _advance(_reducer(t, rules, strategy, memo), memo)
+    s = _advance(_reducer(t, rules, strategy, memo), memo, t)
     return None if s is None else (s.result, s.rule, s.at, s.fresh)
 
 
@@ -360,7 +413,8 @@ def normalize(t: Term, rules: frozenset[str] = FULL, strategy: Strategy = "lo",
     were taken.
 
     Under lo one `LeftmostOutermost` walk serves every step: it resumes
-    next to the last contraction instead of rescanning from the root.
+    next to the last contraction instead of rescanning from the root, and
+    the trace's results are built only when read (see `TraceStep`).
     Returns the final term, the trace, and an exhaustion flag, which says
     whether a redex is left after the last step (none is contracted to
     find out).  Exhaustion is a normal outcome for the full rule set
@@ -372,9 +426,11 @@ def normalize(t: Term, rules: frozenset[str] = FULL, strategy: Strategy = "lo",
     memo: _Memo = {}
     red = _reducer(t, rules, strategy, memo)
     steps: list[TraceStep] = []
+    before: TraceStep | Term = t
     for _ in range(fuel):
-        s = _advance(red, memo)
+        s = _advance(red, memo, before)
         if s is None:
             return red.root, Trace(t, tuple(steps)), False
         steps.append(s)
+        before = s
     return red.root, Trace(t, tuple(steps)), red.next_redex() is not None

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from random import Random
 
-from .contexts import Context, ctx_le, format_context
+from .contexts import ctx_le, format_context
 from .debruijn import (LAMBDA_UPSILON, UPSILON, UPSILON2, DBTerm, DComp, DId,
                        DLift, DShift, DSlash, db_apply, db_check,
                        db_find_redexes, db_normalize_upsilon,
@@ -103,10 +103,17 @@ class _Run:
         self.inconclusives += 1
         self.trial += 1
 
-    def check(self, cond: bool, term, ctx: Context | None, detail: str) -> bool:
+    def check(self, cond: bool, term, ctx, detail: str) -> bool:
+        """Count a trial that passes when `cond` holds.  `term` is a term
+        or its text and `ctx` a context or None; either may instead be a
+        function returning it, which only a failing trial calls."""
         if cond:
             self.ok()
         else:
+            if callable(term):
+                term = term()
+            if callable(ctx):
+                ctx = ctx()
             shown = term if isinstance(term, str) else print_term(term)
             self.fail(shown, format_context(ctx) if ctx else "-", detail)
         return cond
@@ -325,7 +332,7 @@ def suite_upsilon_weights(cfg: GenConfig) -> TrialReport:
                 good = w_a[0] >= w_b[0] and (w_a[0], w_a[1]) > (w_b[0], w_b[1])
             else:
                 good = w_a[0] > w_b[0]
-            run.check(good, print_db(a), None,
+            run.check(good, lambda: print_db(a), None,
                       f"{rule}: weights {w_a} -> {w_b} do not certify termination")
             recorded += 1
     return run.report()
@@ -342,7 +349,7 @@ def suite_lpo_decrease(cfg: GenConfig) -> TrialReport:
             if recorded >= cfg.count:
                 break
             b = db_apply(a, path, rule)
-            run.check(lpo_gt(label(a), label(b)), print_db(a), None,
+            run.check(lpo_gt(label(a), label(b)), lambda: print_db(a), None,
                       f"{rule}: labelled step is not a path-order descent")
             recorded += 1
     return run.report()
@@ -455,7 +462,7 @@ def suite_oracle_equivalence(cfg: GenConfig) -> TrialReport:
         except ContainsBlock as e:
             run.fail(print_term(nf), "-", str(e))
             continue
-        run.check(alpha_eq(p, cnf), t, fv(t),
+        run.check(alpha_eq(p, cnf), t, lambda: fv(t),
                   "engine and classical oracle disagree")
     return run.report()
 

@@ -176,7 +176,12 @@ def replace_at(node, path: Path, new):
 
 def node_size(node) -> int:
     """Number of constructors in a term or substitution of either calculus."""
-    return 1 + sum(node_size(c) for _, c in children(node))
+    n, stack = 0, [node]
+    while stack:
+        node = stack.pop()
+        n += 1
+        stack.extend(getattr(node, f) for _, f in node.CHILDREN)
+    return n
 
 
 class LeftmostOutermost:
@@ -186,8 +191,8 @@ class LeftmostOutermost:
     of `node`, or returns None.  `next_redex` walks the term in the order of
     the redex scans (outside-in, left to right) on an explicit stack of
     (node, child index) frames and stops at the first node with a rule, the
-    focus.  `replace` puts the contractum in place of the focus and rebuilds
-    only the frames above it.  The next walk does not restart at the root:
+    focus.  `replace` puts the contractum in place of the focus.  The next
+    walk does not restart at the root:
 
     * A subtree the walk has finished holds no redex, and later steps do
       not change it.  A memo, keyed by id and holding the node, keeps these
@@ -199,18 +204,38 @@ class LeftmostOutermost:
       `unsettled(node)` is given, the walk asks it of every node it enters
       without a rule, and resumes at the topmost frame that answered yes
       when that frame lies above the grandparent.
+
+    The frames form a zipper (Huet, "The Zipper", 1997).  `replace`
+    rebuilds only the frames from the focus's parent down to the frame the
+    walk resumes at; the frames above it still hold the old child.  The
+    walk rebuilds such a stale frame when it pops back into it, and `root`
+    rebuilds what is still stale when it is read.  A step therefore costs
+    the same however deep its redex lies.
     """
 
     def __init__(self, root, rule_at: Callable[[object], Optional[str]],
                  unsettled: Callable[[object], bool] | None = None):
-        self.root = root
         self._rule_at = rule_at
         self._unsettled = unsettled
         self._nodes = [root]    # the path from the root to the walk's position
         self._next: list[int] = []      # per frame: the child being walked
+        self._sels: list[Sel] = []      # per frame: that child's selector
         self._marked: list[int] = []    # depths of unsettled frames, ascending
         self._clean: dict[int, object] = {}
         self._found: tuple[Path, str] | None = None
+        self._last = root               # the root, once the walk has ended
+
+    @property
+    def root(self):
+        """The current term, with every stale frame rebuilt."""
+        nodes, nxt = self._nodes, self._next
+        if not nodes:
+            return self._last
+        for k in range(len(nodes) - 2, -1, -1):
+            parent, f = nodes[k], nodes[k].CHILDREN[nxt[k]][1]
+            if getattr(parent, f) is not nodes[k + 1]:
+                nodes[k] = _with_child(parent, f, nodes[k + 1])
+        return nodes[0]
 
     @property
     def focus(self):
@@ -222,14 +247,13 @@ class LeftmostOutermost:
         term holds none."""
         if self._found is not None:
             return self._found
-        nodes, nxt, clean = self._nodes, self._next, self._clean
+        nodes, nxt, sels, clean = self._nodes, self._next, self._sels, self._clean
         while nodes:
             node = nodes[-1]
             if len(nxt) < len(nodes):       # entering `node`
                 rule = self._rule_at(node)
                 if rule is not None:
-                    path = tuple(n.CHILDREN[i][0] for n, i in zip(nodes, nxt))
-                    self._found = path, rule
+                    self._found = tuple(sels), rule
                     return self._found
                 if self._unsettled is not None and self._unsettled(node):
                     self._marked.append(len(nxt))
@@ -242,6 +266,7 @@ class LeftmostOutermost:
                 i += 1
             if i < len(kids):
                 nxt[-1] = i
+                sels.append(kids[i][0])
                 nodes.append(c)
                 continue
             clean[id(node)] = node          # finished: no redex below
@@ -249,27 +274,32 @@ class LeftmostOutermost:
             nxt.pop()
             if self._marked and self._marked[-1] == len(nodes):
                 self._marked.pop()
-            if nxt:
-                nxt[-1] += 1
+            if not nodes:
+                self._last = node
+                break
+            sels.pop()
+            parent = nodes[-1]
+            f = parent.CHILDREN[nxt[-1]][1]
+            if getattr(parent, f) is not node:      # stale: rebuild it now
+                nodes[-1] = _with_child(parent, f, node)
+            nxt[-1] += 1
         return None
 
-    def replace(self, new):
-        """Put `new` in place of the focus, rebuild the frames above it and
-        return the new root."""
+    def replace(self, new) -> None:
+        """Put `new` in place of the focus and rebuild the frames down to
+        the one the walk resumes at."""
         if self._found is None:
             raise ValueError("no redex found to replace")
         nodes, nxt, marked = self._nodes, self._next, self._marked
         depth = len(nxt)
-        nodes[depth] = new
-        for k in range(depth - 1, -1, -1):
-            parent = nodes[k]
-            nodes[k] = _with_child(parent, parent.CHILDREN[nxt[k]][1], nodes[k + 1])
-        self.root = nodes[0]
         resume = max(depth - 2, 0)
         if marked and marked[0] < resume:
             resume = marked[0]
-        del nodes[resume + 1:], nxt[resume:]
+        nodes[depth] = new
+        for k in range(depth - 1, resume - 1, -1):
+            parent = nodes[k]
+            nodes[k] = _with_child(parent, parent.CHILDREN[nxt[k]][1], nodes[k + 1])
+        del nodes[resume + 1:], nxt[resume:], self._sels[resume:]
         while marked and marked[-1] >= resume:
             marked.pop()
         self._found = None
-        return self.root

@@ -1,0 +1,47 @@
+"""A suite builds the text of a failing trial only when the trial fails."""
+
+from __future__ import annotations
+
+import pytest
+
+from exsub import suites
+from exsub.contexts import Context
+from exsub.generators import GenConfig
+from exsub.suites import _Run, run_suite
+from exsub.syntax import parse_term
+
+
+def counting(monkeypatch, name):
+    calls = []
+    fn = getattr(suites, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(suites, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("suite", ["upsilon-weights", "lpo-decrease"])
+def test_passing_trials_print_nothing(monkeypatch, suite):
+    calls = counting(monkeypatch, "print_db")
+    report = run_suite(suite, GenConfig(seed=0, count=200))
+    assert report.trials == 200 and not report.failures
+    assert calls == []
+
+
+def test_passing_oracle_trials_compute_no_context(monkeypatch):
+    calls = counting(monkeypatch, "fv")
+    report = run_suite("oracle-equivalence", GenConfig(seed=0, count=20))
+    assert report.trials == 20 and not report.failures
+    assert calls == []
+
+
+def test_a_failing_check_calls_for_its_text():
+    run = _Run("demo", GenConfig())
+    assert run.check(True, lambda: 1 / 0, lambda: 1 / 0, "never shown")
+    assert not run.check(False, lambda: "a b", lambda: Context(frozenset("x"), ()), "d1")
+    assert not run.check(False, parse_term("W x * y"), lambda: None, "d2")
+    assert [(f.term, f.context, f.detail) for f in run.failures] == [
+        ("a b", "{x}", "d1"), ("W x * y", "-", "d2")]
