@@ -37,16 +37,16 @@ list every redex of the whole term at each step.
 from __future__ import annotations
 
 import itertools
-import json
+from json.encoder import encode_basestring_ascii as _quote
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .contexts import Context
 from .freevars import _Memo, _fv
-from .syntax import PrintMemo, print_shared, print_term
-from .terms import (App, BadPath, Comp, InvalidRedex, Lam, LeftmostOutermost, Lift,
-                    Node, Path, Rename, Slash, Term, Var, VarRef, Weak,
-                    child, children, path_indices, replace_at, subterm_at)
+from .syntax import LengthMemo, children_at, print_spliced, print_term
+from .terms import (CHILD_INDEX, App, BadPath, Comp, InvalidRedex, Lam, LeftmostOutermost,
+                    Lift, Node, Path, Rename, Slash, Term, Var, VarRef, Weak,
+                    _field, _with_child, path_indices, replace_at, subterm_at)
 
 BETA = "Beta"
 APP = "App"
@@ -222,25 +222,27 @@ class TraceStep:
     Alpha chose (else None), and the term after the step.
 
     A step that the lo walk made does not hold its result.  It holds the
-    contractum and the step before it (or the initial term), and its result
-    is `replace_at(previous result, at, contractum)`, built on first read
-    and then kept.  The replay rebuilds the spine above the redex and
-    shares every other subtree, as an eager rebuild does, so a normalization
-    that reads only its normal form never builds the intermediate terms.
+    redex, the contractum and the step before it (or the initial term), and
+    its result is `replace_at(previous result, at, contractum)`, built on
+    first read and then kept.  The replay rebuilds the spine above the
+    redex and shares every other subtree, as an eager rebuild does, so a
+    normalization that reads only its normal form never builds the
+    intermediate terms.
     """
 
-    __slots__ = ("rule", "at", "fresh", "_result", "_before", "_contractum")
+    __slots__ = ("rule", "at", "fresh", "_result", "_before", "_redex", "_contractum")
 
     def __init__(self, rule: str, at: Path, fresh: Optional[Var], result: Term):
         self.rule, self.at, self.fresh = rule, at, fresh
-        self._result, self._before, self._contractum = result, None, None
+        self._result, self._before, self._redex, self._contractum = result, None, None, None
 
     @classmethod
-    def replayed(cls, rule: str, at: Path, fresh: Optional[Var],
-                 before: "TraceStep | Term", contractum: Term) -> "TraceStep":
-        """The step that puts `contractum` at `at` in the result of `before`."""
+    def replayed(cls, rule: str, at: Path, fresh: Optional[Var], before: "TraceStep | Term",
+                 redex: Term, contractum: Term) -> "TraceStep":
+        """The step that puts `contractum` in place of `redex`, at `at` in
+        the result of `before`."""
         s = cls(rule, at, fresh, None)
-        s._before, s._contractum = before, contractum
+        s._before, s._redex, s._contractum = before, redex, contractum
         return s
 
     @property
@@ -255,7 +257,7 @@ class TraceStep:
         term = before._result if isinstance(before, TraceStep) else before
         for p in reversed(pending):
             term = replace_at(term, p.at, p._contractum)
-            p._result, p._before, p._contractum = term, None, None
+            p._result, p._before, p._redex, p._contractum = term, None, None, None
         return self._result
 
     def _key(self) -> tuple:
@@ -282,34 +284,70 @@ class Trace:
     def _printed(self) -> Iterator[str]:
         """The printed initial term, then the printed result of each step.
 
-        One memo serves the whole trace.  A step rebuilds only the spine
-        above its redex, so every other subtree of its result keeps the
-        text it had in the term before.  Once a result is printed, the
-        entries of the nodes the step replaced are dropped: the spine, the
-        nodes along the step's path in the previous term, and the two
-        levels below the redex, the most any left-hand side reads.  A step
-        keeps every deeper subtree whole or drops it, so only the entries
-        inside a subtree dropped whole stay behind, and the memo follows
-        the live term instead of growing with the trace.  Dropping an entry
-        only costs a reprint, so a trace built by hand, whose steps need not
-        be reductions, still prints right.
+        A step's text is the text before it with the redex's text replaced
+        by the contractum's (`syntax.print_spliced`).  A zipper over the
+        current term, as in `LeftmostOutermost`, holds its nodes down the
+        last step's path and where each one's text starts.  A step walks
+        down from where its path leaves that one, and a node above the last
+        contraction, still holding the old child, is rebuilt only once a
+        path leaves the zipper below it; so a lo step costs the same at any
+        depth, and printing builds no result.  The zipper takes in the lo
+        walk's own redex, whose parts the contractum holds by identity.  A
+        step with an eager result is spliced only when the result shares
+        every sibling along the path with the term before, by identity;
+        any other step is printed in full, so a trace built by hand still
+        prints right.
+
+        One memo of printed lengths serves the whole trace.  It drops the
+        entries of the redex, of each rebuilt node and of the two levels
+        below the redex, the most any left-hand side reads; a step keeps
+        every deeper subtree whole or drops it, so the memo follows the live
+        term instead of growing with the trace.
         """
-        memo: PrintMemo = {}
-        prev = self.initial
-        yield print_shared(prev, memo)
+        memo: LengthMemo = {}
+        before = self.initial
+        text = print_term(before)
+        yield text
+        nodes, fields, starts, last = [before], [], [0], ()
         for s in self.steps:
-            yield print_shared(s.result, memo)
-            spine = [prev]
+            at, m = s.at, 0
+            while m < len(at) and m < len(last) and at[m] is last[m]:
+                m += 1
+            for d in range(len(fields) - 1, m - 1, -1):
+                u = nodes[d]
+                if getattr(u, fields[d]) is not nodes[d + 1]:
+                    memo.pop(id(u), None)
+                    nodes[d] = _with_child(u, fields[d], nodes[d + 1])
+            del nodes[m + 1:], fields[m:], starts[m + 1:]
             try:
-                for sel in s.at:
-                    spine.append(child(spine[-1], sel))
+                for sel in at[m:]:
+                    u = nodes[-1]
+                    fields.append(_field(u, sel))
+                    starts.append(children_at(u, starts[-1], memo)[CHILD_INDEX[sel]][1])
+                    nodes.append(getattr(u, fields[-1]))
+                if s._contractum is not None and s._before is before:
+                    memo.pop(id(nodes[-1]), None)
+                    nodes[-1] = s._redex
+                    spine = nodes[:-1] + [s._contractum]
+                else:
+                    spine = _shared_spine(s.result, nodes, fields)
             except BadPath:
-                pass
-            below = [c for _, c in children(spine[-1])]
-            below += [g for c in below for _, g in children(c)]
-            for node in spine + below:
-                memo.pop(id(node), None)
-            prev = s.result
+                spine = None
+            if spine is None:
+                text = print_term(s.result)
+                memo.clear()
+                nodes, fields, starts, last = [s.result], [], [0], ()
+            else:
+                text, starts[-1] = print_spliced(
+                    text, starts[-1], nodes[-2] if at else None,
+                    CHILD_INDEX[at[-1]] if at else 0, nodes[-1], spine[-1], memo)
+                for u, v in zip(reversed(nodes), reversed(spine)):
+                    if u is v:
+                        break
+                    memo.pop(id(u), None)
+                nodes, last = spine, at
+            yield text
+            before = s
 
     def to_json(self) -> dict:
         texts = self._printed()
@@ -335,7 +373,34 @@ class Trace:
         return "\n".join(lines)
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
+        """`json.dumps(self.to_json(), indent=2)`, written from templates:
+        with an indent, `json` falls back to its pure-Python encoder."""
+        texts = self._printed()
+        head = '{\n  "initial": %s,\n  "steps": [' % _quote(next(texts))
+        steps = ",".join(_STEP_JSON % (
+            _quote(s.rule),
+            "[\n        %s\n      ]" % ",\n        ".join(map(str, path_indices(s.at)))
+            if s.at else "[]",
+            "null" if s.fresh is None else _quote(s.fresh), _quote(text))
+            for s, text in zip(self.steps, texts))
+        return head + steps + ("\n  ]\n}" if steps else "]\n}")
+
+
+_STEP_JSON = ('\n    {\n      "ruleName": %s,\n      "pathAsChildIndices": %s,'
+              '\n      "freshVariableOrNull": %s,\n      "printedTerm": %s\n    }')
+
+
+def _shared_spine(result: Term, nodes: list, fields: list[str]) -> list | None:
+    """The nodes of `result` down the path of `nodes` and `fields`, if each
+    has the class and, by identity, all other fields of the node there."""
+    spine = [result]
+    for u, f in zip(nodes, fields):
+        r = spine[-1]
+        if type(r) is not type(u) or any(v is not u.__dict__[k]
+                                         for k, v in r.__dict__.items() if k != f):
+            return None
+        spine.append(getattr(r, f))
+    return spine
 
 
 class _Rescan:
@@ -392,11 +457,12 @@ def _advance(red: LeftmostOutermost | _Rescan, memo: _Memo,
     if picked is None:
         return None
     path, rule = picked
-    new, fresh = apply_rule(red.focus, (), rule, _memo=memo)
+    redex = red.focus
+    new, fresh = apply_rule(redex, (), rule, _memo=memo)
     red.replace(new)
     if isinstance(red, _Rescan):        # it has rebuilt the whole term already
         return TraceStep(rule, path, fresh, red.root)
-    return TraceStep.replayed(rule, path, fresh, before, new)
+    return TraceStep.replayed(rule, path, fresh, before, redex, new)
 
 
 def step(t: Term, rules: frozenset[str] = FULL, strategy: Strategy = "lo", *,

@@ -24,7 +24,7 @@ from .generators import (GenConfig, gen_db, gen_db_marked, gen_db_sub,
 from .judgements import NotDerivable, derive
 from .normalforms import ContainsBlock, is_sigma_nf, to_pure
 from .pure import alpha_eq, classical_normalize
-from .rewrite import (FULL, SIGMA, SIGMA_ALPHA, W, apply_rule, find_redexes,
+from .rewrite import (FULL, SIGMA, SIGMA_ALPHA, W, Trace, apply_rule, find_redexes,
                       normalize)
 from .syntax import print_term
 from .termination import label, lpo_gt, weights12
@@ -202,9 +202,12 @@ def suite_sigma_alpha_termination(cfg: GenConfig) -> TrialReport:
         ctx, t = gen_wellformed(cfg, run.rng)
         nf, trace, exhausted = normalize(t, SIGMA_ALPHA, "lo", cfg.fuel)
         if exhausted:
+            # the last five lines of the trace's text: its last five steps
+            steps = trace.steps
+            before = steps[-6].result if len(steps) > 5 else trace.initial
             run.fail(print_term(t), format_context(ctx),
                      f"fuel {cfg.fuel} exhausted",
-                     tuple(trace.to_text().splitlines()[-5:]))
+                     tuple(Trace(before, steps[-5:]).to_text().splitlines()[-5:]))
             continue
         run.check(is_sigma_nf(nf) and not find_redexes(nf, SIGMA_ALPHA),
                   t, ctx, "normal form rejected by the grammar")

@@ -201,11 +201,7 @@ def parse_context(text: str) -> Context:
 
 # Entries hold the node itself so its id stays valid for the cache key.
 PrintMemo = dict[int, tuple[Node, str]]
-
-# The longest text a print memo records.  Recording every subterm of a
-# chain of n nodes would hold texts of total length O(n^2): 0.4 GB for a
-# chain of 10^4 binders.
-_MEMO_TEXT_MAX = 1 << 13
+LengthMemo = dict[int, tuple[Node, int]]
 
 _TERMS = frozenset((VarRef, App, Lam, Comp))
 _SUBSTS = frozenset((Slash, Weak, Rename, Lift))
@@ -216,83 +212,115 @@ def _expect(node, sorts: frozenset, what: str) -> None:
         raise TypeError(f"not a {what}: {node!r}")
 
 
+def _in_parens(k: int, node) -> bool:
+    """Whether `node` prints in parentheses as child `k` of an application:
+    application is left associative, so a left App needs none, and an
+    argument needs them unless it is a variable."""
+    return type(node) is not VarRef and (k == 1 or type(node) is not App)
+
+
+def _parts(u) -> tuple:
+    """The text of `u` as a stack: literal strings, and its children in place
+    of their texts, last first.  Checks the sort of each child."""
+    cls = type(u)
+    if cls is App:
+        f, a = u.fn, u.arg
+        _expect(f, _TERMS, "term")
+        _expect(a, _TERMS, "term")
+        return (((")", a, " (") if _in_parens(1, a) else (a, " "))
+                + ((")", f, "(") if _in_parens(0, f) else (f,)))
+    if cls is Lam:
+        _expect(u.body, _TERMS, "term")
+        return u.body, f"\\{u.var}. "
+    if cls is Comp:
+        _expect(u.sub, _SUBSTS, "substitution")
+        _expect(u.body, _TERMS, "term")
+        return u.body, " * ", u.sub
+    if cls is VarRef:
+        return u.name,
+    if cls is Slash:
+        _expect(u.term, _TERMS, "term")
+        return f"/{u.var}]", u.term, "["
+    if cls is Weak:
+        return f"W {u.var}",
+    if cls is Rename:
+        return f"{{{u.new} {u.old}}}",
+    _expect(u.sub, _SUBSTS, "substitution")     # Lift
+    return f"^{u.var}", u.sub
+
+
 def _print(root: Node, memo: PrintMemo | None) -> str:
-    """The text of `root`, whose class the caller has checked.
+    """The text of `root`, whose class the caller has checked, taking the
+    text of each node that `memo` holds from there.
 
     Pre-order on an explicit stack, so that deep terms do not hit the
     recursion limit.  The stack holds nodes still to print and literal text;
-    both come off it in output order.  With a memo, the text of a node with
-    children is looked up before it is printed; otherwise a pair (node,
-    start) goes on the stack under its parts, and when it comes off, the
-    output from `start` on is joined into the node's text and recorded.
-    Variables, weakenings and renamings are cheaper to print than to look
-    up and are not recorded.  Nor is a text longer than `_MEMO_TEXT_MAX`:
-    from the first such node up, the output stays in pieces until the end.
+    both come off it in output order.
     """
     out: list[str] = []
     stack: list = [root]
-    long_from = -1      # where the output of the last too-long text starts
     while stack:
         u = stack.pop()
         cls = type(u)
         if cls is str:
             out.append(u)
-            continue
-        if cls is tuple:
-            u, start = u
-            if start <= long_from:      # u holds a text too long to record
-                continue
-            text = "".join(out[start:])
-            del out[start:]
-            out.append(text)
-            if len(text) > _MEMO_TEXT_MAX:
-                long_from = start
-            else:
-                memo[id(u)] = (u, text)
-            continue
-        if cls is VarRef:
+        elif cls is VarRef:
             out.append(u.name)
+        elif memo is not None and id(u) in memo and memo[id(u)][0] is u:
+            out.append(memo[id(u)][1])
+        else:
+            stack += _parts(u)
+    return "".join(out)
+
+
+def _length(root: Node, memo: LengthMemo) -> int:
+    """`len(_print(root, None))`, recording in `memo` the length of every
+    node with children that it measures.  Post-order on an explicit stack:
+    a pair (node, start) comes off it once the lengths of the node's parts
+    are on `out` from `start` on."""
+    if not root.CHILDREN:
+        return len(_parts(root)[0])
+    hit = memo.get(id(root))
+    if hit is not None and hit[0] is root:
+        return hit[1]
+    out: list[int] = []
+    stack: list = [root]
+    while stack:
+        u = stack.pop()
+        if type(u) is tuple:
+            u, start = u
+            n = sum(out[start:])
+            del out[start:]
+            out.append(n)
+            memo[id(u)] = (u, n)
             continue
-        if cls is Weak:
-            out.append(f"W {u.var}")
-            continue
-        if cls is Rename:
-            out.append(f"{{{u.new} {u.old}}}")
-            continue
-        if memo is not None:
+        if u.CHILDREN:
             hit = memo.get(id(u))
             if hit is not None and hit[0] is u:
                 out.append(hit[1])
                 continue
             stack.append((u, len(out)))
-        if cls is App:
-            # application is left associative: a left App needs no parens,
-            # and an argument needs them unless it is a variable
-            f, a = u.fn, u.arg
-            _expect(f, _TERMS, "term")
-            _expect(a, _TERMS, "term")
-            if type(a) is VarRef:
-                stack.append(" " + a.name)
+        for p in _parts(u):
+            if type(p) is str:
+                out.append(len(p))
             else:
-                stack += (")", a, " (")
-            if type(f) is App or type(f) is VarRef:
-                stack.append(f)
-            else:
-                stack += (")", f, "(")
-        elif cls is Lam:
-            _expect(u.body, _TERMS, "term")
-            stack += (u.body, f"\\{u.var}. ")
-        elif cls is Comp:
-            _expect(u.sub, _SUBSTS, "substitution")
-            _expect(u.body, _TERMS, "term")
-            stack += (u.body, " * ", u.sub)
-        elif cls is Slash:
-            _expect(u.term, _TERMS, "term")
-            stack += (f"/{u.var}]", u.term, "[")
-        else:  # Lift
-            _expect(u.sub, _SUBSTS, "substitution")
-            stack += (f"^{u.var}", u.sub)
-    return "".join(out)
+                stack.append(p)
+    return sum(out)
+
+
+def children_at(u, at: int, memo: LengthMemo) -> list[tuple[Node, int]]:
+    """The children of `u`, in the order of its ``CHILDREN``, each with where
+    its text starts when the text of `u` starts at `at`.  `memo` records
+    printed lengths (see `_length`)."""
+    found = []
+    for p in reversed(_parts(u)):
+        if type(p) is str:
+            at += len(p)
+        else:
+            if found:
+                at += _length(found[-1][0], memo)
+            found.append((p, at))
+    return found
 
 
 def print_term(t: Term) -> str:
@@ -305,12 +333,33 @@ def print_subst(s: Subst) -> str:
     return _print(s, None)
 
 
-def print_shared(t: Term, memo: PrintMemo) -> str:
-    """`print_term(t)`, reusing and recording in `memo` the text of every
-    subterm and substitution with children.
+def print_spliced(text: str, start: int, parent: Node | None, k: int, old: Node,
+                  new: Node, memo: LengthMemo) -> tuple[str, int]:
+    """`text` with the text of `old`, which starts at offset `start`,
+    replaced by the text of `new`, and where the text of `new` starts.
 
-    The memo is for printing many terms that share subtrees, such as the
-    steps of a trace; the caller may drop entries at any time.
+    `parent` is the node above `old`, whose child `k` it is, or None at
+    the root; only the parentheses of that slot are chosen afresh.  `new`
+    is printed around the texts of the children and grandchildren of
+    `old`, the parts a rule's contractum reuses, cut out of `text`.  `memo`
+    records printed lengths (see `_length`): the length of `new` is added,
+    and those of the parts, which the contractum may have dropped, removed.
     """
-    _expect(t, _TERMS, "term")
-    return _print(t, memo)
+    sort = _TERMS if type(old) in _TERMS else _SUBSTS
+    _expect(new, sort, "term" if sort is _TERMS else "substitution")
+    end = start + _length(old, memo)
+    cut: PrintMemo = {}
+    for c, at in children_at(old, start, memo):
+        for g, at_g in [(c, at)] + children_at(c, at, memo):
+            if g.CHILDREN:
+                cut[id(g)] = (g, text[at_g:at_g + _length(g, memo)])
+                memo.pop(id(g))
+    out = _print(new, cut)
+    if new.CHILDREN:
+        memo[id(new)] = (new, len(out))
+    if type(parent) is App:
+        if _in_parens(k, old):
+            start, end = start - 1, end + 1
+        if _in_parens(k, new):
+            return f"{text[:start]}({out}){text[end:]}", start + 1
+    return text[:start] + out + text[end:], start

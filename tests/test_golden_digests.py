@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 from contextlib import redirect_stdout
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -82,6 +84,19 @@ def test_reduce_rightmost_innermost_trace_digest():
     assert code == 0 and out.getvalue().endswith("\n")
     assert sha256(out.getvalue()[:-1]) == (     # the trace's to_text()
         "c97921896b4051c7fb737907efe0433ebd88b357b9c5d69fd65dd4e4eea144a8")
+
+
+def test_reduce_json_trace_digest():
+    # the digest the benchmark checks its church workload against, so that
+    # the JSON writer is checked on every Python version CI runs
+    reference = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json")
+                           .read_text())
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["reduce", f"{MULT} {church(8)} {church(8)}",
+                     "--steps", "100000", "--trace", "json"])
+    assert code == 0
+    assert sha256(out.getvalue()) == reference["trace"]["8"]["stdout_sha256"]
 
 
 def test_de_bruijn_scan_order_digest():

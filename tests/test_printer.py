@@ -10,16 +10,17 @@ everywhere, and a trace must print each step exactly as a fresh
 
 from __future__ import annotations
 
+import json
 from random import Random
 
 import pytest
 
-from exsub import rewrite
+from exsub import rewrite, syntax
 from exsub.generators import GenConfig, gen_raw_subst, gen_raw_term, gen_wellformed
 from exsub.rewrite import FULL, SIGMA, SIGMA_ALPHA, Trace, TraceStep, normalize
-from exsub.syntax import parse_term, print_shared, print_subst, print_term
-from exsub.terms import (App, Comp, Lam, Lift, Rename, Sel, Slash, VarRef, Weak, node_size,
-                         path_indices)
+from exsub.syntax import children_at, parse_term, print_spliced, print_subst, print_term
+from exsub.terms import (App, Comp, Lam, Lift, Rename, Sel, Slash, VarRef, Weak, children,
+                         node_size, path_indices, replace_at)
 
 
 def spec_term(t) -> str:
@@ -59,12 +60,41 @@ def test_printer_matches_the_recursive_definition():
         assert print_subst(s) == spec_subst(s)
 
 
-def test_shared_printing_matches_fresh_printing():
+def positions(t, memo):
+    """Each node of `t` with its path, its parent, its child index there and
+    where its text starts."""
+    stack = [((), None, 0, t, 0)]
+    while stack:
+        path, parent, k, u, start = stack.pop()
+        yield path, parent, k, u, start
+        for i, ((sel, _), (c, at)) in enumerate(zip(u.CHILDREN, children_at(u, start, memo))):
+            stack.append((path + (sel,), u, i, c, at))
+
+
+def test_spliced_printing_matches_fresh_printing():
+    # every node of random terms is replaced by a random tree and by one
+    # built around its own children and grandchildren, as a contractum is;
+    # one memo of lengths serves all of them
     rng, memo = Random(1), {}
-    terms = [gen_raw_term(rng, rng.randint(1, 40)) for _ in range(500)]
-    # the second round prints every term from the memo's texts
-    for t in terms + terms:
-        assert print_shared(t, memo) == print_term(t)
+    for _ in range(300):
+        t = gen_raw_term(rng, rng.randint(1, 30))
+        text = print_term(t)
+        for path, parent, k, old, start in positions(t, memo):
+            if type(old) in (Slash, Weak, Rename, Lift):
+                news = [gen_raw_subst(rng, rng.randint(1, 6))]
+                news.append(Lift(news[0], "q"))
+            else:
+                parts = [c for _, c in children(old)]
+                parts += [g for c in parts for _, g in children(c)]
+                terms = [u for u in parts if type(u) in (VarRef, App, Lam, Comp)]
+                a, b = rng.choice(terms or [VarRef("v")]), rng.choice(terms + [VarRef("w")])
+                news = [gen_raw_term(rng, rng.randint(1, 6)), a, App(a, b), App(b, a),
+                        Lam("z", a), Comp(Slash(b, "y"), a)]
+            for new in news:
+                spliced, at = print_spliced(text, start, parent, k, old, new, memo)
+                assert spliced == print_term(replace_at(t, path, new))
+                assert spliced[at:].startswith(print_subst(new) if type(new) in (
+                    Slash, Weak, Rename, Lift) else print_term(new))
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -79,7 +109,7 @@ def test_printing_a_malformed_tree_is_a_type_error(bad, message):
     with pytest.raises(TypeError, match=message.replace("(", r"\(").replace(")", r"\)")):
         print_term(bad)
     with pytest.raises(TypeError):
-        print_shared(bad, {})
+        print_spliced("x", 0, None, 0, VarRef("x"), bad, {})
 
 
 def test_print_subst_rejects_a_term():
@@ -132,6 +162,60 @@ def test_trace_built_by_hand_prints_each_step_as_a_fresh_print():
     assert trace.to_json() == fresh_json(trace)
 
 
+def spliced_steps(trace, monkeypatch) -> int:
+    """How many steps of `trace` print as a splice of the step before."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return print_spliced(*args)
+
+    monkeypatch.setattr(rewrite, "print_spliced", spy)
+    assert trace.to_json() == fresh_json(trace)
+    return len(calls)
+
+
+def test_trace_built_by_hand_with_a_changed_sibling_prints_in_full(monkeypatch):
+    # both steps contract the redex at the same path, but the second result
+    # also has another argument, off that path
+    t, at = parse_term(r"(\x. x) y z"), (Sel.APP_LEFT,)
+    changed = parse_term(r"([y/x] * x) w")
+    good = Trace(t, (TraceStep("Beta", at, None, replace_at(t, at, changed.fn)),))
+    bad = Trace(t, (TraceStep("Beta", at, None, changed),))
+    assert spliced_steps(good, monkeypatch) == 1
+    assert spliced_steps(bad, monkeypatch) == 0
+    assert bad.to_text().splitlines()[-1] == f"Beta\t0\t-\t{print_term(changed)}"
+
+
+def test_eager_omega_trace_is_spliced(monkeypatch):
+    # ri keeps every result eager, and each shares the siblings of its path
+    omega = parse_term(r"(\x. x x) (\x. x x)")
+    _, trace, _ = normalize(omega, FULL, "ri", 50)
+    assert spliced_steps(trace, monkeypatch) == len(trace.steps) == 50
+
+
+@pytest.mark.parametrize("strategy", ["lo", "ri", 1], ids=["lo", "ri", "index:1"])
+@pytest.mark.parametrize("name", sorted(RULE_SETS))
+def test_dumps_is_json_dumps_with_an_indent(name, strategy):
+    rng, cfg = Random(3), GenConfig(seed=3, size=20)
+    for _ in range(20):
+        for t in (gen_raw_term(rng, rng.randint(2, 30)), gen_wellformed(cfg, rng)[1]):
+            _, trace, _ = normalize(t, RULE_SETS[name], strategy, 30)
+            assert trace.dumps() == json.dumps(trace.to_json(), indent=2)
+
+
+@pytest.mark.parametrize("src, rules, fired, shown", [
+    ("x", FULL, [], '"steps": []'),
+    (r"(\x. x) y", FULL, ["Beta", "Var"], '"pathAsChildIndices": []'),
+    (r"\y. W y * y", SIGMA_ALPHA, ["Alpha", "IdShift", "W"], '"freshVariableOrNull": "z"'),
+], ids=["no step", "steps at the root", "a fresh name"])
+def test_dumps_edge_cases(src, rules, fired, shown):
+    _, trace, _ = normalize(parse_term(src), rules)
+    assert [s.rule for s in trace.steps] == fired
+    assert shown in trace.dumps()
+    assert trace.dumps() == json.dumps(trace.to_json(), indent=2)
+
+
 def numeral(n: int):
     body = VarRef("x")
     for _ in range(n):
@@ -145,13 +229,14 @@ def mult(k: int):
 
 
 def memo_after_printing(trace, monkeypatch):
+    """The memo of printed lengths that every spliced step of `trace` used."""
     memos = []
 
-    def spy(t, memo):
-        memos.append(memo)
-        return print_shared(t, memo)
+    def spy(*args):
+        memos.append(args[-1])
+        return print_spliced(*args)
 
-    monkeypatch.setattr(rewrite, "print_shared", spy)
+    monkeypatch.setattr(rewrite, "print_spliced", spy)
     text = trace.to_json()
     assert all(m is memos[0] for m in memos)
     assert text == fresh_json(trace)
@@ -168,6 +253,41 @@ def test_trace_print_memo_follows_the_live_term(term, strategy, fuel, monkeypatc
     memo = memo_after_printing(trace, monkeypatch)
     largest = max(node_size(s.result) for s in trace.steps)
     assert len(memo) <= 2 * largest
+
+
+def printer_visits_per_step(k: int, monkeypatch) -> tuple[float, float]:
+    """Nodes that the printer core (`syntax._print`) visits per step of the
+    trace of mult c_k c_k, and nodes that printing, measuring and finding
+    offsets visit together."""
+    _, trace, _ = normalize(mult(k), FULL, "lo", 100_000)
+    parts, core = syntax._parts, syntax._print
+    visits, inside = [0, 0], []
+
+    def count(u):
+        visits[0] += bool(inside)
+        visits[1] += 1
+        return parts(u)
+
+    def printing(root, memo):
+        inside.append(root)
+        try:
+            return core(root, memo)
+        finally:
+            inside.pop()
+
+    with monkeypatch.context() as m:
+        m.setattr(syntax, "_parts", count)
+        m.setattr(syntax, "_print", printing)
+        trace.to_json()
+    return visits[0] / len(trace.steps), visits[1] / len(trace.steps)
+
+
+def test_printer_work_per_step_does_not_grow_with_the_term(monkeypatch):
+    # on average the redex lies 6.6 nodes deep at k = 4 and 17.9 at k = 12
+    core4, all4 = printer_visits_per_step(4, monkeypatch)
+    core12, all12 = printer_visits_per_step(12, monkeypatch)
+    assert core12 <= core4 < 3
+    assert all12 <= 1.1 * all4
 
 
 # --- depth ----------------------------------------------------------------
@@ -222,4 +342,6 @@ def test_deep_trace_records_no_long_text(monkeypatch):
     memo = memo_after_printing(trace, monkeypatch)
     path = ".".join(["0"] * DEPTH)
     assert trace.to_text().splitlines()[-1] == f"Var\t{path}\t-\t" + "\\x. " * DEPTH + "x"
-    assert sum(len(text) for _, text in memo.values()) <= 4 * 10**7
+    # the memo holds lengths, not texts, and no entry per level of the chain
+    assert all(type(n) is int for _, n in memo.values())
+    assert len(memo) < DEPTH

@@ -7,6 +7,7 @@ import pytest
 from exsub import suites
 from exsub.contexts import Context
 from exsub.generators import GenConfig
+from exsub.rewrite import SIGMA_ALPHA, normalize
 from exsub.suites import _Run, run_suite
 from exsub.syntax import parse_term
 
@@ -45,3 +46,14 @@ def test_a_failing_check_calls_for_its_text():
     assert not run.check(False, parse_term("W x * y"), lambda: None, "d2")
     assert [(f.term, f.context, f.detail) for f in run.failures] == [
         ("a b", "{x}", "d1"), ("W x * y", "-", "d2")]
+
+
+@pytest.mark.parametrize("fuel", [3, 7])
+def test_exhausted_trial_shows_the_last_five_lines_of_its_trace(fuel):
+    # below five steps the lines start with the term itself
+    report = run_suite("sigma-alpha-termination", GenConfig(seed=0, count=20, fuel=fuel))
+    assert report.failures
+    for f in report.failures:
+        _, trace, exhausted = normalize(parse_term(f.term), SIGMA_ALPHA, "lo", fuel)
+        assert exhausted
+        assert f.trace == tuple(trace.to_text().splitlines()[-5:])
