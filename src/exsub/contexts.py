@@ -74,21 +74,20 @@ def ctx_compatible(a: Context, b: Context) -> bool:
 def ctx_sup(a: Context, b: Context) -> Context | None:
     """Least upper bound, or None when the contexts are incompatible.
 
-    Recursion: peel equal rightmost locals; against a set, the peeled
-    variable is removed from the set; two sets join by union.
+    Peel equal rightmost locals off both lists; once one list is empty,
+    each further local peeled off the other is removed from the first's
+    set; the two sets then join by union.  The peeling is one comparison
+    of the shorter list with the end of the longer, and one set
+    difference with the rest of the longer.
     """
-    if a.locals and b.locals:
-        if a.top != b.top:
-            return None
-        s = ctx_sup(a.pop(), b.pop())
-        return None if s is None else s.push(a.top)
-    if a.locals:
-        s = ctx_sup(a.pop(), Context(b.globals - {a.top}, ()))
-        return None if s is None else s.push(a.top)
-    if b.locals:
-        s = ctx_sup(Context(a.globals - {b.top}, ()), b.pop())
-        return None if s is None else s.push(b.top)
-    return Context(a.globals | b.globals, ())
+    la, lb = a.locals, b.locals
+    if len(la) < len(lb):
+        a, b, la, lb = b, a, lb, la
+    cut = len(la) - len(lb)
+    if lb and la[cut:] != lb:
+        return None
+    gb = b.globals.difference(la[:cut]) if cut else b.globals
+    return Context(a.globals | gb, la)
 
 
 def o_lambda(x: Var, ctx: Context) -> Context | None:

@@ -163,40 +163,50 @@ def db_check_sub(n: int, s: DBSub) -> Optional[int]:
     raise TypeError(f"not a de Bruijn substitution: {s!r}")
 
 
-def _node_rules(a: DBTerm, rules: frozenset[str]) -> Iterator[str]:
-    match a:
-        case DApp(DLam(_), _):
-            if DB_BETA in rules:
-                yield DB_BETA
-        case DBoldLam(_):
-            if DB_ALPHA in rules:
-                yield DB_ALPHA
-            if DB_XI in rules:
-                yield DB_XI
-        case DComp(s, b):
-            match b:
-                case DApp(_, _):
-                    if DB_APP in rules:
-                        yield DB_APP
-                case DLam(_):
-                    if DB_LAMBDA in rules:
-                        yield DB_LAMBDA
-                    if DB_LAMBDAP in rules:
-                        yield DB_LAMBDAP
-                case DBoldLam(_):
-                    if DB_LAMBDAPP in rules:
-                        yield DB_LAMBDAPP
-                    if DB_LAMBDAPPP in rules:
-                        yield DB_LAMBDAPPP
-                case One():
-                    r = {DSlash: DB_VAR, DId: DB_VARID, DLift: DB_VARLIFT}.get(type(s))
-                    if r is not None and r in rules:
-                        yield r
-                case DComp(DShift(), _):
-                    r = {DSlash: DB_SHIFT, DId: DB_SHIFTID,
-                         DLift: DB_SHIFTLIFT}.get(type(s))
-                    if r is not None and r in rules:
-                        yield r
+def _shape(a: DBTerm | DBSub) -> tuple:
+    """The classes a left-hand side reads at `a`: its own, its children's,
+    and the substitution of a body that is itself a composition."""
+    cls = type(a)
+    if cls is DComp:
+        b = a.body
+        if type(b) is DComp:
+            return cls, type(a.sub), DComp, type(b.sub)
+        return cls, type(a.sub), type(b)
+    if cls is DApp:
+        return cls, type(a.fn)
+    return (cls,)
+
+
+_SUBS = (DSlash, DShift, DId, DLift)
+
+# Every rule whose left-hand side matches a shape, in the order the scans
+# report them.  A shape that is not a key matches no rule.
+_SHAPE_RULES: dict[tuple, tuple[str, ...]] = {
+    (DApp, DLam): (DB_BETA,),
+    (DBoldLam,): (DB_ALPHA, DB_XI),
+    **{(DComp, s, DApp): (DB_APP,) for s in _SUBS},
+    **{(DComp, s, DLam): (DB_LAMBDA, DB_LAMBDAP) for s in _SUBS},
+    **{(DComp, s, DBoldLam): (DB_LAMBDAPP, DB_LAMBDAPPP) for s in _SUBS},
+    (DComp, DSlash, One): (DB_VAR,),
+    (DComp, DId, One): (DB_VARID,),
+    (DComp, DLift, One): (DB_VARLIFT,),
+    (DComp, DSlash, DComp, DShift): (DB_SHIFT,),
+    (DComp, DId, DComp, DShift): (DB_SHIFTID,),
+    (DComp, DLift, DComp, DShift): (DB_SHIFTLIFT,),
+}
+
+# Per system: the first rule of the system at each shape that has one, so
+# that `_FIRST_RULE[system].get(_shape(a))` is
+# `next(_node_rules(a, SYSTEM_RULES[system]), None)` by one lookup.
+_FIRST_RULE: dict[str, dict[tuple, str]] = {
+    system: {shape: next(r for r in rs if r in rules)
+             for shape, rs in _SHAPE_RULES.items() if any(r in rules for r in rs)}
+    for system, rules in SYSTEM_RULES.items()
+}
+
+
+def _node_rules(a: DBTerm | DBSub, rules: frozenset[str]) -> Iterator[str]:
+    return (r for r in _SHAPE_RULES.get(_shape(a), ()) if r in rules)
 
 
 def _iter_db_redexes(a: DBTerm | DBSub, rules: frozenset[str],
@@ -263,8 +273,8 @@ def db_one_step_reducts(a: DBTerm, system: str = UPSILON) -> list[DBTerm]:
 def db_normalize_upsilon(a: DBTerm) -> DBTerm:
     """Normal form under the substitution rules (they terminate on every
     term, so no fuel is needed)."""
-    rules = SYSTEM_RULES[UPSILON]
-    lo = LeftmostOutermost(a, lambda n: next(_node_rules(n, rules), None))
+    first = _FIRST_RULE[UPSILON].get
+    lo = LeftmostOutermost(a, lambda n: first(_shape(n)))
     while (picked := lo.next_redex()) is not None:
         lo.replace(db_apply(lo.focus, (), picked[1]))
     return lo.root

@@ -5,15 +5,25 @@ context in which the term is derivable.  The computation is partial; an
 undefined result means no such context exists and the term cannot be
 well-formed.
 
-The three substitution forms other than weakening are handled by rewriting
-into an equivalent term and recursing:
+The three substitution forms other than weakening are specified by
+rewriting into an equivalent term:
 
     fv([B/x] * A)  =  fv((\\x. A) B)
     fv({y x} * A)  =  fv(W y * \\x. A)
     fv(S^x * A)    =  fv(W x * S * \\x. A)
 
-Each unfolding removes one slash, renaming, or lift, so the recursion
-terminates even though the argument can momentarily grow.
+Each equation is computed as an action of the substitution on the context
+c = fv(A), so no node is built:
+
+    W x     c.push(x)
+    [B/x]   ctx_sup(o_lambda(x, c), fv(B))
+    {y x}   o_lambda(x, c).push(y)
+    S^x     S acting on o_lambda(x, c), then .push(x)
+
+A lift chain is walked down from the outside, each lift eliminating its
+variable, and the variables are pushed back in the order of the chain once
+the innermost substitution has acted.  An undefined step makes the whole
+result undefined.
 """
 
 from __future__ import annotations
@@ -30,24 +40,59 @@ def fv(t: Term, *, memo: _Memo | None = None) -> Context | None:
 
     Purely syntactic: may be applied to ill-formed terms.  An optional memo
     dictionary can be shared across calls on overlapping terms (the rewrite
-    engine does this between reduction steps).
+    engine does this between reduction steps); it only ever holds subterms
+    of the terms it was given.
     """
     if memo is None:
         memo = {}
     return _fv(t, memo)
 
 
-def _unfold(t: Comp) -> Term:
-    """The equivalent term that `fv` recurses into for a composition with a
-    slash, renaming or lift (see the module docstring)."""
-    match t:
-        case Comp(Slash(arg, x), b):
-            return App(Lam(x, b), arg)
-        case Comp(Rename(y, x), b):
-            return Comp(Weak(y), Lam(x, b))
-        case Comp(Lift(s, x), b):
-            return Comp(Weak(x), Comp(s, Lam(x, b)))
-    raise TypeError(f"not a term: {t!r}")
+def _operands(u: Term) -> tuple[Term, ...]:
+    """The subterms whose contexts give the context of `u`."""
+    cls = type(u)
+    if cls is App:
+        return u.fn, u.arg
+    if cls is Lam:
+        return (u.body,)
+    if cls is Comp:
+        s = u.sub
+        while type(s) is Lift:
+            s = s.sub
+        return (u.body, s.term) if type(s) is Slash else (u.body,)
+    if cls is VarRef:
+        return ()
+    raise TypeError(f"not a term: {u!r}")
+
+
+def _act(s, c: Context | None, memo: _Memo) -> Context | None:
+    """fv(s * A) from c = fv(A), reading the context of a slash's argument
+    from the memo (see the module docstring)."""
+    lifted = []
+    while type(s) is Lift:
+        if c is None:
+            return None
+        c = o_lambda(s.var, c)
+        lifted.append(s.var)
+        s = s.sub
+    if c is None:
+        return None
+    cls = type(s)
+    if cls is Weak:
+        c = c.push(s.var)
+    elif cls is Slash:
+        c, cb = o_lambda(s.var, c), memo[id(s.term)][1]
+        c = None if c is None or cb is None else ctx_sup(c, cb)
+    elif cls is Rename:
+        c = o_lambda(s.old, c)
+        if c is not None:
+            c = c.push(s.new)
+    else:
+        raise TypeError(f"not a substitution: {s!r}")
+    if c is None or not lifted:
+        return c
+    lifted.reverse()
+    return Context(c.globals, c.locals + tuple(lifted))
 
 
 def _fv(t: Term, memo: _Memo) -> Context | None:
@@ -55,63 +100,51 @@ def _fv(t: Term, memo: _Memo) -> Context | None:
     if hit is not None and hit[0] is t:
         return hit[1]
     # Post-order on an explicit stack, so that deep terms do not hit the
-    # recursion limit.  A node is pushed bare to be visited, then as a pair
-    # (node, operands), under its operands (its children or its unfolding),
-    # to be combined once their contexts are in the memo.
+    # recursion limit.  A node is pushed bare to be visited, then in a
+    # 1-tuple, under its operands, to be combined once their contexts are
+    # in the memo.
     stack: list = [t]
     while stack:
         u = stack.pop()
         if type(u) is tuple:
-            u, ops = u
-            match u:
-                case App(_, _):
-                    cf, ca = memo[id(ops[0])][1], memo[id(ops[1])][1]
-                    res = None if cf is None or ca is None else ctx_sup(cf, ca)
-                case Lam(x, _):
-                    cb = memo[id(ops[0])][1]
-                    res = None if cb is None else o_lambda(x, cb)
-                case Comp(Weak(x), _):
-                    cb = memo[id(ops[0])][1]
-                    res = None if cb is None else cb.push(x)
-                case _:
-                    res = memo[id(ops[0])][1]
+            u = u[0]
+            cls = type(u)
+            if cls is App:
+                cf, ca = memo[id(u.fn)][1], memo[id(u.arg)][1]
+                res = None if cf is None or ca is None else ctx_sup(cf, ca)
+            elif cls is Lam:
+                cb = memo[id(u.body)][1]
+                res = None if cb is None else o_lambda(u.var, cb)
+            else:
+                res = _act(u.sub, memo[id(u.body)][1], memo)
             memo[id(u)] = (u, res)
             continue
         hit = memo.get(id(u))
         if hit is not None and hit[0] is u:
             continue
-        match u:
-            case VarRef(x):
-                memo[id(u)] = (u, Context(frozenset((x,)), ()))
-                continue
-            case App(f, a):
-                stack += ((u, (f, a)), a, f)
-                continue
-            case Lam(_, b) | Comp(Weak(_), b):
-                ops = (b,)
-            case _:
-                ops = (_unfold(u),)
-        stack += ((u, ops), ops[0])
+        if type(u) is VarRef:
+            memo[id(u)] = (u, Context(frozenset((u.name,)), ()))
+            continue
+        stack.append((u,))
+        stack += _operands(u)[::-1]
     return memo[id(t)][1]
 
 
 def fv_blame(t: Term) -> Node | None:
-    """The subterm at which the free-variable computation first becomes
-    undefined, or None when fv(t) is defined.  The blamed node may be in
-    the rewritten form used by the recursion; it is meant for diagnostics.
+    """The subterm of `t` at which the free-variable computation first
+    becomes undefined, or None when fv(t) is defined: the first operand
+    (the children of an application or abstraction, the body of a
+    composition, then its slash's argument) whose context is undefined is
+    entered, and the node none of whose operands is undefined is blamed.
     """
     memo: _Memo = {}
-
-    def walk(u: Term) -> Node | None:
-        if _fv(u, memo) is not None:
-            return None
-        match u:
-            case App(f, a):
-                return walk(f) or walk(a) or u
-            case Lam(_, b) | Comp(Weak(_), b):
-                return walk(b) or u
-            case Comp(_, _):
-                return walk(_unfold(u)) or u
-        return u
-
-    return walk(t)
+    if _fv(t, memo) is not None:
+        return None
+    u = t
+    while True:
+        for v in _operands(u):
+            if _fv(v, memo) is None:
+                u = v
+                break
+        else:
+            return u

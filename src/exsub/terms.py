@@ -200,10 +200,15 @@ class LeftmostOutermost:
     * Every left-hand side looks at most two levels below its root, so a
       contraction can make a new redex only at the contractum, its parent
       or its grandparent.  The walk resumes at the grandparent.
+    * A child with no children and no rule is settled where the walk
+      meets it: it goes into the memo without being entered, so no frame
+      is pushed for it and popped again.
     * A rule that reads a whole subtree is the exception.  When
       `unsettled(node)` is given, the walk asks it of every node it enters
       without a rule, and resumes at the topmost frame that answered yes
-      when that frame lies above the grandparent.
+      when that frame lies above the grandparent.  A leaf settled in place
+      is not asked: its frame would have been popped at once, so its
+      answer could never move a resume.
 
     The frames form a zipper (Huet, "The Zipper", 1997).  `replace`
     rebuilds only the frames from the focus's parent down to the frame the
@@ -248,10 +253,11 @@ class LeftmostOutermost:
         if self._found is not None:
             return self._found
         nodes, nxt, sels, clean = self._nodes, self._next, self._sels, self._clean
+        rule_at = self._rule_at
         while nodes:
             node = nodes[-1]
             if len(nxt) < len(nodes):       # entering `node`
-                rule = self._rule_at(node)
+                rule = rule_at(node)
                 if rule is not None:
                     self._found = tuple(sels), rule
                     return self._found
@@ -262,7 +268,9 @@ class LeftmostOutermost:
             while i < len(kids):
                 c = getattr(node, kids[i][1])
                 if clean.get(id(c)) is not c:
-                    break
+                    if c.CHILDREN or rule_at(c) is not None:
+                        break
+                    clean[id(c)] = c        # a leaf with no rule: settled in place
                 i += 1
             if i < len(kids):
                 nxt[-1] = i
