@@ -147,7 +147,7 @@ def cmd_translate(args) -> int:
 
 def cmd_equiv(args) -> int:
     a, b = _term(args.a), _term(args.b)
-    if args.alpha or args.context is None:
+    if args.context is None:        # --alpha, or the default
         ok = equiv_alpha(a, b)
         if not ok and not (is_good(a) and is_good(b)):
             print("false (both terms must be admitted by a pure set)")
@@ -227,8 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("equiv", help="equality of de Bruijn translations")
     c.add_argument("a")
     c.add_argument("b")
-    c.add_argument("--context")
-    c.add_argument("--alpha", action="store_true",
+    g = c.add_mutually_exclusive_group()
+    g.add_argument("--context")
+    g.add_argument("--alpha", action="store_true",
                    help="compare in the union of the free-name sets")
     c.set_defaults(fn=cmd_equiv)
 

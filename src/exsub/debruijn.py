@@ -27,7 +27,7 @@ admitted by pure sets this is the replacement for alpha congruence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Iterator, Optional, Union
+from typing import Callable, ClassVar, Iterator, Optional, Union
 
 from .contexts import Context
 from .freevars import fv
@@ -229,37 +229,33 @@ def db_find_redexes(a: DBTerm, system: str = UPSILON) -> list[tuple[Path, str]]:
     return list(_iter_db_redexes(a, SYSTEM_RULES[system], ()))
 
 
+def _lifted(a: DComp) -> DComp:
+    return DComp(DLift(a.sub), a.body.body)
+
+
+# The contractum of each rule, from a redex whose shape lists the rule.
+_DB_CONTRACT: dict[str, Callable[[DBTerm], DBTerm]] = {
+    DB_BETA: lambda a: DComp(DSlash(a.arg), a.fn.body),
+    DB_APP: lambda a: DApp(DComp(a.sub, a.body.fn), DComp(a.sub, a.body.arg)),
+    DB_LAMBDA: lambda a: DLam(_lifted(a)),
+    DB_LAMBDAP: lambda a: DBoldLam(_lifted(a)),
+    DB_LAMBDAPP: lambda a: DLam(_lifted(a)),
+    DB_LAMBDAPPP: lambda a: DBoldLam(_lifted(a)),
+    DB_VAR: lambda a: a.sub.term,
+    DB_SHIFT: lambda a: a.body.body,
+    DB_VARID: lambda a: a.body,
+    DB_SHIFTID: lambda a: a.body,
+    DB_VARLIFT: lambda a: a.body,
+    DB_SHIFTLIFT: lambda a: DComp(a.body.sub, DComp(a.sub.sub, a.body.body)),
+    DB_ALPHA: lambda a: DLam(DComp(DId(), a.body)),
+    DB_XI: lambda a: DLam(a.body),
+}
+
+
 def _db_contract(a: DBTerm, rule: str) -> DBTerm:
-    match rule, a:
-        case "Beta", DApp(DLam(b), arg):
-            return DComp(DSlash(arg), b)
-        case "App", DComp(s, DApp(f, b)):
-            return DApp(DComp(s, f), DComp(s, b))
-        case "Lambda", DComp(s, DLam(b)):
-            return DLam(DComp(DLift(s), b))
-        case "LambdaP", DComp(s, DLam(b)):
-            return DBoldLam(DComp(DLift(s), b))
-        case "LambdaPP", DComp(s, DBoldLam(b)):
-            return DLam(DComp(DLift(s), b))
-        case "LambdaPPP", DComp(s, DBoldLam(b)):
-            return DBoldLam(DComp(DLift(s), b))
-        case "Var", DComp(DSlash(b), One()):
-            return b
-        case "Shift", DComp(DSlash(_), DComp(DShift(), b)):
-            return b
-        case "VarId", DComp(DId(), One()):
-            return One()
-        case "ShiftId", DComp(DId(), DComp(DShift(), b)):
-            return DComp(DShift(), b)
-        case "VarLift", DComp(DLift(_), One()):
-            return One()
-        case "ShiftLift", DComp(DLift(s), DComp(DShift(), b)):
-            return DComp(DShift(), DComp(s, b))
-        case "Alpha", DBoldLam(b):
-            return DLam(DComp(DId(), b))
-        case "Xi", DBoldLam(b):
-            return DLam(b)
-    raise InvalidRedex(f"rule {rule} does not match {print_db(a)}")
+    if rule not in _SHAPE_RULES.get(_shape(a), ()):
+        raise InvalidRedex(f"rule {rule} does not match {print_db(a)}")
+    return _DB_CONTRACT[rule](a)
 
 
 def db_apply(a: DBTerm, path: Path, rule: str) -> DBTerm:

@@ -36,10 +36,11 @@ list every redex of the whole term at each step.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from json.encoder import encode_basestring_ascii as _quote
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .contexts import Context
 from .freevars import _Memo, _fv
@@ -93,64 +94,92 @@ def fresh_var(avoid: Context, x: Var) -> Var:
     raise AssertionError("unreachable")
 
 
-def _sigma_rule(s, b) -> str | None:
-    """The unique propagation rule matching `Comp(s, b)` at the root, if any.
+# A composition's body of the form W w * A, the shape the Shift rules read.
+_WEAKENED = "W w * A"
 
-    The left-hand shapes are pairwise disjoint: the body shape picks the
-    column (application, lambda, variable, weakened body) and the
-    substitution the row, with the primed variants split off by the side
-    condition on names.
-    """
-    match b:
-        case App(_, _):
-            return APP
-        case Lam(_, _):
-            return LAMBDA
-        case VarRef(z):
-            match s:
-                case Slash(_, x):
-                    return VAR if x == z else SHIFTP
-                case Rename(_, x):
-                    return IDVAR if x == z else IDSHIFTP
-                case Lift(_, x):
-                    return LIFTVAR if x == z else LIFTSHIFTP
-                case Weak(x):
-                    return W if x != z else None
-        case Comp(Weak(w), _):
-            match s:
-                case Slash(_, x) if x == w:
-                    return SHIFT
-                case Rename(_, x) if x == w:
-                    return IDSHIFT
-                case Lift(_, x) if x == w:
-                    return LIFTSHIFT
-    return None
+# The left-hand side of each rule, as the key its root has: the class of an
+# abstraction; the classes of an application and of its function; or, for a
+# composition S * A, the class of S, the shape of A (its class, or
+# _WEAKENED), and whether the variable of S (x in [B/x], {y x}, S^x, W x)
+# equals the name of A (z in a variable z, w in W w * A).  An application or
+# abstraction body has no name, so that comparison is False.
+_LHS: dict[str, tuple[tuple, ...]] = {
+    BETA: ((App, Lam),),
+    ALPHA: ((Lam,),),
+    APP: tuple((s, App, False) for s in (Slash, Rename, Lift, Weak)),
+    LAMBDA: tuple((s, Lam, False) for s in (Slash, Rename, Lift, Weak)),
+    VAR: ((Slash, VarRef, True),),
+    SHIFT: ((Slash, _WEAKENED, True),),
+    SHIFTP: ((Slash, VarRef, False),),
+    IDVAR: ((Rename, VarRef, True),),
+    IDSHIFT: ((Rename, _WEAKENED, True),),
+    IDSHIFTP: ((Rename, VarRef, False),),
+    LIFTVAR: ((Lift, VarRef, True),),
+    LIFTSHIFT: ((Lift, _WEAKENED, True),),
+    LIFTSHIFTP: ((Lift, VarRef, False),),
+    W: ((Weak, VarRef, False),),
+}
+
+# The rule at each key.  No key has two rules, so the left-hand shapes are
+# pairwise disjoint: the body shape picks the column, the substitution the
+# row, and the comparison of names splits off the primed variants.  A key
+# that is missing matches no rule (W x * x, W x * W w * A, and the Shift
+# rules when x differs from w).
+_SHAPE_RULE: dict[tuple, str] = {key: r for r, keys in _LHS.items() for key in keys}
+assert len(_SHAPE_RULE) == sum(map(len, _LHS.values()))
+
+
+def _shape(t: Node) -> tuple:
+    """The key of `t`'s root in `_SHAPE_RULE`."""
+    cls = type(t)
+    if cls is Comp:
+        s, b = t.sub, t.body
+        shape = type(b)
+        if shape is VarRef:
+            name = b.name
+        elif shape is Comp and type(b.sub) is Weak:
+            shape, name = _WEAKENED, b.sub.var
+        else:
+            return type(s), shape, False
+        cls = type(s)
+        return cls, shape, (s.old if cls is Rename else s.var) == name
+    if cls is App:
+        return cls, type(t.fn)
+    return (cls,)
+
+
+@functools.lru_cache(maxsize=None)     # one entry per rule set in use
+def _rule_table(rules: frozenset[str]) -> dict[tuple, str]:
+    return {key: r for key, r in _SHAPE_RULE.items() if r in rules}
+
+
+def _rule_finder(rules: frozenset[str], memo: _Memo) -> Callable[[Node], str | None]:
+    """`_root_rule` with its rule set and memo bound, for the walks to call
+    at every node: one lookup, and for Alpha its side condition."""
+    table = _rule_table(frozenset(rules))
+
+    def rule_at(t: Node) -> str | None:
+        r = table.get(_shape(t))
+        if r is ALPHA:
+            c = _fv(t, memo)
+            return r if c is not None and t.var in c else None
+        return r
+    return rule_at
 
 
 def _root_rule(t: Node, rules: frozenset[str], memo: _Memo) -> str | None:
-    """The rule whose left-hand side matches at the root of `t`, if any.
-
-    The left-hand shapes of Beta, Alpha and the propagation rules are
-    pairwise disjoint, so at most one matches.
-    """
-    match t:
-        case App(Lam(_, _), _) if BETA in rules:
-            return BETA
-        case Lam(x, _) if ALPHA in rules:
-            c = _fv(t, memo)
-            return ALPHA if c is not None and x in c else None
-        case Comp(s, b):
-            r = _sigma_rule(s, b)
-            return r if r in rules else None
-    return None
+    """The rule of `rules` whose left-hand side matches at the root of `t`,
+    if any."""
+    return _rule_finder(rules, memo)(t)
 
 
 def _iter_redexes(t: Node, rules: frozenset[str], path: Path,
                   memo: _Memo) -> Iterator[tuple[Path, str]]:
+    rule_at = _rule_finder(rules, memo)
     stack = [(t, path)]
     while stack:
         node, p = stack.pop()
-        r = _root_rule(node, rules, memo)
+        r = rule_at(node)
         if r is not None:
             yield p, r
         for sel, f in reversed(node.CHILDREN):
@@ -170,41 +199,40 @@ def find_redexes(t: Term, rules: frozenset[str] = FULL, *,
     return list(_iter_redexes(t, rules, (), {} if _memo is None else _memo))
 
 
+def _alpha(t: Lam, memo: _Memo) -> Lam:
+    # In a walk, the rule lookup has just put the binder's context in the memo.
+    hit = memo.get(id(t))
+    c = hit[1] if hit is not None and hit[0] is t else _fv(t, memo)
+    if c is None or t.var not in c:
+        raise InvalidRedex(f"Alpha does not apply: {t.var} is not free in the binder")
+    y = fresh_var(c, t.var)
+    return Lam(y, Comp(Rename(y, t.var), t.body))
+
+
+# The contractum of each rule, from a redex whose root has the rule's key.
+_CONTRACT: dict[str, Callable[[Node, _Memo], Term]] = {
+    BETA: lambda t, _: Comp(Slash(t.arg, t.fn.var), t.fn.body),
+    APP: lambda t, _: App(Comp(t.sub, t.body.fn), Comp(t.sub, t.body.arg)),
+    LAMBDA: lambda t, _: Lam(t.body.var, Comp(Lift(t.sub, t.body.var), t.body.body)),
+    VAR: lambda t, _: t.sub.term,
+    SHIFT: lambda t, _: t.body.body,
+    SHIFTP: lambda t, _: t.body,
+    IDVAR: lambda t, _: VarRef(t.sub.new),
+    IDSHIFT: lambda t, _: Comp(Weak(t.sub.new), t.body.body),
+    IDSHIFTP: lambda t, _: Comp(Weak(t.sub.new), t.body),
+    LIFTVAR: lambda t, _: t.body,
+    LIFTSHIFT: lambda t, _: Comp(t.body.sub, Comp(t.sub.sub, t.body.body)),   # W x
+    LIFTSHIFTP: lambda t, _: Comp(Weak(t.sub.var), Comp(t.sub.sub, t.body)),
+    W: lambda t, _: t.body,
+    ALPHA: _alpha,
+}
+
+
 def _contract(t: Term, rule: str, memo: _Memo) -> tuple[Term, Optional[Var]]:
-    match rule, t:
-        case "Beta", App(Lam(x, a), b):
-            return Comp(Slash(b, x), a), None
-        case "App", Comp(s, App(a, b)):
-            return App(Comp(s, a), Comp(s, b)), None
-        case "Lambda", Comp(s, Lam(x, a)):
-            return Lam(x, Comp(Lift(s, x), a)), None
-        case "Var", Comp(Slash(b, x), VarRef(z)) if x == z:
-            return b, None
-        case "Shift", Comp(Slash(_, x), Comp(Weak(w), a)) if x == w:
-            return a, None
-        case "ShiftP", Comp(Slash(_, x), VarRef(z)) if x != z:
-            return VarRef(z), None
-        case "IdVar", Comp(Rename(y, x), VarRef(z)) if x == z:
-            return VarRef(y), None
-        case "IdShift", Comp(Rename(y, x), Comp(Weak(w), a)) if x == w:
-            return Comp(Weak(y), a), None
-        case "IdShiftP", Comp(Rename(y, x), VarRef(z)) if x != z:
-            return Comp(Weak(y), VarRef(z)), None
-        case "LiftVar", Comp(Lift(_, x), VarRef(z)) if x == z:
-            return VarRef(x), None
-        case "LiftShift", Comp(Lift(s, x), Comp(Weak(w), a)) if x == w:
-            return Comp(Weak(x), Comp(s, a)), None
-        case "LiftShiftP", Comp(Lift(s, x), VarRef(z)) if x != z:
-            return Comp(Weak(x), Comp(s, VarRef(z))), None
-        case "W", Comp(Weak(x), VarRef(z)) if x != z:
-            return VarRef(z), None
-        case "Alpha", Lam(x, a):
-            c = _fv(t, memo)
-            if c is None or x not in c:
-                raise InvalidRedex(f"Alpha does not apply: {x} is not free in the binder")
-            y = fresh_var(c, x)
-            return Lam(y, Comp(Rename(y, x), a)), y
-    raise InvalidRedex(f"rule {rule} does not match {print_term(t)}")
+    if _SHAPE_RULE.get(_shape(t)) != rule:
+        raise InvalidRedex(f"rule {rule} does not match {print_term(t)}")
+    new = _CONTRACT[rule](t, memo)
+    return new, (new.var if rule == ALPHA else None)
 
 
 def apply_rule(t: Term, at: Path, rule: str, *,
@@ -444,9 +472,11 @@ def _reducer(t: Term, rules: frozenset[str], strategy: Strategy,
     # context is undefined may gain one when a step makes it defined.
     unsettled = None
     if ALPHA in rules:
+        # The walk asks this of a node only after asking its rule, which
+        # has put a binder's context in the memo.
         def unsettled(u: Node) -> bool:
-            return isinstance(u, Lam) and _fv(u, memo) is None
-    return LeftmostOutermost(t, lambda u: _root_rule(u, rules, memo), unsettled)
+            return type(u) is Lam and memo[id(u)][1] is None
+    return LeftmostOutermost(t, _rule_finder(rules, memo), unsettled)
 
 
 def _advance(red: LeftmostOutermost | _Rescan, memo: _Memo,

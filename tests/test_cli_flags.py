@@ -58,3 +58,16 @@ def test_strategy_is_accepted(capsys, value, steps):
     # an index past the last redex is a valid run that takes no step
     assert main(["reduce", r"(\x. x) y", "--strategy", value]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + steps
+
+
+def test_equiv_alpha_with_context_is_usage_error(capsys):
+    # --alpha compares in the union of the free names, so a context would be
+    # ignored; the two flags exclude each other
+    with pytest.raises(SystemExit) as exit_info:
+        main(["equiv", "x", "y", "--alpha", "--context", "{x,y}"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == ["exsub equiv: error: argument --context: not allowed with argument --alpha"]
+    assert "Traceback" not in captured.err
