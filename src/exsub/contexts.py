@@ -10,13 +10,10 @@ elimination operator ``o_lambda`` used to compute free variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .terms import Var
+from .terms import Value, Var
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(Value):
     globals: frozenset[Var]
     locals: tuple[Var, ...]
 

@@ -26,72 +26,61 @@ admitted by pure sets this is the replacement for alpha congruence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterator, Optional, Union
 
 from .contexts import Context
 from .freevars import fv
 from .judgements import Derivation, NotDerivable, derive, is_good
 from .terms import (Children, InvalidRedex, Lam, LeftmostOutermost, Path, Sel,
-                    Term, replace_at, subterm_at)
+                    Term, Value, replace_at, subterm_at)
 
 
-@dataclass(frozen=True)
-class FreeName:
+class FreeName(Value):
     name: str
     CHILDREN: ClassVar[Children] = ()
 
 
-@dataclass(frozen=True)
-class One:
+class One(Value):
     CHILDREN: ClassVar[Children] = ()
 
 
-@dataclass(frozen=True)
-class DApp:
+class DApp(Value):
     fn: "DBTerm"
     arg: "DBTerm"
     CHILDREN: ClassVar[Children] = ((Sel.APP_LEFT, "fn"), (Sel.APP_RIGHT, "arg"))
 
 
-@dataclass(frozen=True)
-class DLam:
+class DLam(Value):
     body: "DBTerm"
     CHILDREN: ClassVar[Children] = ((Sel.LAM_BODY, "body"),)
 
 
-@dataclass(frozen=True)
-class DBoldLam:
+class DBoldLam(Value):
     body: "DBTerm"
     CHILDREN: ClassVar[Children] = ((Sel.LAM_BODY, "body"),)
 
 
-@dataclass(frozen=True)
-class DComp:
+class DComp(Value):
     # bracket form: DComp(s, a) is a[s]
     sub: "DBSub"
     body: "DBTerm"
     CHILDREN: ClassVar[Children] = ((Sel.COMP_SUBST, "sub"), (Sel.COMP_BODY, "body"))
 
 
-@dataclass(frozen=True)
-class DSlash:
+class DSlash(Value):
     term: "DBTerm"
     CHILDREN: ClassVar[Children] = ((Sel.SLASH_BODY, "term"),)
 
 
-@dataclass(frozen=True)
-class DShift:
+class DShift(Value):
     CHILDREN: ClassVar[Children] = ()
 
 
-@dataclass(frozen=True)
-class DId:
+class DId(Value):
     CHILDREN: ClassVar[Children] = ()
 
 
-@dataclass(frozen=True)
-class DLift:
+class DLift(Value):
     sub: "DBSub"
     CHILDREN: ClassVar[Children] = ((Sel.LIFT_INNER, "sub"),)
 

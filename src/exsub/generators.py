@@ -15,20 +15,20 @@ are good terms with terminating Beta behaviour at any fuel worth having.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from random import Random
 
 from .contexts import Context
 from .debruijn import (DApp, DBoldLam, DBSub, DBTerm, DComp, DId, DLam,
                        DLift, DShift, DSlash, FreeName, One)
 from .terms import (App, Comp, Lam, Lift, Rename, Slash, Subst, Term, Var,
-                    VarRef, Weak)
+                    Value, VarRef, Weak)
 
 POOL = ("x", "y", "z", "w", "v", "u", "t", "s")
+_MIX = {"var": 4, "app": 3, "lam": 3, "comp": 3,
+        "slash": 3, "weak": 2, "rename": 2, "lift": 2}
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(Value):
     seed: int = 0
     size: int = 40            # max term size
     pool: int = 4             # number of distinct variable names
@@ -37,14 +37,13 @@ class GenConfig:
     max_globals: int = 3      # context shape
     max_locals: int = 2
     # relative weights of term and substitution constructors
-    mix: dict = field(default_factory=lambda: {
-        "var": 4, "app": 3, "lam": 3, "comp": 3,
-        "slash": 3, "weak": 2, "rename": 2, "lift": 2,
-    })
+    mix: dict = _MIX
 
     def __post_init__(self):
         if self.size <= 0 or self.pool <= 0 or self.count <= 0 or self.fuel <= 0:
             raise ValueError("all generation bounds must be positive")
+        if self.mix is _MIX:    # each config gets its own weights to change
+            self.__dict__["mix"] = dict(_MIX)
 
     @property
     def names(self) -> tuple[Var, ...]:

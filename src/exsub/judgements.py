@@ -22,13 +22,11 @@ Rules, with S ranging over substitutions and x, y over names:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .contexts import Context, format_context
 from .freevars import fv, fv_blame
 from .syntax import print_subst, print_term
 from .terms import (App, Comp, Lam, Lift, Path, Rename, Sel, Slash, Subst,
-                    Term, VarRef, Weak)
+                    Term, Value, VarRef, Weak)
 
 
 class NotDerivable(Exception):
@@ -44,8 +42,7 @@ class IllFormed(Exception):
     """The term is not derivable in any context."""
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Value):
     """One node of a derivation tree.
 
     `out` is the output context of a substitution judgement and None for a

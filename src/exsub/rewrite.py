@@ -39,14 +39,13 @@ from __future__ import annotations
 import functools
 import itertools
 from json.encoder import encode_basestring_ascii as _quote
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
 from .contexts import Context
 from .freevars import _Memo, _fv
 from .syntax import LengthMemo, children_at, print_spliced, print_term
 from .terms import (CHILD_INDEX, App, BadPath, Comp, InvalidRedex, Lam, LeftmostOutermost,
-                    Lift, Node, Path, Rename, Slash, Term, Var, VarRef, Weak,
+                    Lift, Node, Path, Rename, Slash, Term, Value, Var, VarRef, Weak,
                     _field, _with_child, path_indices, replace_at, subterm_at)
 
 BETA = "Beta"
@@ -304,8 +303,7 @@ class TraceStep:
                 f"result={self.result!r})")
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Value):
     initial: Term
     steps: tuple[TraceStep, ...]
 

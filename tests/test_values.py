@@ -1,0 +1,293 @@
+"""Every record of the package is a `terms.Value`.  It must behave as the
+frozen dataclass it replaced: the references below are frozen dataclasses
+with the same fields, built with `dataclasses.make_dataclass`, and `repr`,
+`==` and `hash` must agree with theirs on generated terms, contexts and
+derivations and on a sample of every other record.  Importing the CLI
+must load neither `dataclasses` nor `inspect`.
+"""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+from random import Random
+
+import pytest
+
+from exsub import contexts, debruijn, generators, judgements, rewrite, suites, syntax, terms
+from exsub.contexts import Context
+from exsub.debruijn import DComp, DLift, DShift, FreeName, One
+from exsub.freevars import fv
+from exsub.generators import GenConfig, gen_context, gen_db_marked, gen_raw_term
+from exsub.judgements import Derivation, NotDerivable, derive
+from exsub.rewrite import SIGMA, Trace, normalize
+from exsub.suites import Failure, TrialReport, run_suite
+from exsub.syntax import _lex, _Tok
+from exsub.terms import App, Comp, Lam, Lift, Rename, Slash, Value, VarRef, Weak
+
+MODULES = (contexts, debruijn, generators, judgements, rewrite, suites, syntax, terms)
+NO_DEFAULT = object()
+MIX = {"var": 4, "app": 3, "lam": 3, "comp": 3, "slash": 3, "weak": 2, "rename": 2, "lift": 2}
+
+# each record's fields, in order, with their defaults
+FIELDS = {
+    terms.VarRef: ("name",), terms.App: ("fn", "arg"), terms.Lam: ("var", "body"),
+    terms.Comp: ("sub", "body"), terms.Slash: ("term", "var"), terms.Weak: ("var",),
+    terms.Rename: ("new", "old"), terms.Lift: ("sub", "var"),
+    debruijn.FreeName: ("name",), debruijn.One: (), debruijn.DApp: ("fn", "arg"),
+    debruijn.DLam: ("body",), debruijn.DBoldLam: ("body",), debruijn.DComp: ("sub", "body"),
+    debruijn.DSlash: ("term",), debruijn.DShift: (), debruijn.DId: (),
+    debruijn.DLift: ("sub",),
+    Context: ("globals", "locals"),
+    Derivation: ("rule", "ctx", "subject", "out", "premises"),
+    Trace: ("initial", "steps"),
+    Failure: ("trial", "term", "context", "detail", "trace"),
+    TrialReport: ("suite", "seed", "trials", "passes", "failures", "inconclusives"),
+    _Tok: ("kind", "text", "pos"),
+    GenConfig: ("seed", "size", "pool", "count", "fuel", "max_globals", "max_locals", "mix"),
+}
+DEFAULTS = {
+    Failure: {"trace": ()},
+    GenConfig: {"seed": 0, "size": 40, "pool": 4, "count": 1000, "fuel": 10000,
+                "max_globals": 3, "max_locals": 2, "mix": MIX},
+}
+
+
+def _spec(cls, f):
+    default = DEFAULTS.get(cls, {}).get(f, NO_DEFAULT)
+    if default is NO_DEFAULT:
+        return (f, object)
+    if isinstance(default, dict):
+        return (f, object, dataclasses.field(default_factory=lambda: dict(default)))
+    return (f, object, dataclasses.field(default=default))
+
+
+REFS = {cls: dataclasses.make_dataclass(cls.__name__, [_spec(cls, f) for f in fields],
+                                        frozen=True)
+        for cls, fields in FIELDS.items()}
+
+
+def ref(v):
+    """`v` rebuilt from the reference dataclasses, all the way down."""
+    if isinstance(v, Value):
+        return REFS[type(v)](*(ref(x) for x in vars(v).values()))
+    if type(v) is tuple:
+        return tuple(ref(x) for x in v)
+    return v
+
+
+def nodes(t):
+    out, stack = [], [t]
+    while stack:
+        n = stack.pop()
+        out.append(n)
+        stack.extend(getattr(n, f) for _, f in n.CHILDREN)
+    return out
+
+
+def hashed(v):
+    try:
+        return hash(v)
+    except TypeError as e:      # a GenConfig holds a dict
+        return str(e)
+
+
+def agree(a, b=None):
+    """`a` prints and hashes as its reference, and `a == b` as theirs."""
+    assert repr(a) == repr(ref(a))
+    assert hashed(a) == hashed(ref(a))
+    if b is not None:
+        assert (a == b) == (ref(a) == ref(b))
+        assert (a != b) == (ref(a) != ref(b))
+
+
+def samples() -> list:
+    """At least one instance of every record class."""
+    t = App(Lam("x", Comp(Slash(VarRef("y"), "x"), VarRef("x"))), VarRef("z"))
+    ctx = Context(frozenset({"y", "z"}), ("w",))
+    _, trace, _ = normalize(Comp(Lift(Rename("y", "x"), "q"), Lam("q", VarRef("q"))),
+                            SIGMA, fuel=20)
+    fail = Failure(3, "x", "x;", "broken", ("Beta 0 x",))
+    db = DComp(DLift(DShift()), debruijn.DApp(debruijn.DLam(One()),
+                                              debruijn.DBoldLam(FreeName("a"))))
+    return [*nodes(t), Weak("x"), *nodes(Lift(Rename("a", "b"), "c")), *nodes(db), debruijn.DSlash(One()), debruijn.DId(),
+            ctx, derive(ctx, Lam("x", VarRef("y"))), trace, fail,
+            TrialReport("s", 0, 2, 1, (fail,), 0), *_lex("\\x. x"), GenConfig(seed=5)]
+
+
+SAMPLES = samples()
+
+
+def test_every_record_is_a_value_with_the_reference_fields():
+    found = {c for m in MODULES for c in vars(m).values()
+             if isinstance(c, type) and issubclass(c, Value) and c is not Value}
+    assert found == set(FIELDS) and len(FIELDS) == 25
+    assert {type(s) for s in SAMPLES} == found
+    for cls, fields in FIELDS.items():
+        assert cls.__match_args__ == fields == REFS[cls].__match_args__
+        assert not hasattr(cls, "__dataclass_fields__")
+
+
+def test_generated_terms_contexts_and_derivations_agree_with_the_reference():
+    rng, cfg = Random(0), GenConfig()
+    derived = 0
+    prev = VarRef("x")
+    for i in range(1000):
+        size = rng.randint(1, 40)
+        t = gen_raw_term(Random(i), size)
+        twin = gen_raw_term(Random(i), size)      # equal, but built anew
+        assert t == twin and t is not twin and hash(t) == hash(twin)
+        for a, b in zip(nodes(t), nodes(twin)):
+            agree(a, b)
+        for a, b in zip(nodes(t), nodes(prev)):
+            agree(a, b)
+        prev = t
+        for ctx in (fv(t), gen_context(rng, cfg)):
+            if ctx is None:
+                continue
+            agree(ctx, Context(ctx.globals, ctx.locals))
+            try:
+                d = derive(ctx, t)
+            except NotDerivable:
+                continue
+            agree(d, derive(Context(ctx.globals, ctx.locals), twin))
+            derived += 1
+    assert derived > 300
+
+
+def test_generated_de_bruijn_terms_agree_with_the_reference():
+    rng, cfg = Random(1), GenConfig()
+    prev = One()
+    for _ in range(1000):
+        state = rng.getstate()
+        t = gen_db_marked(rng, cfg, rng.randint(1, 40))
+        after = rng.getstate()
+        rng.setstate(state)
+        twin = gen_db_marked(rng, cfg, rng.randint(1, 40))
+        assert rng.getstate() == after
+        assert t == twin and t is not twin
+        for a, b in zip(nodes(t), nodes(twin)):
+            agree(a, b)
+        for a, b in zip(nodes(t), nodes(prev)):
+            agree(a, b)
+        prev = t
+
+
+@pytest.mark.parametrize("v", SAMPLES, ids=lambda v: type(v).__name__)
+def test_every_record_agrees_with_the_reference(v):
+    agree(v, v)
+    agree(v, copy.copy(v))
+    assert (v == 0) is False and v.__eq__(0) is NotImplemented
+    other = next(s for s in SAMPLES if type(s) is not type(v))
+    agree(v, other)
+
+
+def test_a_suite_report_agrees_with_the_reference():
+    report = run_suite("fv-monotone", GenConfig(count=5))
+    agree(report, run_suite("fv-monotone", GenConfig(count=5)))
+
+
+@pytest.mark.parametrize("v", SAMPLES, ids=lambda v: type(v).__name__)
+def test_keyword_construction(v):
+    cls = type(v)
+    kw = vars(v)
+    assert cls(**kw) == v == cls(*kw.values())
+    assert list(vars(cls(**kw))) == list(FIELDS[cls])
+    with pytest.raises(TypeError):
+        cls(**kw, extra=1)
+    required = [f for f in FIELDS[cls] if f not in DEFAULTS.get(cls, {})]
+    if required:
+        with pytest.raises(TypeError):
+            cls(**{f: kw[f] for f in FIELDS[cls] if f != required[-1]})
+
+
+def test_defaults():
+    assert Failure(1, "t", "c", "d") == Failure(1, "t", "c", "d", ())
+    assert Failure(1, "t", "c", "d").trace == ()
+    g = GenConfig()
+    for f, default in DEFAULTS[GenConfig].items():
+        assert getattr(g, f) == default
+    assert repr(g) == repr(REFS[GenConfig]()) and g == GenConfig(**vars(REFS[GenConfig]()))
+    h = GenConfig()
+    assert g.mix is not h.mix and g.mix == h.mix
+    g.mix["var"] = 0
+    assert h.mix["var"] == 4 and GenConfig().mix == MIX
+    mine = {"var": 1}
+    assert GenConfig(mix=mine).mix is mine
+    with pytest.raises(ValueError):
+        GenConfig(size=0)
+
+
+@pytest.mark.parametrize("v", SAMPLES, ids=lambda v: type(v).__name__)
+def test_assignment_and_deletion_raise(v):
+    before = dict(vars(v))
+    for f in (*FIELDS[type(v)], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(v, f, None)
+        with pytest.raises(AttributeError):
+            delattr(v, f)
+    assert vars(v) == before
+
+
+@pytest.mark.parametrize("v", SAMPLES, ids=lambda v: type(v).__name__)
+def test_copy_and_pickle_round_trip(v):
+    copies = [copy.copy(v), copy.deepcopy(v)]
+    # protocols 0 and 1 cannot pickle a Trace's steps, which have __slots__
+    copies += [pickle.loads(pickle.dumps(v, p)) for p in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+    for c in copies:
+        assert type(c) is type(v) and c == v and hashed(c) == hashed(v)
+        assert repr(c) == repr(v) and list(vars(c)) == list(vars(v))
+
+
+def test_positional_match_patterns():
+    t = App(Lam("x", VarRef("x")), Comp(Weak("y"), VarRef("z")))
+    match t:
+        case App(Lam(x, VarRef(y)), Comp(Weak(w), body)):
+            assert (x, y, w, body) == ("x", "x", "y", VarRef("z"))
+        case _:
+            pytest.fail("no match")
+    match Slash(VarRef("a"), "b"), Rename("n", "o"), Lift(Weak("p"), "q"):
+        case Slash(VarRef(a), b), Rename(n, o), Lift(Weak(p), q):
+            assert (a, b, n, o, p, q) == ("a", "b", "n", "o", "p", "q")
+        case _:
+            pytest.fail("no match")
+    match DComp(DLift(DShift()), One()):
+        case DComp(DLift(DShift()), One()):
+            pass
+        case _:
+            pytest.fail("no match")
+    match Context(frozenset({"x"}), ("y",)):
+        case Context(g, (top,)):
+            assert g == {"x"} and top == "y"
+        case _:
+            pytest.fail("no match")
+    match Failure(1, "t", "c", "d"):
+        case Failure(trial, _, _, detail, trace):
+            assert (trial, detail, trace) == (1, "d", ())
+        case _:
+            pytest.fail("no match")
+    match VarRef("x"):
+        case FreeName(_):
+            pytest.fail("matched another class")
+        case Lam(_, _):
+            pytest.fail("matched another class")
+    with pytest.raises(TypeError):
+        match One():
+            case One(_):
+                pass
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, exsub.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    r = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
