@@ -3,15 +3,15 @@
 Subcommands: check, fv, good, reduce, normalize, translate, equiv, nf,
 test.  Exit codes: 0 for success or a true answer, 1 for a false answer
 or an ill-formed term, 2 for usage errors, input that does not parse and
-input nested too deeply.
+input nested too deeply.  A reader that closes the output early has
+chosen to stop: the command exits 0 and writes nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
-from typing import NoReturn
 
 from . import __version__
 from .contexts import format_context
@@ -258,6 +258,14 @@ def main(argv: list[str] | None = None) -> int:
         print("error: input nested too deeply for this command "
               f"(Python's recursion limit is {sys.getrecursionlimit()})", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed the output early: it chose to stop, so this is
+        # no error.  What is still buffered goes to the null device, so that
+        # the flush at exit raises nothing either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
 
 if __name__ == "__main__":

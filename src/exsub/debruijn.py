@@ -26,11 +26,10 @@ admitted by pure sets this is the replacement for alpha congruence.
 
 from __future__ import annotations
 
-from typing import Callable, ClassVar, Iterator, Optional, Union
-
 from .contexts import Context
 from .freevars import fv
 from .judgements import Derivation, NotDerivable, derive, is_good
+from .syntax import _print
 from .terms import (Children, InvalidRedex, Lam, LeftmostOutermost, Path, Sel,
                     Term, Value, replace_at, subterm_at)
 
@@ -85,8 +84,8 @@ class DLift(Value):
     CHILDREN: ClassVar[Children] = ((Sel.LIFT_INNER, "sub"),)
 
 
-DBTerm = Union[FreeName, One, DApp, DLam, DBoldLam, DComp]
-DBSub = Union[DSlash, DShift, DId, DLift]
+DBTerm = FreeName | One | DApp | DLam | DBoldLam | DComp
+DBSub = DSlash | DShift | DId | DLift
 
 DB_BETA = "Beta"
 DB_APP = "App"
@@ -135,7 +134,7 @@ def db_check(n: int, a: DBTerm) -> bool:
     raise TypeError(f"not a de Bruijn term: {a!r}")
 
 
-def db_check_sub(n: int, s: DBSub) -> Optional[int]:
+def db_check_sub(n: int, s: DBSub) -> int | None:
     """Output arity of a substitution at input arity n, or None."""
     match s:
         case DSlash(b):
@@ -324,84 +323,80 @@ def equiv_alpha(a: Term, b: Term) -> bool:
     return equiv_gamma(a, b, Context(ca.globals | cb.globals, ()))
 
 
+_NODES = frozenset((FreeName, One, DApp, DLam, DBoldLam, DComp,
+                    DSlash, DShift, DId, DLift))
+# Per notation, the classes printed bare as an argument (also as a slash
+# body in bracket notation), as a function, and as the inner of a lift.
+_COMPOSE_ARG = frozenset((FreeName, One))
+_BRACKET_ARG = _COMPOSE_ARG | {DComp}
+_COMPOSE_FN, _BRACKET_FN = _COMPOSE_ARG | {DApp}, _BRACKET_ARG | {DApp}
+_COMPOSE_LIFTED, _BRACKET_LIFTED = _NODES - {DLift}, _NODES - {DSlash, DLift}
+
+
+def _node(u):
+    if type(u) not in _NODES:
+        raise TypeError(f"not a de Bruijn node: {u!r}")
+    return u
+
+
+def _child(u, bare: frozenset) -> tuple:
+    """The parts of child `u`, last first: bare if its class is in `bare`,
+    else in parentheses."""
+    return (u,) if type(u) in bare else (")", _node(u), "(")
+
+
+def _common(u, lifted: frozenset) -> tuple:
+    """The parts of a node of a class that both notations print alike."""
+    cls = type(u)
+    if cls is FreeName:
+        return u.name,
+    if cls is One:
+        return "1",
+    if cls is DId:
+        return "id",
+    if cls is DLam:
+        return _node(u.body), "\\"
+    if cls is DBoldLam:
+        return _node(u.body), "\\!"
+    return _child(u.sub, lifted) + ("^^",)      # DLift
+
+
+def _bracket(u) -> tuple:
+    """The text parts of `u` in bracket notation, a[s], as `syntax._parts`
+    gives those of a named node: literals and children, last first."""
+    cls = type(u)
+    if cls is DApp:
+        return _child(u.arg, _BRACKET_ARG) + (" ",) + _child(u.fn, _BRACKET_FN)
+    if cls is DComp:
+        return ("]", _node(u.sub), "[") + _child(u.body, _BRACKET_ARG)
+    if cls is DSlash:
+        return ("/",) + _child(u.term, _BRACKET_ARG)
+    if cls is DShift:
+        return "^",
+    return _common(u, _BRACKET_LIFTED)
+
+
+def _compose(u) -> tuple:
+    """The text parts of `u` in composition notation, s * a."""
+    cls = type(u)
+    if cls is DApp:
+        return _child(u.arg, _COMPOSE_ARG) + (" ",) + _child(u.fn, _COMPOSE_FN)
+    if cls is DComp:
+        return _node(u.body), " * ", _node(u.sub)
+    if cls is DSlash:
+        return "/]", _node(u.term), "["
+    if cls is DShift:
+        return "W",
+    return _common(u, _COMPOSE_LIFTED)
+
+
 def print_db(a: DBTerm | DBSub, notation: str = "bracket") -> str:
-    """Render a de Bruijn term; `bracket` writes a[s], `compose` writes s * a."""
+    """Render a de Bruijn term; `bracket` writes a[s], `compose` writes s * a.
+    The printer core of the named calculus prints it, from the parts above."""
     if notation == "bracket":
-        return _print_bracket(a)
-    if notation == "compose":
-        return _print_compose(a)
-    raise ValueError(f"unknown notation: {notation!r}")
-
-
-def _bracket_atom(a: DBTerm) -> str:
-    if isinstance(a, (FreeName, One, DComp)):
-        return _print_bracket(a)
-    return "(" + _print_bracket(a) + ")"
-
-
-def _print_bracket(a) -> str:
-    match a:
-        case FreeName(x):
-            return x
-        case One():
-            return "1"
-        case DApp(f, b):
-            left = _print_bracket(f) if isinstance(f, (DApp, FreeName, One, DComp)) \
-                else _bracket_atom(f)
-            return f"{left} {_bracket_atom(b)}"
-        case DLam(b):
-            return "\\" + _print_bracket(b)
-        case DBoldLam(b):
-            return "\\!" + _print_bracket(b)
-        case DComp(s, b):
-            return f"{_bracket_atom(b)}[{_print_bracket(s)}]"
-        case DSlash(b):
-            inner = _print_bracket(b) if isinstance(b, (FreeName, One, DComp)) \
-                else "(" + _print_bracket(b) + ")"
-            return inner + "/"
-        case DShift():
-            return "^"
-        case DId():
-            return "id"
-        case DLift(s):
-            inner = _print_bracket(s)
-            if isinstance(s, (DSlash, DLift)):
-                inner = "(" + inner + ")"
-            return "^^" + inner
-    raise TypeError(f"not a de Bruijn node: {a!r}")
-
-
-def _compose_atom(a: DBTerm) -> str:
-    if isinstance(a, (FreeName, One)):
-        return _print_compose(a)
-    return "(" + _print_compose(a) + ")"
-
-
-def _print_compose(a) -> str:
-    match a:
-        case FreeName(x):
-            return x
-        case One():
-            return "1"
-        case DApp(f, b):
-            left = _print_compose(f) if isinstance(f, (DApp, FreeName, One)) \
-                else _compose_atom(f)
-            return f"{left} {_compose_atom(b)}"
-        case DLam(b):
-            return "\\" + _print_compose(b)
-        case DBoldLam(b):
-            return "\\!" + _print_compose(b)
-        case DComp(s, b):
-            return f"{_print_compose(s)} * {_print_compose(b)}"
-        case DSlash(b):
-            return f"[{_print_compose(b)}/]"
-        case DShift():
-            return "W"
-        case DId():
-            return "id"
-        case DLift(s):
-            inner = _print_compose(s)
-            if isinstance(s, DLift):
-                inner = "(" + inner + ")"
-            return "^^" + inner
-    raise TypeError(f"not a de Bruijn node: {a!r}")
+        parts = _bracket
+    elif notation == "compose":
+        parts = _compose
+    else:
+        raise ValueError(f"unknown notation: {notation!r}")
+    return _print(_node(a), None, parts)

@@ -23,7 +23,9 @@ from .debruijn import (DApp, DBoldLam, DBSub, DBTerm, DComp, DId, DLam,
 from .terms import (App, Comp, Lam, Lift, Rename, Slash, Subst, Term, Var,
                     Value, VarRef, Weak)
 
-POOL = ("x", "y", "z", "w", "v", "u", "t", "s")
+_NAMES = ("x", "y", "z", "w")           # the variable names of generated terms
+_MAX_GLOBALS, _MAX_LOCALS = 3, 2        # the shape of generated contexts
+# relative weights of term and substitution constructors
 _MIX = {"var": 4, "app": 3, "lam": 3, "comp": 3,
         "slash": 3, "weak": 2, "rename": 2, "lift": 2}
 
@@ -31,29 +33,17 @@ _MIX = {"var": 4, "app": 3, "lam": 3, "comp": 3,
 class GenConfig(Value):
     seed: int = 0
     size: int = 40            # max term size
-    pool: int = 4             # number of distinct variable names
     count: int = 1000         # trials per suite
     fuel: int = 10000
-    max_globals: int = 3      # context shape
-    max_locals: int = 2
-    # relative weights of term and substitution constructors
-    mix: dict = _MIX
 
     def __post_init__(self):
-        if self.size <= 0 or self.pool <= 0 or self.count <= 0 or self.fuel <= 0:
+        if self.size <= 0 or self.count <= 0 or self.fuel <= 0:
             raise ValueError("all generation bounds must be positive")
-        if self.mix is _MIX:    # each config gets its own weights to change
-            self.__dict__["mix"] = dict(_MIX)
-
-    @property
-    def names(self) -> tuple[Var, ...]:
-        return POOL[: self.pool]
 
 
 def gen_context(rng: Random, cfg: GenConfig) -> Context:
-    names = cfg.names
-    globs = frozenset(rng.sample(names, rng.randint(0, min(cfg.max_globals, len(names)))))
-    locs = tuple(rng.choice(names) for _ in range(rng.randint(0, cfg.max_locals)))
+    globs = frozenset(rng.sample(_NAMES, rng.randint(0, _MAX_GLOBALS)))
+    locs = tuple(rng.choice(_NAMES) for _ in range(rng.randint(0, _MAX_LOCALS)))
     return Context(globs, locs)
 
 
@@ -67,14 +57,14 @@ def gen_term(rng: Random, cfg: GenConfig, ctx: Context, size: int) -> Term:
         if members:
             return VarRef(rng.choice(members))
         # an empty context admits only abstractions; bind and use a name
-        x = rng.choice(cfg.names)
+        x = rng.choice(_NAMES)
         return Lam(x, VarRef(x))
     choices, weights = [], []
     for kind in ("var", "app", "lam", "comp"):
         if kind == "var" and not members:
             continue
         choices.append(kind)
-        weights.append(cfg.mix[kind])
+        weights.append(_MIX[kind])
     kind = rng.choices(choices, weights)[0]
     if kind == "var":
         return VarRef(rng.choice(members))
@@ -83,7 +73,7 @@ def gen_term(rng: Random, cfg: GenConfig, ctx: Context, size: int) -> Term:
         return App(gen_term(rng, cfg, ctx, left),
                    gen_term(rng, cfg, ctx, size - 1 - left))
     if kind == "lam":
-        x = rng.choice(cfg.names)
+        x = rng.choice(_NAMES)
         return Lam(x, gen_term(rng, cfg, ctx.push(x), size - 1))
     sub_size = rng.randint(1, max(1, size // 2))
     s, delta = gen_subst(rng, cfg, ctx, sub_size)
@@ -93,19 +83,19 @@ def gen_term(rng: Random, cfg: GenConfig, ctx: Context, size: int) -> Term:
 def gen_subst(rng: Random, cfg: GenConfig, ctx: Context,
               size: int) -> tuple[Subst, Context]:
     """A substitution accepted by `ctx`, with its output context."""
-    choices, weights = ["slash"], [cfg.mix["slash"]]
+    choices, weights = ["slash"], [_MIX["slash"]]
     if ctx.locals:
         for kind in ("weak", "rename", "lift"):
             choices.append(kind)
-            weights.append(cfg.mix[kind])
+            weights.append(_MIX[kind])
     kind = rng.choices(choices, weights)[0]
     if kind == "slash":
-        x = rng.choice(cfg.names)
+        x = rng.choice(_NAMES)
         return Slash(gen_term(rng, cfg, ctx, max(1, size - 1)), x), ctx.push(x)
     if kind == "weak":
         return Weak(ctx.top), ctx.pop()
     if kind == "rename":
-        x = rng.choice(cfg.names)
+        x = rng.choice(_NAMES)
         return Rename(ctx.top, x), ctx.pop().push(x)
     inner, delta = gen_subst(rng, cfg, ctx.pop(), max(1, size - 1))
     return Lift(inner, ctx.top), delta.push(ctx.top)
@@ -119,7 +109,7 @@ def gen_wellformed(cfg: GenConfig, rng: Random | None = None) -> tuple[Context, 
     return ctx, gen_term(rng, cfg, ctx, rng.randint(1, cfg.size))
 
 
-def gen_raw_term(rng: Random, size: int, names: tuple[Var, ...] = POOL[:4]) -> Term:
+def gen_raw_term(rng: Random, size: int, names: tuple[Var, ...] = _NAMES) -> Term:
     """An arbitrary syntax tree, with no well-formedness discipline."""
     if size <= 1:
         return VarRef(rng.choice(names))
@@ -134,7 +124,7 @@ def gen_raw_term(rng: Random, size: int, names: tuple[Var, ...] = POOL[:4]) -> T
                 gen_raw_term(rng, max(1, size - 1 - size // 2), names))
 
 
-def gen_raw_subst(rng: Random, size: int, names: tuple[Var, ...] = POOL[:4]) -> Subst:
+def gen_raw_subst(rng: Random, size: int, names: tuple[Var, ...] = _NAMES) -> Subst:
     kind = rng.choices(("slash", "weak", "rename", "lift"), (3, 2, 2, 2))[0]
     if kind == "slash":
         return Slash(gen_raw_term(rng, max(1, size - 1), names), rng.choice(names))
@@ -150,11 +140,11 @@ def gen_db(rng: Random, cfg: GenConfig, n: int, size: int) -> DBTerm:
     arity rules top-down."""
     if size <= 1:
         if n == 0:
-            return FreeName(rng.choice(cfg.names))
+            return FreeName(rng.choice(_NAMES))
         return One()
     kind = rng.choices(("leaf", "app", "lam", "comp"), (2, 3, 2, 4))[0]
     if kind == "leaf":
-        return FreeName(rng.choice(cfg.names)) if n == 0 else One()
+        return FreeName(rng.choice(_NAMES)) if n == 0 else One()
     if kind == "app":
         left = rng.randint(1, size - 2) if size > 2 else 1
         return DApp(gen_db(rng, cfg, n, left), gen_db(rng, cfg, n, size - 1 - left))
@@ -187,7 +177,7 @@ def gen_db_marked(rng: Random, cfg: GenConfig, size: int) -> DBTerm:
     """An arbitrary marked de Bruijn term (no arity discipline); used to
     exercise the labelled path order on every rule."""
     if size <= 1:
-        return rng.choice((One(), FreeName(rng.choice(cfg.names))))
+        return rng.choice((One(), FreeName(rng.choice(_NAMES))))
     kind = rng.choices(("app", "lam", "mark", "comp"), (2, 2, 3, 5))[0]
     if kind == "app":
         left = rng.randint(1, size - 2) if size > 2 else 1

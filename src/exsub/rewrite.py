@@ -39,12 +39,11 @@ from __future__ import annotations
 import functools
 import itertools
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Iterator, Optional, Union
 
 from .contexts import Context
 from .freevars import _Memo, _fv
 from .syntax import LengthMemo, children_at, print_spliced, print_term
-from .terms import (CHILD_INDEX, App, BadPath, Comp, InvalidRedex, Lam, LeftmostOutermost,
+from .terms import (CHILD_INDEX, App, Comp, InvalidRedex, Lam, LeftmostOutermost,
                     Lift, Node, Path, Rename, Slash, Term, Value, Var, VarRef, Weak,
                     _field, _with_child, path_indices, replace_at, subterm_at)
 
@@ -74,7 +73,7 @@ RULE_SETS = {"sigma": SIGMA, "sigma-alpha": SIGMA_ALPHA, "full": FULL}
 
 # lo picks the first redex in enumeration order, ri the last, an integer k
 # the k-th (for harness exploration).
-Strategy = Union[str, int]
+Strategy = str | int
 
 
 _FRESH_HEAD = ("z", "y", "x", "w", "v", "u", "t", "s")
@@ -227,7 +226,7 @@ _CONTRACT: dict[str, Callable[[Node, _Memo], Term]] = {
 }
 
 
-def _contract(t: Term, rule: str, memo: _Memo) -> tuple[Term, Optional[Var]]:
+def _contract(t: Term, rule: str, memo: _Memo) -> tuple[Term, Var | None]:
     if _SHAPE_RULE.get(_shape(t)) != rule:
         raise InvalidRedex(f"rule {rule} does not match {print_term(t)}")
     new = _CONTRACT[rule](t, memo)
@@ -235,7 +234,7 @@ def _contract(t: Term, rule: str, memo: _Memo) -> tuple[Term, Optional[Var]]:
 
 
 def apply_rule(t: Term, at: Path, rule: str, *,
-               _memo: _Memo | None = None) -> tuple[Term, Optional[Var]]:
+               _memo: _Memo | None = None) -> tuple[Term, Var | None]:
     """Contract the redex for `rule` at `at`; returns the result and, for
     Alpha, the fresh variable chosen."""
     memo = {} if _memo is None else _memo
@@ -248,23 +247,23 @@ class TraceStep:
     """One reduction step: the rule, the path of its redex, the fresh name
     Alpha chose (else None), and the term after the step.
 
-    A step that the lo walk made does not hold its result.  It holds the
-    redex, the contractum and the step before it (or the initial term), and
-    its result is `replace_at(previous result, at, contractum)`, built on
-    first read and then kept.  The replay rebuilds the spine above the
-    redex and shares every other subtree, as an eager rebuild does, so a
-    normalization that reads only its normal form never builds the
-    intermediate terms.
+    A step that the engine made, under any strategy, does not hold its
+    result.  It holds the redex, the contractum and the step before it (or
+    the initial term), and its result is `replace_at(previous result, at,
+    contractum)`, built on first read and then kept.  The replay rebuilds
+    the spine above the redex and shares every other subtree, as an eager
+    rebuild does, so a normalization that reads only its normal form never
+    builds the intermediate terms.
     """
 
     __slots__ = ("rule", "at", "fresh", "_result", "_before", "_redex", "_contractum")
 
-    def __init__(self, rule: str, at: Path, fresh: Optional[Var], result: Term):
+    def __init__(self, rule: str, at: Path, fresh: Var | None, result: Term):
         self.rule, self.at, self.fresh = rule, at, fresh
         self._result, self._before, self._redex, self._contractum = result, None, None, None
 
     @classmethod
-    def replayed(cls, rule: str, at: Path, fresh: Optional[Var], before: "TraceStep | Term",
+    def replayed(cls, rule: str, at: Path, fresh: Var | None, before: "TraceStep | Term",
                  redex: Term, contractum: Term) -> "TraceStep":
         """The step that puts `contractum` in place of `redex`, at `at` in
         the result of `before`."""
@@ -317,12 +316,10 @@ class Trace(Value):
         down from where its path leaves that one, and a node above the last
         contraction, still holding the old child, is rebuilt only once a
         path leaves the zipper below it; so a lo step costs the same at any
-        depth, and printing builds no result.  The zipper takes in the lo
-        walk's own redex, whose parts the contractum holds by identity.  A
-        step with an eager result is spliced only when the result shares
-        every sibling along the path with the term before, by identity;
-        any other step is printed in full, so a trace built by hand still
-        prints right.
+        depth, and printing builds no result.  The zipper takes in the
+        engine's own redex, whose parts the contractum holds by identity.  A
+        step built by hand, or one whose result was read before printing,
+        holds no contractum and is printed in full.
 
         One memo of printed lengths serves the whole trace.  It drops the
         entries of the redex, of each rebuilt node and of the two levels
@@ -336,42 +333,31 @@ class Trace(Value):
         yield text
         nodes, fields, starts, last = [before], [], [0], ()
         for s in self.steps:
-            at, m = s.at, 0
-            while m < len(at) and m < len(last) and at[m] is last[m]:
-                m += 1
-            for d in range(len(fields) - 1, m - 1, -1):
-                u = nodes[d]
-                if getattr(u, fields[d]) is not nodes[d + 1]:
-                    memo.pop(id(u), None)
-                    nodes[d] = _with_child(u, fields[d], nodes[d + 1])
-            del nodes[m + 1:], fields[m:], starts[m + 1:]
-            try:
+            if s._contractum is None or s._before is not before:
+                text = print_term(s.result)
+                memo.clear()
+                nodes, fields, starts, last = [s.result], [], [0], ()
+            else:
+                at, m = s.at, 0
+                while m < len(at) and m < len(last) and at[m] is last[m]:
+                    m += 1
+                for d in range(len(fields) - 1, m - 1, -1):
+                    u = nodes[d]
+                    if getattr(u, fields[d]) is not nodes[d + 1]:
+                        memo.pop(id(u), None)
+                        nodes[d] = _with_child(u, fields[d], nodes[d + 1])
+                del nodes[m + 1:], fields[m:], starts[m + 1:]
                 for sel in at[m:]:
                     u = nodes[-1]
                     fields.append(_field(u, sel))
                     starts.append(children_at(u, starts[-1], memo)[CHILD_INDEX[sel]][1])
                     nodes.append(getattr(u, fields[-1]))
-                if s._contractum is not None and s._before is before:
-                    memo.pop(id(nodes[-1]), None)
-                    nodes[-1] = s._redex
-                    spine = nodes[:-1] + [s._contractum]
-                else:
-                    spine = _shared_spine(s.result, nodes, fields)
-            except BadPath:
-                spine = None
-            if spine is None:
-                text = print_term(s.result)
-                memo.clear()
-                nodes, fields, starts, last = [s.result], [], [0], ()
-            else:
+                memo.pop(id(nodes[-1]), None)
                 text, starts[-1] = print_spliced(
                     text, starts[-1], nodes[-2] if at else None,
-                    CHILD_INDEX[at[-1]] if at else 0, nodes[-1], spine[-1], memo)
-                for u, v in zip(reversed(nodes), reversed(spine)):
-                    if u is v:
-                        break
-                    memo.pop(id(u), None)
-                nodes, last = spine, at
+                    CHILD_INDEX[at[-1]] if at else 0, s._redex, s._contractum, memo)
+                memo.pop(id(s._redex), None)
+                nodes[-1], last = s._contractum, at
             yield text
             before = s
 
@@ -414,19 +400,6 @@ class Trace(Value):
 
 _STEP_JSON = ('\n    {\n      "ruleName": %s,\n      "pathAsChildIndices": %s,'
               '\n      "freshVariableOrNull": %s,\n      "printedTerm": %s\n    }')
-
-
-def _shared_spine(result: Term, nodes: list, fields: list[str]) -> list | None:
-    """The nodes of `result` down the path of `nodes` and `fields`, if each
-    has the class and, by identity, all other fields of the node there."""
-    spine = [result]
-    for u, f in zip(nodes, fields):
-        r = spine[-1]
-        if type(r) is not type(u) or any(v is not u.__dict__[k]
-                                         for k, v in r.__dict__.items() if k != f):
-            return None
-        spine.append(getattr(r, f))
-    return spine
 
 
 class _Rescan:
@@ -478,7 +451,7 @@ def _reducer(t: Term, rules: frozenset[str], strategy: Strategy,
 
 
 def _advance(red: LeftmostOutermost | _Rescan, memo: _Memo,
-             before: TraceStep | Term) -> Optional[TraceStep]:
+             before: TraceStep | Term) -> TraceStep | None:
     """Contract the redex the strategy picks next, if there is one;
     `before` is the previous step, or the initial term."""
     picked = red.next_redex()
@@ -488,13 +461,11 @@ def _advance(red: LeftmostOutermost | _Rescan, memo: _Memo,
     redex = red.focus
     new, fresh = apply_rule(redex, (), rule, _memo=memo)
     red.replace(new)
-    if isinstance(red, _Rescan):        # it has rebuilt the whole term already
-        return TraceStep(rule, path, fresh, red.root)
     return TraceStep.replayed(rule, path, fresh, before, redex, new)
 
 
 def step(t: Term, rules: frozenset[str] = FULL, strategy: Strategy = "lo", *,
-         _memo: _Memo | None = None) -> Optional[tuple[Term, str, Path, Optional[Var]]]:
+         _memo: _Memo | None = None) -> tuple[Term, str, Path, Var | None] | None:
     """One reduction step under the strategy, or None when no redex exists."""
     memo = {} if _memo is None else _memo
     s = _advance(_reducer(t, rules, strategy, memo), memo, t)
@@ -507,8 +478,9 @@ def normalize(t: Term, rules: frozenset[str] = FULL, strategy: Strategy = "lo",
     were taken.
 
     Under lo one `LeftmostOutermost` walk serves every step: it resumes
-    next to the last contraction instead of rescanning from the root, and
-    the trace's results are built only when read (see `TraceStep`).
+    next to the last contraction instead of rescanning from the root.
+    Under every strategy the trace's results are built only when read (see
+    `TraceStep`).
     Returns the final term, the trace, and an exhaustion flag, which says
     whether a redex is left after the last step (none is contracted to
     find out).  Exhaustion is a normal outcome for the full rule set

@@ -247,14 +247,18 @@ def _parts(u) -> tuple:
     return f"^{u.var}", u.sub
 
 
-def _print(root: Node, memo: PrintMemo | None) -> str:
+def _print(root, memo: PrintMemo | None, parts=None) -> str:
     """The text of `root`, whose class the caller has checked, taking the
-    text of each node that `memo` holds from there.
+    text of each node that `memo` holds from there.  `parts` gives a node's
+    text parts as `_parts` does, and is `_parts` unless given: the de Bruijn
+    printer passes its own.
 
     Pre-order on an explicit stack, so that deep terms do not hit the
     recursion limit.  The stack holds nodes still to print and literal text;
     both come off it in output order.
     """
+    if parts is None:
+        parts = _parts
     out: list[str] = []
     stack: list = [root]
     while stack:
@@ -267,7 +271,7 @@ def _print(root: Node, memo: PrintMemo | None) -> str:
         elif memo is not None and id(u) in memo and memo[id(u)][0] is u:
             out.append(memo[id(u)][1])
         else:
-            stack += _parts(u)
+            stack += parts(u)
     return "".join(out)
 
 

@@ -17,7 +17,9 @@ derivations, traces, suite reports and generator settings) is a
 it when the class is defined, and it compares, hashes and prints by those
 fields as a frozen dataclass would.  Setting up a class costs the base
 one compiled ``__init__``, under a tenth of what ``dataclasses`` spends,
-and imports neither ``dataclasses`` nor ``inspect``.
+and imports neither ``dataclasses`` nor ``inspect``.  No module imports
+``typing`` either: the unions below are written ``X | Y``, and the other
+names in annotations (``ClassVar``, ``Callable``, ...) are never evaluated.
 
 Every node class, here and in :mod:`exsub.debruijn`, declares its children
 in scan order as ``CHILDREN``: (selector, field) pairs.  Paths, subterm
@@ -29,7 +31,6 @@ table.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, ClassVar, Iterator, Optional, Union
 
 # Variable names are plain interned strings drawn from [a-z][a-zA-Z0-9_]*,
 # with the keyword "W" excluded by the lexer.
@@ -161,9 +162,9 @@ class Lift(Value):
     CHILDREN: ClassVar[Children] = ((Sel.LIFT_INNER, "sub"),)
 
 
-Term = Union[VarRef, App, Lam, Comp]
-Subst = Union[Slash, Weak, Rename, Lift]
-Node = Union[Term, Subst]
+Term = VarRef | App | Lam | Comp
+Subst = Slash | Weak | Rename | Lift
+Node = Term | Subst
 
 # Numeric child position of each selector, used by trace serialization.
 CHILD_INDEX: dict[Sel, int] = {sel: i for cls in (App, Lam, Comp, Slash, Lift)
@@ -276,7 +277,7 @@ class LeftmostOutermost:
     the same however deep its redex lies.
     """
 
-    def __init__(self, root, rule_at: Callable[[object], Optional[str]],
+    def __init__(self, root, rule_at: Callable[[object], str | None],
                  unsettled: Callable[[object], bool] | None = None):
         self._rule_at = rule_at
         self._unsettled = unsettled

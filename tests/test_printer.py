@@ -177,21 +177,38 @@ def spliced_steps(trace, monkeypatch) -> int:
 
 def test_trace_built_by_hand_with_a_changed_sibling_prints_in_full(monkeypatch):
     # both steps contract the redex at the same path, but the second result
-    # also has another argument, off that path
+    # also has another argument, off that path; a step built by hand holds
+    # no contractum, so neither is spliced
     t, at = parse_term(r"(\x. x) y z"), (Sel.APP_LEFT,)
     changed = parse_term(r"([y/x] * x) w")
     good = Trace(t, (TraceStep("Beta", at, None, replace_at(t, at, changed.fn)),))
     bad = Trace(t, (TraceStep("Beta", at, None, changed),))
-    assert spliced_steps(good, monkeypatch) == 1
+    assert spliced_steps(good, monkeypatch) == 0
     assert spliced_steps(bad, monkeypatch) == 0
     assert bad.to_text().splitlines()[-1] == f"Beta\t0\t-\t{print_term(changed)}"
 
 
-def test_eager_omega_trace_is_spliced(monkeypatch):
-    # ri keeps every result eager, and each shares the siblings of its path
+@pytest.mark.parametrize("strategy", ["ri", 1], ids=["ri", "index:1"])
+def test_eager_omega_trace_is_spliced(strategy, monkeypatch):
+    # the rescanning strategies make replayed steps, as the lo walk does;
+    # omega has one redex, so index:1 reduces the second of two omegas
     omega = parse_term(r"(\x. x x) (\x. x x)")
-    _, trace, _ = normalize(omega, FULL, "ri", 50)
+    _, trace, _ = normalize(omega if strategy == "ri" else App(omega, omega), FULL,
+                            strategy, 50)
     assert spliced_steps(trace, monkeypatch) == len(trace.steps) == 50
+
+
+@pytest.mark.parametrize("strategy", ["lo", "ri", 1], ids=["lo", "ri", "index:1"])
+def test_trace_whose_results_were_read_prints_in_full(strategy, monkeypatch):
+    # reading a result drops the step's contractum, so no step is spliced,
+    # and the bytes are those of a trace printed before any result was read
+    term = mult(3)
+    fresh = normalize(term, FULL, strategy, 300)[1]
+    texts = fresh.to_text(), fresh.dumps()
+    _, trace, _ = normalize(term, FULL, strategy, 300)
+    assert all(s.result is not None for s in trace.steps)
+    assert spliced_steps(trace, monkeypatch) == 0
+    assert (trace.to_text(), trace.dumps()) == texts
 
 
 @pytest.mark.parametrize("strategy", ["lo", "ri", 1], ids=["lo", "ri", "index:1"])
