@@ -41,7 +41,7 @@ class GenConfig(Value):
             raise ValueError("all generation bounds must be positive")
 
 
-def gen_context(rng: Random, cfg: GenConfig) -> Context:
+def gen_context(rng: Random) -> Context:
     globs = frozenset(rng.sample(_NAMES, rng.randint(0, _MAX_GLOBALS)))
     locs = tuple(rng.choice(_NAMES) for _ in range(rng.randint(0, _MAX_LOCALS)))
     return Context(globs, locs)
@@ -51,7 +51,7 @@ def _members(ctx: Context) -> list[Var]:
     return sorted(ctx.globals | set(ctx.locals))
 
 
-def gen_term(rng: Random, cfg: GenConfig, ctx: Context, size: int) -> Term:
+def gen_term(rng: Random, ctx: Context, size: int) -> Term:
     members = _members(ctx)
     if size <= 1:
         if members:
@@ -70,18 +70,17 @@ def gen_term(rng: Random, cfg: GenConfig, ctx: Context, size: int) -> Term:
         return VarRef(rng.choice(members))
     if kind == "app":
         left = rng.randint(1, size - 2) if size > 2 else 1
-        return App(gen_term(rng, cfg, ctx, left),
-                   gen_term(rng, cfg, ctx, size - 1 - left))
+        return App(gen_term(rng, ctx, left),
+                   gen_term(rng, ctx, size - 1 - left))
     if kind == "lam":
         x = rng.choice(_NAMES)
-        return Lam(x, gen_term(rng, cfg, ctx.push(x), size - 1))
+        return Lam(x, gen_term(rng, ctx.push(x), size - 1))
     sub_size = rng.randint(1, max(1, size // 2))
-    s, delta = gen_subst(rng, cfg, ctx, sub_size)
-    return Comp(s, gen_term(rng, cfg, delta, max(1, size - 1 - sub_size)))
+    s, delta = gen_subst(rng, ctx, sub_size)
+    return Comp(s, gen_term(rng, delta, max(1, size - 1 - sub_size)))
 
 
-def gen_subst(rng: Random, cfg: GenConfig, ctx: Context,
-              size: int) -> tuple[Subst, Context]:
+def gen_subst(rng: Random, ctx: Context, size: int) -> tuple[Subst, Context]:
     """A substitution accepted by `ctx`, with its output context."""
     choices, weights = ["slash"], [_MIX["slash"]]
     if ctx.locals:
@@ -91,13 +90,13 @@ def gen_subst(rng: Random, cfg: GenConfig, ctx: Context,
     kind = rng.choices(choices, weights)[0]
     if kind == "slash":
         x = rng.choice(_NAMES)
-        return Slash(gen_term(rng, cfg, ctx, max(1, size - 1)), x), ctx.push(x)
+        return Slash(gen_term(rng, ctx, max(1, size - 1)), x), ctx.push(x)
     if kind == "weak":
         return Weak(ctx.top), ctx.pop()
     if kind == "rename":
         x = rng.choice(_NAMES)
         return Rename(ctx.top, x), ctx.pop().push(x)
-    inner, delta = gen_subst(rng, cfg, ctx.pop(), max(1, size - 1))
+    inner, delta = gen_subst(rng, ctx.pop(), max(1, size - 1))
     return Lift(inner, ctx.top), delta.push(ctx.top)
 
 
@@ -105,8 +104,8 @@ def gen_wellformed(cfg: GenConfig, rng: Random | None = None) -> tuple[Context, 
     """A derivable pair: the context and a term it admits."""
     if rng is None:
         rng = Random(cfg.seed)
-    ctx = gen_context(rng, cfg)
-    return ctx, gen_term(rng, cfg, ctx, rng.randint(1, cfg.size))
+    ctx = gen_context(rng)
+    return ctx, gen_term(rng, ctx, rng.randint(1, cfg.size))
 
 
 def gen_raw_term(rng: Random, size: int, names: tuple[Var, ...] = _NAMES) -> Term:
@@ -135,7 +134,7 @@ def gen_raw_subst(rng: Random, size: int, names: tuple[Var, ...] = _NAMES) -> Su
     return Lift(gen_raw_subst(rng, max(1, size - 1), names), rng.choice(names))
 
 
-def gen_db(rng: Random, cfg: GenConfig, n: int, size: int) -> DBTerm:
+def gen_db(rng: Random, n: int, size: int) -> DBTerm:
     """A de Bruijn term well-formed at arity `n`, built against the
     arity rules top-down."""
     if size <= 1:
@@ -147,16 +146,15 @@ def gen_db(rng: Random, cfg: GenConfig, n: int, size: int) -> DBTerm:
         return FreeName(rng.choice(_NAMES)) if n == 0 else One()
     if kind == "app":
         left = rng.randint(1, size - 2) if size > 2 else 1
-        return DApp(gen_db(rng, cfg, n, left), gen_db(rng, cfg, n, size - 1 - left))
+        return DApp(gen_db(rng, n, left), gen_db(rng, n, size - 1 - left))
     if kind == "lam":
-        return DLam(gen_db(rng, cfg, n + 1, size - 1))
+        return DLam(gen_db(rng, n + 1, size - 1))
     sub_size = rng.randint(1, max(1, size // 2))
-    s, m = gen_db_sub(rng, cfg, n, sub_size)
-    return DComp(s, gen_db(rng, cfg, m, max(1, size - 1 - sub_size)))
+    s, m = gen_db_sub(rng, n, sub_size)
+    return DComp(s, gen_db(rng, m, max(1, size - 1 - sub_size)))
 
 
-def gen_db_sub(rng: Random, cfg: GenConfig, n: int,
-               size: int) -> tuple[DBSub, int]:
+def gen_db_sub(rng: Random, n: int, size: int) -> tuple[DBSub, int]:
     """A substitution well-formed at input arity `n`, with its output arity."""
     choices, weights = ["slash"], [3]
     if n >= 1:
@@ -164,16 +162,16 @@ def gen_db_sub(rng: Random, cfg: GenConfig, n: int,
         weights += [3, 2, 3]
     kind = rng.choices(choices, weights)[0]
     if kind == "slash":
-        return DSlash(gen_db(rng, cfg, n, max(1, size - 1))), n + 1
+        return DSlash(gen_db(rng, n, max(1, size - 1))), n + 1
     if kind == "shift":
         return DShift(), n - 1
     if kind == "id":
         return DId(), n
-    inner, m = gen_db_sub(rng, cfg, n - 1, max(1, size - 1))
+    inner, m = gen_db_sub(rng, n - 1, max(1, size - 1))
     return DLift(inner), m + 1
 
 
-def gen_db_marked(rng: Random, cfg: GenConfig, size: int) -> DBTerm:
+def gen_db_marked(rng: Random, size: int) -> DBTerm:
     """An arbitrary marked de Bruijn term (no arity discipline); used to
     exercise the labelled path order on every rule."""
     if size <= 1:
@@ -181,35 +179,35 @@ def gen_db_marked(rng: Random, cfg: GenConfig, size: int) -> DBTerm:
     kind = rng.choices(("app", "lam", "mark", "comp"), (2, 2, 3, 5))[0]
     if kind == "app":
         left = rng.randint(1, size - 2) if size > 2 else 1
-        return DApp(gen_db_marked(rng, cfg, left),
-                    gen_db_marked(rng, cfg, size - 1 - left))
+        return DApp(gen_db_marked(rng, left),
+                    gen_db_marked(rng, size - 1 - left))
     if kind == "lam":
-        return DLam(gen_db_marked(rng, cfg, size - 1))
+        return DLam(gen_db_marked(rng, size - 1))
     if kind == "mark":
-        return DBoldLam(gen_db_marked(rng, cfg, size - 1))
+        return DBoldLam(gen_db_marked(rng, size - 1))
     sub_size = rng.randint(1, max(1, size // 2))
     kinds = rng.choices(("slash", "shift", "id", "lift"), (3, 3, 2, 3))[0]
     s: DBSub
     if kinds == "slash":
-        s = DSlash(gen_db_marked(rng, cfg, sub_size))
+        s = DSlash(gen_db_marked(rng, sub_size))
     elif kinds == "shift":
         s = DShift()
     elif kinds == "id":
         s = DId()
     else:
-        s = DLift(gen_raw_db_sub(rng, cfg, sub_size))
-    return DComp(s, gen_db_marked(rng, cfg, max(1, size - 1 - sub_size)))
+        s = DLift(gen_raw_db_sub(rng, sub_size))
+    return DComp(s, gen_db_marked(rng, max(1, size - 1 - sub_size)))
 
 
-def gen_raw_db_sub(rng: Random, cfg: GenConfig, size: int) -> DBSub:
+def gen_raw_db_sub(rng: Random, size: int) -> DBSub:
     kind = rng.choices(("slash", "shift", "id", "lift"), (3, 3, 2, 2))[0]
     if kind == "slash":
-        return DSlash(gen_db_marked(rng, cfg, max(1, size - 1)))
+        return DSlash(gen_db_marked(rng, max(1, size - 1)))
     if kind == "shift":
         return DShift()
     if kind == "id":
         return DId()
-    return DLift(gen_raw_db_sub(rng, cfg, max(1, size - 1)))
+    return DLift(gen_raw_db_sub(rng, max(1, size - 1)))
 
 
 # Simply typed skeletons.  Types are None (base) or (left, right) pairs.

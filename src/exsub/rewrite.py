@@ -247,13 +247,15 @@ class TraceStep:
     """One reduction step: the rule, the path of its redex, the fresh name
     Alpha chose (else None), and the term after the step.
 
-    A step that the engine made, under any strategy, does not hold its
-    result.  It holds the redex, the contractum and the step before it (or
-    the initial term), and its result is `replace_at(previous result, at,
+    A step that the engine made, under any strategy, holds the redex, the
+    contractum and the step before it (or the initial term).  A lo step
+    does not hold its result: that is `replace_at(previous result, at,
     contractum)`, built on first read and then kept.  The replay rebuilds
     the spine above the redex and shares every other subtree, as an eager
     rebuild does, so a normalization that reads only its normal form never
-    builds the intermediate terms.
+    builds the intermediate terms.  An ri or index:K step holds the term
+    its rescan built.  Reading a result drops the links to the step
+    before.
     """
 
     __slots__ = ("rule", "at", "fresh", "_result", "_before", "_redex", "_contractum")
@@ -264,10 +266,10 @@ class TraceStep:
 
     @classmethod
     def replayed(cls, rule: str, at: Path, fresh: Var | None, before: "TraceStep | Term",
-                 redex: Term, contractum: Term) -> "TraceStep":
+                 redex: Term, contractum: Term, result: Term | None = None) -> "TraceStep":
         """The step that puts `contractum` in place of `redex`, at `at` in
-        the result of `before`."""
-        s = cls(rule, at, fresh, None)
+        the result of `before`; `result` is that term, if it was built."""
+        s = cls(rule, at, fresh, result)
         s._before, s._redex, s._contractum = before, redex, contractum
         return s
 
@@ -277,13 +279,14 @@ class TraceStep:
         # loop, so that reading the last step of a long trace first does
         # not recurse once per step.
         pending, before = [], self
-        while isinstance(before, TraceStep) and before._contractum is not None:
+        while isinstance(before, TraceStep) and before._result is None:
             pending.append(before)
             before = before._before
         term = before._result if isinstance(before, TraceStep) else before
         for p in reversed(pending):
             term = replace_at(term, p.at, p._contractum)
             p._result, p._before, p._redex, p._contractum = term, None, None, None
+        self._before = self._redex = self._contractum = None
         return self._result
 
     def _key(self) -> tuple:
@@ -428,9 +431,10 @@ class _Rescan:
     def focus(self) -> Term:
         return subterm_at(self.root, self._found[0])
 
-    def replace(self, new: Term) -> None:
+    def replace(self, new: Term) -> Term:
         self.root = replace_at(self.root, self._found[0], new)
         self._found = None
+        return self.root
 
 
 def _reducer(t: Term, rules: frozenset[str], strategy: Strategy,
@@ -460,8 +464,7 @@ def _advance(red: LeftmostOutermost | _Rescan, memo: _Memo,
     path, rule = picked
     redex = red.focus
     new, fresh = apply_rule(redex, (), rule, _memo=memo)
-    red.replace(new)
-    return TraceStep.replayed(rule, path, fresh, before, redex, new)
+    return TraceStep.replayed(rule, path, fresh, before, redex, new, red.replace(new))
 
 
 def step(t: Term, rules: frozenset[str] = FULL, strategy: Strategy = "lo", *,

@@ -105,9 +105,9 @@ def assert_prints_as_defined(a) -> None:
 CFG = GenConfig(seed=0, size=30)
 
 GENERATED = {
-    "gen_db": lambda rng: gen_db(rng, CFG, rng.randint(0, 3), rng.randint(1, 30)),
-    "gen_db_marked": lambda rng: gen_db_marked(rng, CFG, rng.randint(1, 30)),
-    "gen_db_sub": lambda rng: gen_db_sub(rng, CFG, rng.randint(0, 3), rng.randint(1, 15))[0],
+    "gen_db": lambda rng: gen_db(rng, rng.randint(0, 3), rng.randint(1, 30)),
+    "gen_db_marked": lambda rng: gen_db_marked(rng, rng.randint(1, 30)),
+    "gen_db_sub": lambda rng: gen_db_sub(rng, rng.randint(0, 3), rng.randint(1, 15))[0],
 }
 
 

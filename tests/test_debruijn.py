@@ -78,10 +78,9 @@ def test_db_marked_contractions():
 
 def test_upsilon_normal_forms_have_no_slash_id_lift():
     rng = Random(31)
-    cfg = GenConfig(seed=31)
     for _ in range(400):
         n = rng.randint(0, 2)
-        a = gen_db(rng, cfg, n, rng.randint(1, 20))
+        a = gen_db(rng, n, rng.randint(1, 20))
         nf = db_normalize_upsilon(a)
         assert db_check(n, nf)
 
@@ -266,10 +265,9 @@ def test_join_fails_outside_the_lemma_precondition():
 
 def test_local_confluence_on_wellformed_terms():
     rng = Random(33)
-    cfg = GenConfig(seed=33)
     for _ in range(300):
         n = rng.randint(0, 2)
-        a = gen_db(rng, cfg, n, rng.randint(2, 20))
+        a = gen_db(rng, n, rng.randint(2, 20))
         reducts = db_one_step_reducts(a, UPSILON)
         for u in reducts[:3]:
             for v in reducts[:3]:

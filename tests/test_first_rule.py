@@ -17,7 +17,7 @@ from exsub.debruijn import (DB_ALPHA, DB_APP, DB_BETA, DB_LAMBDA, DB_LAMBDAP,
                             DBoldLam, DComp, DId, DLam, DLift, DShift, DSlash, One,
                             _FIRST_RULE, _node_rules, _shape)
 from exsub.freevars import _fv
-from exsub.generators import GenConfig, gen_db, gen_db_marked, gen_raw_term
+from exsub.generators import gen_db, gen_db_marked, gen_raw_term
 from exsub.rewrite import SIGMA_ALPHA, _root_rule, apply_rule
 from exsub.terms import App, Lam, LeftmostOutermost, VarRef
 
@@ -69,9 +69,8 @@ def all_nodes(a) -> list:
 
 def db_terms() -> list:
     rng = Random(31)
-    cfg = GenConfig(seed=31, size=20)
-    terms = [gen_db(rng, cfg, rng.randint(0, 2), rng.randint(1, 20)) for _ in range(500)]
-    terms += [gen_db_marked(rng, cfg, rng.randint(1, 20)) for _ in range(500)]
+    terms = [gen_db(rng, rng.randint(0, 2), rng.randint(1, 20)) for _ in range(500)]
+    terms += [gen_db_marked(rng, rng.randint(1, 20)) for _ in range(500)]
     return terms
 
 

@@ -61,14 +61,13 @@ def test_pure_terms_get_classical_free_variable_sets():
 def test_subcup_distribution_on_constructed_compositions():
     # fv(S * (A B)) = fv(S * A) | | fv(S * B) whenever the left side exists
     rng = Random(5)
-    cfg = GenConfig(seed=5, size=14)
     from exsub.generators import gen_context, gen_term
     hits = 0
     for _ in range(500):
-        ctx = gen_context(rng, cfg)
-        s, delta = gen_subst(rng, cfg, ctx, rng.randint(1, 6))
-        a = gen_term(rng, cfg, delta, rng.randint(1, 8))
-        b = gen_term(rng, cfg, delta, rng.randint(1, 8))
+        ctx = gen_context(rng)
+        s, delta = gen_subst(rng, ctx, rng.randint(1, 6))
+        a = gen_term(rng, delta, rng.randint(1, 8))
+        b = gen_term(rng, delta, rng.randint(1, 8))
         whole = Comp(s, App(a, b))
         lhs = fv(whole)
         if lhs is None:

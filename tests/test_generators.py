@@ -67,24 +67,22 @@ def test_generation_is_deterministic_per_seed():
 
 def test_gen_subst_output_context():
     rng = Random(63)
-    cfg = GenConfig(seed=63)
     from exsub.generators import gen_context
     from exsub.judgements import derive_subst
     for _ in range(300):
-        ctx = gen_context(rng, cfg)
-        s, delta = gen_subst(rng, cfg, ctx, rng.randint(1, 8))
+        ctx = gen_context(rng)
+        s, delta = gen_subst(rng, ctx, rng.randint(1, 8))
         _, out = derive_subst(ctx, s)
         assert out == delta
 
 
 def test_gen_db_respects_arity():
     rng = Random(64)
-    cfg = GenConfig(seed=64)
     for _ in range(500):
         n = rng.randint(0, 3)
-        a = gen_db(rng, cfg, n, rng.randint(1, 20))
+        a = gen_db(rng, n, rng.randint(1, 20))
         assert db_check(n, a)
-        s, m = gen_db_sub(rng, cfg, n, rng.randint(1, 8))
+        s, m = gen_db_sub(rng, n, rng.randint(1, 8))
         from exsub.debruijn import db_check_sub
         assert db_check_sub(n, s) == m
 

@@ -100,10 +100,10 @@ def test_reduce_json_trace_digest():
 
 
 def test_de_bruijn_scan_order_digest():
-    rng, cfg = Random(0), GenConfig(seed=0)
+    rng = Random(0)
     found = []
     for _ in range(200):
-        a = gen_db_marked(rng, cfg, rng.randint(2, 14))
+        a = gen_db_marked(rng, rng.randint(2, 14))
         found.append([(path_indices(p), r) for p, r in db_find_redexes(a, UPSILON2)])
     assert sha256(repr(found)) == (
         "45c6395e9375280a03f9caf247445c6ff8f29c1373564d854751b2403ffbe0c6")
@@ -113,11 +113,11 @@ def test_path_order_digest():
     # The lpo-decrease report counts only failures, so it cannot tell a
     # path order that orients every step from the right one.  This pins
     # both directions on unrelated pairs and on every upsilon2 step.
-    rng, cfg = Random(7), GenConfig(seed=7)
+    rng = Random(7)
     found = []
     for _ in range(1500):
-        a = gen_db_marked(rng, cfg, rng.randint(2, 16))
-        b = gen_db_marked(rng, cfg, rng.randint(2, 16))
+        a = gen_db_marked(rng, rng.randint(2, 16))
+        b = gen_db_marked(rng, rng.randint(2, 16))
         la, lb = label(a), label(b)
         found += [lpo_gt(la, lb), lpo_gt(lb, la), weight(a)]
         for p, r in db_find_redexes(a, UPSILON2):
@@ -160,8 +160,8 @@ def test_raw_term_scan_order_digest():
 
 
 def test_de_bruijn_upsilon_normal_form_digest():
-    rng, cfg = Random(0), GenConfig(seed=0)
-    nfs = [print_db(db_normalize_upsilon(gen_db_marked(rng, cfg, rng.randint(2, 20))))
+    rng = Random(0)
+    nfs = [print_db(db_normalize_upsilon(gen_db_marked(rng, rng.randint(2, 20))))
            for _ in range(300)]
     assert sha256("\n".join(nfs)) == (
         "a1db348c00ebb63fae7afa3167e740cf701e1c114b1d7b16336c3f06ff24899b")

@@ -59,10 +59,10 @@ def test_lo_traces_match_the_rescanning_oracle(name, fuel):
 
 
 def test_upsilon_normal_forms_match_the_rescanning_oracle():
-    rng, cfg = Random(3), GenConfig(seed=3)
+    rng = Random(3)
     for _ in range(300):
-        for a in (gen_db(rng, cfg, rng.randint(0, 2), rng.randint(2, 20)),
-                  gen_db_marked(rng, cfg, rng.randint(2, 20))):
+        for a in (gen_db(rng, rng.randint(0, 2), rng.randint(2, 20)),
+                  gen_db_marked(rng, rng.randint(2, 20))):
             assert db_normalize_upsilon(a) == oracle_db_normalize(a)
 
 

@@ -12,7 +12,7 @@ from random import Random
 
 import pytest
 
-from exsub import terms
+from exsub import rewrite, terms
 from exsub.debruijn import SYSTEM_RULES, UPSILON, _node_rules, db_apply, db_normalize_upsilon
 from exsub.freevars import _fv
 from exsub.generators import (GenConfig, gen_db, gen_db_marked, gen_raw_term,
@@ -166,10 +166,10 @@ def test_pinned_unsettled_binder():
 
 def test_db_normalize_upsilon_matches_the_eager_walk():
     rules = SYSTEM_RULES[UPSILON]
-    rng, cfg = Random(4), GenConfig(seed=4)
+    rng = Random(4)
     for _ in range(200):
-        for a in (gen_db(rng, cfg, rng.randint(0, 2), rng.randint(2, 20)),
-                  gen_db_marked(rng, cfg, rng.randint(2, 20))):
+        for a in (gen_db(rng, rng.randint(0, 2), rng.randint(2, 20)),
+                  gen_db_marked(rng, rng.randint(2, 20))):
             walk = EagerWalk(a, lambda n: next(_node_rules(n, rules), None))
             while (picked := walk.next_redex()) is not None:
                 walk.replace(db_apply(walk.focus, (), picked[1]))
@@ -217,6 +217,30 @@ def test_long_trace_resolves_without_recursion():
     _, e_trace, _ = eager_normalize(omega, FULL, 5000)
     assert last == nf == e_trace.steps[-1].result
     assert trace.steps[2500] == e_trace.steps[2500]
+
+
+@pytest.mark.parametrize("strategy", ["ri", 1], ids=["ri", "index:1"])
+def test_rescanned_steps_keep_the_term_the_rescan_built(strategy, monkeypatch):
+    # the rescan rebuilds the whole term at each step; reading the results
+    # must not rebuild it again
+    omega = parse_term(r"(\x. x x) (\x. x x)")
+    start = omega if strategy == "ri" else App(omega, omega)
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return terms.replace_at(*args)
+
+    monkeypatch.setattr(rewrite, "replace_at", counting)
+    nf, trace, exhausted = normalize(start, FULL, strategy, 5000)
+    made = calls
+    results = [s.result for s in trace.steps]
+    assert calls == made
+    monkeypatch.undo()
+    assert exhausted and results[-1] == nf
+    for before, s, result in zip([start] + results, trace.steps, results):
+        assert apply_rule(before, s.at, s.rule)[0] == result
 
 
 def test_replayed_step_equals_an_eager_one():

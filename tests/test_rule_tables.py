@@ -171,9 +171,8 @@ def named_terms() -> list:
 
 def db_terms() -> list:
     rng = Random(43)
-    cfg = GenConfig(seed=43, size=14)
-    terms = [gen_db(rng, cfg, rng.randint(0, 2), rng.randint(1, 14)) for _ in range(500)]
-    terms += [gen_db_marked(rng, cfg, rng.randint(1, 14)) for _ in range(500)]
+    terms = [gen_db(rng, rng.randint(0, 2), rng.randint(1, 14)) for _ in range(500)]
+    terms += [gen_db_marked(rng, rng.randint(1, 14)) for _ in range(500)]
     return terms
 
 

@@ -5,10 +5,9 @@ from __future__ import annotations
 import pytest
 
 from exsub import suites
-from exsub.contexts import Context
 from exsub.generators import GenConfig
 from exsub.rewrite import SIGMA_ALPHA, normalize
-from exsub.suites import _Run, run_suite
+from exsub.suites import run_suite
 from exsub.syntax import parse_term
 
 
@@ -37,15 +36,6 @@ def test_passing_oracle_trials_compute_no_context(monkeypatch):
     report = run_suite("oracle-equivalence", GenConfig(seed=0, count=20))
     assert report.trials == 20 and not report.failures
     assert calls == []
-
-
-def test_a_failing_check_calls_for_its_text():
-    run = _Run("demo", GenConfig())
-    assert run.check(True, lambda: 1 / 0, lambda: 1 / 0, "never shown")
-    assert not run.check(False, lambda: "a b", lambda: Context(frozenset("x"), ()), "d1")
-    assert not run.check(False, parse_term("W x * y"), lambda: None, "d2")
-    assert [(f.term, f.context, f.detail) for f in run.failures] == [
-        ("a b", "{x}", "d1"), ("W x * y", "-", "d2")]
 
 
 @pytest.mark.parametrize("fuel", [3, 7])

@@ -16,7 +16,7 @@ import pytest
 from exsub.debruijn import (UPSILON, UPSILON2, DApp, DBoldLam, DComp, DId,
                             DLam, DLift, DShift, DSlash, FreeName, One,
                             db_apply, db_find_redexes)
-from exsub.generators import GenConfig, gen_db, gen_db_marked
+from exsub.generators import gen_db, gen_db_marked
 from exsub.termination import label, lpo_gt, weight, weights12
 
 x, y = FreeName("x"), FreeName("y")
@@ -78,14 +78,13 @@ def test_lpo_liftshift_instance():
 
 def test_lpo_orients_one_instance_of_every_marked_rule():
     rng = Random(41)
-    cfg = GenConfig(seed=41)
     needed = {"App", "Lambda", "LambdaP", "LambdaPP", "LambdaPPP", "Var",
               "Shift", "VarId", "ShiftId", "VarLift", "ShiftLift", "Alpha", "Xi"}
     seen = set()
     tries = 0
     while needed - seen and tries < 4000:
         tries += 1
-        a = gen_db_marked(rng, cfg, rng.randint(2, 14))
+        a = gen_db_marked(rng, rng.randint(2, 14))
         for path, rule in db_find_redexes(a, UPSILON2):
             b = db_apply(a, path, rule)
             assert lpo_gt(label(a), label(b)), f"{rule} not oriented"
@@ -95,7 +94,6 @@ def test_lpo_orients_one_instance_of_every_marked_rule():
 
 def test_weight_pair_decreases_on_every_substitution_rule():
     rng = Random(42)
-    cfg = GenConfig(seed=42)
     needed = {"App", "Lambda", "Var", "Shift", "VarId", "ShiftId", "VarLift",
               "ShiftLift"}
     seen = set()
@@ -103,7 +101,7 @@ def test_weight_pair_decreases_on_every_substitution_rule():
     while needed - seen and tries < 4000:
         tries += 1
         n = rng.randint(0, 2)
-        a = gen_db(rng, cfg, n, rng.randint(2, 16))
+        a = gen_db(rng, n, rng.randint(2, 16))
         for path, rule in db_find_redexes(a, UPSILON):
             b = db_apply(a, path, rule)
             wa, wb = weights12(a), weights12(b)

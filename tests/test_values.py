@@ -123,7 +123,7 @@ def test_every_record_is_a_value_with_the_reference_fields():
 
 
 def test_generated_terms_contexts_and_derivations_agree_with_the_reference():
-    rng, cfg = Random(0), GenConfig()
+    rng = Random(0)
     derived = 0
     prev = VarRef("x")
     for i in range(1000):
@@ -136,7 +136,7 @@ def test_generated_terms_contexts_and_derivations_agree_with_the_reference():
         for a, b in zip(nodes(t), nodes(prev)):
             agree(a, b)
         prev = t
-        for ctx in (fv(t), gen_context(rng, cfg)):
+        for ctx in (fv(t), gen_context(rng)):
             if ctx is None:
                 continue
             agree(ctx, Context(ctx.globals, ctx.locals))
@@ -150,14 +150,14 @@ def test_generated_terms_contexts_and_derivations_agree_with_the_reference():
 
 
 def test_generated_de_bruijn_terms_agree_with_the_reference():
-    rng, cfg = Random(1), GenConfig()
+    rng = Random(1)
     prev = One()
     for _ in range(1000):
         state = rng.getstate()
-        t = gen_db_marked(rng, cfg, rng.randint(1, 40))
+        t = gen_db_marked(rng, rng.randint(1, 40))
         after = rng.getstate()
         rng.setstate(state)
-        twin = gen_db_marked(rng, cfg, rng.randint(1, 40))
+        twin = gen_db_marked(rng, rng.randint(1, 40))
         assert rng.getstate() == after
         assert t == twin and t is not twin
         for a, b in zip(nodes(t), nodes(twin)):
