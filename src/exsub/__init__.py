@@ -24,8 +24,8 @@ from .rewrite import (ALL_RULES, FULL, SIGMA, SIGMA_ALPHA, InvalidRedex, Trace,
                       normalize, step)
 from .suites import SUITES, TrialReport, run_suite
 from .syntax import ParseError, parse_context, parse_term, print_subst, print_term
-from .terms import (App, Comp, Lam, Lift, Path, Rename, Sel, Slash, Subst,
-                    Term, Var, VarRef, Weak)
+from .terms import (App, Comp, Lam, Lift, Path, Rename, Slash, Subst, Term, Var,
+                    VarRef, Weak)
 from .termination import label, lpo_gt, weight, weights12
 
 __version__ = "0.1.0"

@@ -30,8 +30,8 @@ from .contexts import Context
 from .freevars import fv
 from .judgements import Derivation, NotDerivable, derive, is_good
 from .syntax import _print
-from .terms import (Children, InvalidRedex, Lam, LeftmostOutermost, Path, Sel,
-                    Term, Value, replace_at, subterm_at)
+from .terms import (Children, InvalidRedex, Lam, LeftmostOutermost, Path, Term, Value,
+                    replace_at, subterm_at)
 
 
 class FreeName(Value):
@@ -46,29 +46,29 @@ class One(Value):
 class DApp(Value):
     fn: "DBTerm"
     arg: "DBTerm"
-    CHILDREN: ClassVar[Children] = ((Sel.APP_LEFT, "fn"), (Sel.APP_RIGHT, "arg"))
+    CHILDREN: ClassVar[Children] = ("fn", "arg")
 
 
 class DLam(Value):
     body: "DBTerm"
-    CHILDREN: ClassVar[Children] = ((Sel.LAM_BODY, "body"),)
+    CHILDREN: ClassVar[Children] = ("body",)
 
 
 class DBoldLam(Value):
     body: "DBTerm"
-    CHILDREN: ClassVar[Children] = ((Sel.LAM_BODY, "body"),)
+    CHILDREN: ClassVar[Children] = ("body",)
 
 
 class DComp(Value):
     # bracket form: DComp(s, a) is a[s]
     sub: "DBSub"
     body: "DBTerm"
-    CHILDREN: ClassVar[Children] = ((Sel.COMP_SUBST, "sub"), (Sel.COMP_BODY, "body"))
+    CHILDREN: ClassVar[Children] = ("sub", "body")
 
 
 class DSlash(Value):
     term: "DBTerm"
-    CHILDREN: ClassVar[Children] = ((Sel.SLASH_BODY, "term"),)
+    CHILDREN: ClassVar[Children] = ("term",)
 
 
 class DShift(Value):
@@ -81,7 +81,7 @@ class DId(Value):
 
 class DLift(Value):
     sub: "DBSub"
-    CHILDREN: ClassVar[Children] = ((Sel.LIFT_INNER, "sub"),)
+    CHILDREN: ClassVar[Children] = ("sub",)
 
 
 DBTerm = FreeName | One | DApp | DLam | DBoldLam | DComp
@@ -204,8 +204,10 @@ def _iter_db_redexes(a: DBTerm | DBSub, rules: frozenset[str],
         node, p = stack.pop()
         for r in _node_rules(node, rules):
             yield p, r
-        for sel, f in reversed(node.CHILDREN):
-            stack.append((getattr(node, f), p + (sel,)))
+        i = len(node.CHILDREN)
+        while i:
+            i -= 1
+            stack.append((getattr(node, node.CHILDREN[i]), p + (i,)))
 
 
 # The scan above descends into substitutions too; the old name stays bound

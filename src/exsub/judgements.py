@@ -25,12 +25,13 @@ from __future__ import annotations
 from .contexts import Context, format_context
 from .freevars import fv, fv_blame
 from .syntax import print_subst, print_term
-from .terms import (App, Comp, Lam, Lift, Path, Rename, Sel, Slash, Subst,
+from .terms import (App, Comp, Lam, Lift, Path, Rename, Slash, Subst,
                     Term, Value, VarRef, Weak)
 
 
 class NotDerivable(Exception):
-    """No derivation exists; `path` addresses the failing node."""
+    """No derivation exists; `path`, the child positions from the root
+    down (see :mod:`exsub.terms`), addresses the failing node."""
 
     def __init__(self, path: Path, reason: str):
         super().__init__(reason)
@@ -69,15 +70,15 @@ def derive(ctx: Context, t: Term, path: Path = ()) -> Derivation:
                 return Derivation("R1", ctx, t, None, ())
             raise NotDerivable(path, f"variable {x} is not in the context")
         case App(f, a):
-            df = derive(ctx, f, path + (Sel.APP_LEFT,))
-            da = derive(ctx, a, path + (Sel.APP_RIGHT,))
+            df = derive(ctx, f, path + (0,))
+            da = derive(ctx, a, path + (1,))
             return Derivation("R4", ctx, t, None, (df, da))
         case Lam(x, b):
-            db = derive(ctx.push(x), b, path + (Sel.LAM_BODY,))
+            db = derive(ctx.push(x), b, path + (0,))
             return Derivation("R5", ctx, t, None, (db,))
         case Comp(s, b):
-            ds, delta = derive_subst(ctx, s, path + (Sel.COMP_SUBST,))
-            db = derive(delta, b, path + (Sel.COMP_BODY,))
+            ds, delta = derive_subst(ctx, s, path + (0,))
+            db = derive(delta, b, path + (1,))
             return Derivation("R6", ctx, t, None, (ds, db))
     raise TypeError(f"not a term: {t!r}")
 
@@ -86,7 +87,7 @@ def derive_subst(ctx: Context, s: Subst, path: Path = ()) -> tuple[Derivation, C
     """The unique derivation of `ctx |- s |> out`, plus its output context."""
     match s:
         case Slash(b, x):
-            db = derive(ctx, b, path + (Sel.SLASH_BODY,))
+            db = derive(ctx, b, path + (0,))
             out = ctx.push(x)
             return Derivation("R7", ctx, s, out, (db,)), out
         case Weak(x):
@@ -102,7 +103,7 @@ def derive_subst(ctx: Context, s: Subst, path: Path = ()) -> tuple[Derivation, C
         case Lift(inner, x):
             if not ctx.locals or ctx.top != x:
                 raise NotDerivable(path, f"lift by {x} needs a local context ending in {x}")
-            d, delta = derive_subst(ctx.pop(), inner, path + (Sel.LIFT_INNER,))
+            d, delta = derive_subst(ctx.pop(), inner, path + (0,))
             out = delta.push(x)
             return Derivation("R10", ctx, s, out, (d,)), out
     raise TypeError(f"not a substitution: {s!r}")

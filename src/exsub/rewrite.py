@@ -24,7 +24,8 @@ deterministic order, so traces are reproducible).
 
 Redexes are reducible at any position reachable by descending into lambda
 bodies, both application children, both composition children, slash bodies,
-and lift inners (the ``CHILDREN`` tables of :mod:`exsub.terms`).
+and lift inners (the ``CHILDREN`` tables of :mod:`exsub.terms`).  A redex
+is reported with its path, its child positions from the root down.
 Enumeration is deterministic: outside-in, left to right.
 
 The lo strategy contracts the first redex in that order, ri the last and
@@ -43,9 +44,9 @@ from json.encoder import encode_basestring_ascii as _quote
 from .contexts import Context
 from .freevars import _Memo, _fv
 from .syntax import LengthMemo, children_at, print_spliced, print_term
-from .terms import (CHILD_INDEX, App, Comp, InvalidRedex, Lam, LeftmostOutermost,
-                    Lift, Node, Path, Rename, Slash, Term, Value, Var, VarRef, Weak,
-                    _field, _with_child, path_indices, replace_at, subterm_at)
+from .terms import (App, Comp, InvalidRedex, Lam, LeftmostOutermost, Lift, Node, Path,
+                    Rename, Slash, Term, Value, Var, VarRef, Weak, _with_child,
+                    replace_at, subterm_at)
 
 BETA = "Beta"
 APP = "App"
@@ -152,8 +153,10 @@ def _rule_table(rules: frozenset[str]) -> dict[tuple, str]:
 
 
 def _rule_finder(rules: frozenset[str], memo: _Memo) -> Callable[[Node], str | None]:
-    """`_root_rule` with its rule set and memo bound, for the walks to call
-    at every node: one lookup, and for Alpha its side condition."""
+    """The function that the walks and scans call at every node: it names
+    the rule of `rules` whose left-hand side matches at the root of the
+    node, or returns None.  It costs one table lookup, and for Alpha a look
+    at the binder's free-variable context, kept in `memo`."""
     table = _rule_table(frozenset(rules))
 
     def rule_at(t: Node) -> str | None:
@@ -165,12 +168,6 @@ def _rule_finder(rules: frozenset[str], memo: _Memo) -> Callable[[Node], str | N
     return rule_at
 
 
-def _root_rule(t: Node, rules: frozenset[str], memo: _Memo) -> str | None:
-    """The rule of `rules` whose left-hand side matches at the root of `t`,
-    if any."""
-    return _rule_finder(rules, memo)(t)
-
-
 def _iter_redexes(t: Node, rules: frozenset[str], path: Path,
                   memo: _Memo) -> Iterator[tuple[Path, str]]:
     rule_at = _rule_finder(rules, memo)
@@ -180,8 +177,10 @@ def _iter_redexes(t: Node, rules: frozenset[str], path: Path,
         r = rule_at(node)
         if r is not None:
             yield p, r
-        for sel, f in reversed(node.CHILDREN):
-            stack.append((getattr(node, f), p + (sel,)))
+        i = len(node.CHILDREN)
+        while i:
+            i -= 1
+            stack.append((getattr(node, node.CHILDREN[i]), p + (i,)))
 
 
 # The scan above descends into substitutions too; the old name stays bound
@@ -334,31 +333,30 @@ class Trace(Value):
         before = self.initial
         text = print_term(before)
         yield text
-        nodes, fields, starts, last = [before], [], [0], ()
+        nodes, starts, last = [before], [0], ()
         for s in self.steps:
             if s._contractum is None or s._before is not before:
                 text = print_term(s.result)
                 memo.clear()
-                nodes, fields, starts, last = [s.result], [], [0], ()
+                nodes, starts, last = [s.result], [0], ()
             else:
                 at, m = s.at, 0
-                while m < len(at) and m < len(last) and at[m] is last[m]:
+                while m < len(at) and m < len(last) and at[m] == last[m]:
                     m += 1
-                for d in range(len(fields) - 1, m - 1, -1):
-                    u = nodes[d]
-                    if getattr(u, fields[d]) is not nodes[d + 1]:
+                for d in range(len(last) - 1, m - 1, -1):
+                    u, f = nodes[d], nodes[d].CHILDREN[last[d]]
+                    if getattr(u, f) is not nodes[d + 1]:
                         memo.pop(id(u), None)
-                        nodes[d] = _with_child(u, fields[d], nodes[d + 1])
-                del nodes[m + 1:], fields[m:], starts[m + 1:]
-                for sel in at[m:]:
-                    u = nodes[-1]
-                    fields.append(_field(u, sel))
-                    starts.append(children_at(u, starts[-1], memo)[CHILD_INDEX[sel]][1])
-                    nodes.append(getattr(u, fields[-1]))
+                        nodes[d] = _with_child(u, f, nodes[d + 1])
+                del nodes[m + 1:], starts[m + 1:]
+                for i in at[m:]:
+                    c, start = children_at(nodes[-1], starts[-1], memo)[i]
+                    nodes.append(c)
+                    starts.append(start)
                 memo.pop(id(nodes[-1]), None)
                 text, starts[-1] = print_spliced(
                     text, starts[-1], nodes[-2] if at else None,
-                    CHILD_INDEX[at[-1]] if at else 0, s._redex, s._contractum, memo)
+                    at[-1] if at else 0, s._redex, s._contractum, memo)
                 memo.pop(id(s._redex), None)
                 nodes[-1], last = s._contractum, at
             yield text
@@ -371,7 +369,7 @@ class Trace(Value):
             "steps": [
                 {
                     "ruleName": s.rule,
-                    "pathAsChildIndices": path_indices(s.at),
+                    "pathAsChildIndices": list(s.at),
                     "freshVariableOrNull": s.fresh,
                     "printedTerm": text,
                 }
@@ -383,7 +381,7 @@ class Trace(Value):
         texts = self._printed()
         lines = [next(texts)]
         for s, text in zip(self.steps, texts):
-            p = ".".join(str(i) for i in path_indices(s.at)) or "-"
+            p = ".".join(map(str, s.at)) or "-"
             lines.append(f"{s.rule}\t{p}\t{s.fresh or '-'}\t{text}")
         return "\n".join(lines)
 
@@ -394,7 +392,7 @@ class Trace(Value):
         head = '{\n  "initial": %s,\n  "steps": [' % _quote(next(texts))
         steps = ",".join(_STEP_JSON % (
             _quote(s.rule),
-            "[\n        %s\n      ]" % ",\n        ".join(map(str, path_indices(s.at)))
+            "[\n        %s\n      ]" % ",\n        ".join(map(str, s.at))
             if s.at else "[]",
             "null" if s.fresh is None else _quote(s.fresh), _quote(text))
             for s, text in zip(self.steps, texts))

@@ -21,39 +21,22 @@ and imports neither ``dataclasses`` nor ``inspect``.  No module imports
 ``typing`` either: the unions below are written ``X | Y``, and the other
 names in annotations (``ClassVar``, ``Callable``, ...) are never evaluated.
 
-Every node class, here and in :mod:`exsub.debruijn`, declares its children
-in scan order as ``CHILDREN``: (selector, field) pairs.  Paths, subterm
-lookup, rebuilding, size, the redex scans of both engines and their shared
-leftmost-outermost driver (:class:`LeftmostOutermost`) read only this
-table.
+Every node class, here and in :mod:`exsub.debruijn`, names the fields that
+hold its children, in scan order, as ``CHILDREN``.  A path is the tuple of
+child positions in each parent's ``CHILDREN`` from the root down, the
+``pathAsChildIndices`` that traces print.  Subterm lookup, rebuilding,
+size, the redex scans of both engines and their shared leftmost-outermost
+driver (:class:`LeftmostOutermost`) read only this table.
 """
 
 from __future__ import annotations
-
-from enum import Enum
 
 # Variable names are plain interned strings drawn from [a-z][a-zA-Z0-9_]*,
 # with the keyword "W" excluded by the lexer.
 Var = str
 
-
-class Sel(str, Enum):
-    """Child selectors; a tuple of these addresses one node in a term."""
-
-    APP_LEFT = "app_left"
-    APP_RIGHT = "app_right"
-    LAM_BODY = "lam_body"
-    COMP_SUBST = "comp_subst"
-    COMP_BODY = "comp_body"
-    SLASH_BODY = "slash_body"
-    LIFT_INNER = "lift_inner"
-
-    def __repr__(self) -> str:  # keeps paths readable in traces and errors
-        return self.value
-
-
-Path = tuple[Sel, ...]
-Children = tuple[tuple[Sel, str], ...]
+Path = tuple[int, ...]
+Children = tuple[str, ...]
 
 
 def _constructor(cls, fields: tuple[str, ...]):
@@ -123,25 +106,25 @@ class VarRef(Value):
 class App(Value):
     fn: "Term"
     arg: "Term"
-    CHILDREN: ClassVar[Children] = ((Sel.APP_LEFT, "fn"), (Sel.APP_RIGHT, "arg"))
+    CHILDREN: ClassVar[Children] = ("fn", "arg")
 
 
 class Lam(Value):
     var: Var
     body: "Term"
-    CHILDREN: ClassVar[Children] = ((Sel.LAM_BODY, "body"),)
+    CHILDREN: ClassVar[Children] = ("body",)
 
 
 class Comp(Value):
     sub: "Subst"
     body: "Term"
-    CHILDREN: ClassVar[Children] = ((Sel.COMP_SUBST, "sub"), (Sel.COMP_BODY, "body"))
+    CHILDREN: ClassVar[Children] = ("sub", "body")
 
 
 class Slash(Value):
     term: "Term"
     var: Var
-    CHILDREN: ClassVar[Children] = ((Sel.SLASH_BODY, "term"),)
+    CHILDREN: ClassVar[Children] = ("term",)
 
 
 class Weak(Value):
@@ -159,20 +142,17 @@ class Rename(Value):
 class Lift(Value):
     sub: "Subst"
     var: Var
-    CHILDREN: ClassVar[Children] = ((Sel.LIFT_INNER, "sub"),)
+    CHILDREN: ClassVar[Children] = ("sub",)
 
 
 Term = VarRef | App | Lam | Comp
 Subst = Slash | Weak | Rename | Lift
 Node = Term | Subst
 
-# Numeric child position of each selector, used by trace serialization.
-CHILD_INDEX: dict[Sel, int] = {sel: i for cls in (App, Lam, Comp, Slash, Lift)
-                               for i, (sel, _) in enumerate(cls.CHILDREN)}
-
 
 def path_indices(path: Path) -> list[int]:
-    return [CHILD_INDEX[s] for s in path]
+    """`path` as a list, the ``pathAsChildIndices`` of a JSON trace."""
+    return list(path)
 
 
 class InvalidRedex(Exception):
@@ -180,29 +160,25 @@ class InvalidRedex(Exception):
 
 
 class BadPath(InvalidRedex):
-    """A path selector does not apply to the node it reached."""
+    """A path holds a position that the node it reached does not have."""
 
 
-def children(node) -> Iterator[tuple[Sel, object]]:
-    """The (selector, child) pairs of a node of either calculus, in scan
+def children(node) -> Iterator[tuple[int, object]]:
+    """The (position, child) pairs of a node of either calculus, in scan
     order."""
-    return ((sel, getattr(node, f)) for sel, f in node.CHILDREN)
+    return enumerate(getattr(node, f) for f in node.CHILDREN)
 
 
-def _field(node, sel: Sel) -> str:
-    for s, f in node.CHILDREN:
-        if s == sel:
-            return f
-    raise BadPath(f"selector {sel.value} does not apply to {type(node).__name__}")
-
-
-def child(node, sel: Sel):
-    return getattr(node, _field(node, sel))
+def _field(node, i: int) -> str:
+    """The field of child `i` of `node`."""
+    if type(i) is not int or not 0 <= i < len(node.CHILDREN):
+        raise BadPath(f"{type(node).__name__} has no child {i!r}")
+    return node.CHILDREN[i]
 
 
 def subterm_at(node, path: Path):
-    for sel in path:
-        node = child(node, sel)
+    for i in path:
+        node = getattr(node, _field(node, i))
     return node
 
 
@@ -224,8 +200,8 @@ def replace_at(node, path: Path, new):
     Untouched subtrees are shared, not copied.
     """
     spine = []
-    for sel in path:
-        f = _field(node, sel)
+    for i in path:
+        f = _field(node, i)
         spine.append((node, f))
         node = getattr(node, f)
     for parent, f in reversed(spine):
@@ -239,7 +215,7 @@ def node_size(node) -> int:
     while stack:
         node = stack.pop()
         n += 1
-        stack.extend(getattr(node, f) for _, f in node.CHILDREN)
+        stack.extend(getattr(node, f) for f in node.CHILDREN)
     return n
 
 
@@ -249,9 +225,10 @@ class LeftmostOutermost:
     `rule_at(node)` names the rule whose left-hand side matches at the root
     of `node`, or returns None.  `next_redex` walks the term in the order of
     the redex scans (outside-in, left to right) on an explicit stack of
-    (node, child index) frames and stops at the first node with a rule, the
-    focus.  `replace` puts the contractum in place of the focus.  The next
-    walk does not restart at the root:
+    (node, child position) frames and stops at the first node with a rule,
+    the focus.  The positions of the frames above the focus are its path.
+    `replace` puts the contractum in place of the focus.  The next walk
+    does not restart at the root:
 
     * A subtree the walk has finished holds no redex, and later steps do
       not change it.  A memo, keyed by id and holding the node, keeps these
@@ -283,7 +260,6 @@ class LeftmostOutermost:
         self._unsettled = unsettled
         self._nodes = [root]    # the path from the root to the walk's position
         self._next: list[int] = []      # per frame: the child being walked
-        self._sels: list[Sel] = []      # per frame: that child's selector
         self._marked: list[int] = []    # depths of unsettled frames, ascending
         self._clean: dict[int, object] = {}
         self._found: tuple[Path, str] | None = None
@@ -296,7 +272,7 @@ class LeftmostOutermost:
         if not nodes:
             return self._last
         for k in range(len(nodes) - 2, -1, -1):
-            parent, f = nodes[k], nodes[k].CHILDREN[nxt[k]][1]
+            parent, f = nodes[k], nodes[k].CHILDREN[nxt[k]]
             if getattr(parent, f) is not nodes[k + 1]:
                 nodes[k] = _with_child(parent, f, nodes[k + 1])
         return nodes[0]
@@ -311,21 +287,21 @@ class LeftmostOutermost:
         term holds none."""
         if self._found is not None:
             return self._found
-        nodes, nxt, sels, clean = self._nodes, self._next, self._sels, self._clean
+        nodes, nxt, clean = self._nodes, self._next, self._clean
         rule_at = self._rule_at
         while nodes:
             node = nodes[-1]
             if len(nxt) < len(nodes):       # entering `node`
                 rule = rule_at(node)
                 if rule is not None:
-                    self._found = tuple(sels), rule
+                    self._found = tuple(nxt), rule
                     return self._found
                 if self._unsettled is not None and self._unsettled(node):
                     self._marked.append(len(nxt))
                 nxt.append(0)
             kids, i = node.CHILDREN, nxt[-1]
             while i < len(kids):
-                c = getattr(node, kids[i][1])
+                c = getattr(node, kids[i])
                 if clean.get(id(c)) is not c:
                     if c.CHILDREN or rule_at(c) is not None:
                         break
@@ -333,7 +309,6 @@ class LeftmostOutermost:
                 i += 1
             if i < len(kids):
                 nxt[-1] = i
-                sels.append(kids[i][0])
                 nodes.append(c)
                 continue
             clean[id(node)] = node          # finished: no redex below
@@ -344,9 +319,8 @@ class LeftmostOutermost:
             if not nodes:
                 self._last = node
                 break
-            sels.pop()
             parent = nodes[-1]
-            f = parent.CHILDREN[nxt[-1]][1]
+            f = parent.CHILDREN[nxt[-1]]
             if getattr(parent, f) is not node:      # stale: rebuild it now
                 nodes[-1] = _with_child(parent, f, node)
             nxt[-1] += 1
@@ -365,8 +339,8 @@ class LeftmostOutermost:
         nodes[depth] = new
         for k in range(depth - 1, resume - 1, -1):
             parent = nodes[k]
-            nodes[k] = _with_child(parent, parent.CHILDREN[nxt[k]][1], nodes[k + 1])
-        del nodes[resume + 1:], nxt[resume:], self._sels[resume:]
+            nodes[k] = _with_child(parent, parent.CHILDREN[nxt[k]], nodes[k + 1])
+        del nodes[resume + 1:], nxt[resume:]
         while marked and marked[-1] >= resume:
             marked.pop()
         self._found = None

@@ -16,7 +16,6 @@ from exsub.debruijn import (LAMBDA_UPSILON, UPSILON, UPSILON2, DApp, DBoldLam,
 from exsub.generators import GenConfig, gen_db, gen_db_sub
 from exsub.judgements import derive
 from exsub.syntax import parse_context, parse_term
-from exsub.terms import Sel
 
 C = context
 x, y, z = FreeName("x"), FreeName("y"), FreeName("z")
@@ -227,7 +226,7 @@ def test_marked_simulation_of_renaming_chain():
     assert images[0] == DBoldLam(DComp(DShift(), x))
     assert images[1] == DLam(DComp(DId(), DComp(DShift(), x)))
     assert db_apply(images[0], (), "Alpha") == images[1]
-    assert db_apply(images[1], (Sel.LAM_BODY,), "ShiftId") == images[2]
+    assert db_apply(images[1], (0,), "ShiftId") == images[2]
     assert images[2] == images[3] == DLam(DComp(DShift(), x))
 
 
@@ -241,7 +240,7 @@ def test_marked_simulation_of_discarded_slash():
     assert a == DBoldLam(DComp(DSlash(wx), DComp(DShift(), wy)))
     b = translate(derive(g, parse_term(r"\x. y")), UPSILON2)
     assert b == DLam(wy)
-    stepped = db_apply(a, (Sel.LAM_BODY,), "Shift")
+    stepped = db_apply(a, (0,), "Shift")
     assert stepped == DBoldLam(wy)
     assert db_apply(stepped, (), "Xi") == b
 

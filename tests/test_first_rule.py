@@ -18,7 +18,7 @@ from exsub.debruijn import (DB_ALPHA, DB_APP, DB_BETA, DB_LAMBDA, DB_LAMBDAP,
                             _FIRST_RULE, _node_rules, _shape)
 from exsub.freevars import _fv
 from exsub.generators import gen_db, gen_db_marked, gen_raw_term
-from exsub.rewrite import SIGMA_ALPHA, _root_rule, apply_rule
+from exsub.rewrite import SIGMA_ALPHA, _rule_finder, apply_rule
 from exsub.terms import App, Lam, LeftmostOutermost, VarRef
 
 
@@ -63,7 +63,7 @@ def all_nodes(a) -> list:
     while stack:
         u = stack.pop()
         out.append(u)
-        stack.extend(getattr(u, f) for _, f in u.CHILDREN)
+        stack.extend(getattr(u, f) for f in u.CHILDREN)
     return out
 
 
@@ -101,7 +101,7 @@ def test_walk_does_not_enter_leaves():
             return isinstance(u, Lam) and _fv(u, memo) is None
 
         t = App(VarRef("q"), gen_raw_term(rng, rng.randint(1, 18)))
-        lo = LeftmostOutermost(t, lambda u: _root_rule(u, SIGMA_ALPHA, memo), unsettled)
+        lo = LeftmostOutermost(t, _rule_finder(SIGMA_ALPHA, memo), unsettled)
         for _ in range(50):
             picked = lo.next_redex()
             if picked is None:

@@ -72,7 +72,7 @@ def nodes_of(t) -> list:
     while stack:
         u = stack.pop()
         out.append(u)
-        stack.extend(getattr(u, f) for _, f in u.CHILDREN)
+        stack.extend(getattr(u, f) for f in u.CHILDREN)
     return out
 
 

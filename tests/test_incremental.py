@@ -15,10 +15,10 @@ from exsub.debruijn import (UPSILON, DApp, DComp, DSlash, FreeName, One,
                             db_apply, db_find_redexes, db_normalize_upsilon)
 from exsub.generators import (GenConfig, gen_db, gen_db_marked, gen_raw_term,
                               gen_simply_typed, gen_wellformed)
-from exsub.rewrite import (FULL, SIGMA, SIGMA_ALPHA, Trace, TraceStep, _root_rule,
+from exsub.rewrite import (FULL, SIGMA, SIGMA_ALPHA, Trace, TraceStep, _rule_finder,
                            apply_rule, find_redexes, normalize)
 from exsub.syntax import parse_term
-from exsub.terms import App, Lam, LeftmostOutermost, Sel, VarRef, path_indices
+from exsub.terms import App, Lam, LeftmostOutermost, VarRef, path_indices
 
 RULE_SETS = {"full": FULL, "sigma": SIGMA, "sigma-alpha": SIGMA_ALPHA}
 
@@ -87,7 +87,7 @@ def test_pinned_needs_the_unsettled_binders():
     # Without re-checking binders whose context was undefined, the walk
     # resumes at the grandparent of 0.1.1 and misses the root.
     memo = {}
-    lo = LeftmostOutermost(parse_term(PINNED), lambda u: _root_rule(u, SIGMA_ALPHA, memo))
+    lo = LeftmostOutermost(parse_term(PINNED), _rule_finder(SIGMA_ALPHA, memo))
     rows = []
     while len(rows) < 6 and (picked := lo.next_redex()) is not None:
         path, rule = picked
@@ -123,7 +123,7 @@ def chain(tail, app=App, f=VarRef("f")):
 
 def test_deep_named_term():
     t = chain(App(Lam("x", VarRef("x")), VarRef("y")))
-    path = (Sel.APP_RIGHT,) * DEPTH
+    path = (1,) * DEPTH
     assert find_redexes(t) == [(path, "Beta")]
     beta, _ = apply_rule(t, path, "Beta")
     assert spine(beta)[0] == DEPTH and spine(beta)[1].body == VarRef("x")
@@ -143,5 +143,5 @@ def test_deep_binder():
 
 def test_deep_de_bruijn_term():
     a = chain(DComp(DSlash(FreeName("y")), One()), DApp, FreeName("f"))
-    assert db_find_redexes(a) == [((Sel.APP_RIGHT,) * DEPTH, "Var")]
+    assert db_find_redexes(a) == [((1,) * DEPTH, "Var")]
     assert spine(db_normalize_upsilon(a)) == (DEPTH, FreeName("y"))

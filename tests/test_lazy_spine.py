@@ -17,7 +17,7 @@ from exsub.debruijn import SYSTEM_RULES, UPSILON, _node_rules, db_apply, db_norm
 from exsub.freevars import _fv
 from exsub.generators import (GenConfig, gen_db, gen_db_marked, gen_raw_term,
                               gen_simply_typed, gen_wellformed)
-from exsub.rewrite import (ALPHA, FULL, SIGMA, SIGMA_ALPHA, Trace, TraceStep, _root_rule,
+from exsub.rewrite import (ALPHA, FULL, SIGMA, SIGMA_ALPHA, Trace, TraceStep, _rule_finder,
                            apply_rule, normalize, step)
 from exsub.syntax import parse_term
 from exsub.terms import App, Lam, VarRef, _with_child
@@ -49,7 +49,7 @@ class EagerWalk:
             if len(nxt) < len(nodes):
                 rule = self._rule_at(node)
                 if rule is not None:
-                    path = tuple(n.CHILDREN[i][0] for n, i in zip(nodes, nxt))
+                    path = tuple(nxt)
                     self._found = path, rule
                     return self._found
                 if self._unsettled is not None and self._unsettled(node):
@@ -57,7 +57,7 @@ class EagerWalk:
                 nxt.append(0)
             kids, i = node.CHILDREN, nxt[-1]
             while i < len(kids):
-                c = getattr(node, kids[i][1])
+                c = getattr(node, kids[i])
                 if clean.get(id(c)) is not c:
                     break
                 i += 1
@@ -80,7 +80,7 @@ class EagerWalk:
         nodes[depth] = new
         for k in range(depth - 1, -1, -1):
             parent = nodes[k]
-            nodes[k] = _with_child(parent, parent.CHILDREN[nxt[k]][1], nodes[k + 1])
+            nodes[k] = _with_child(parent, parent.CHILDREN[nxt[k]], nodes[k + 1])
         self.root = nodes[0]
         resume = max(depth - 2, 0)
         if marked and marked[0] < resume:
@@ -98,7 +98,7 @@ def eager_normalize(t, rules, fuel):
     if ALPHA in rules:
         def unsettled(u):
             return isinstance(u, Lam) and _fv(u, memo) is None
-    walk = EagerWalk(t, lambda u: _root_rule(u, rules, memo), unsettled)
+    walk = EagerWalk(t, _rule_finder(rules, memo), unsettled)
     steps = []
     for _ in range(fuel):
         picked = walk.next_redex()

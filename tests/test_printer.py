@@ -19,7 +19,7 @@ from exsub import rewrite, syntax
 from exsub.generators import GenConfig, gen_raw_subst, gen_raw_term, gen_wellformed
 from exsub.rewrite import FULL, SIGMA, SIGMA_ALPHA, Trace, TraceStep, normalize
 from exsub.syntax import children_at, parse_term, print_spliced, print_subst, print_term
-from exsub.terms import (App, Comp, Lam, Lift, Rename, Sel, Slash, VarRef, Weak, children,
+from exsub.terms import (App, Comp, Lam, Lift, Rename, Slash, VarRef, Weak, children,
                          node_size, path_indices, replace_at)
 
 
@@ -67,8 +67,8 @@ def positions(t, memo):
     while stack:
         path, parent, k, u, start = stack.pop()
         yield path, parent, k, u, start
-        for i, ((sel, _), (c, at)) in enumerate(zip(u.CHILDREN, children_at(u, start, memo))):
-            stack.append((path + (sel,), u, i, c, at))
+        for i, (c, at) in enumerate(children_at(u, start, memo)):
+            stack.append((path + (i,), u, i, c, at))
 
 
 def test_spliced_printing_matches_fresh_printing():
@@ -156,7 +156,7 @@ def test_trace_built_by_hand_prints_each_step_as_a_fresh_print():
     # to the term before it
     x, y = parse_term("x"), parse_term(r"(\x. x) y")
     trace = Trace(y, (TraceStep("Beta", (), None, x),
-                      TraceStep("Var", (Sel.APP_LEFT, Sel.LAM_BODY), None, y),
+                      TraceStep("Var", (0, 0), None, y),
                       TraceStep("Beta", (), None, x)))
     assert trace.to_text() == fresh_text(trace)
     assert trace.to_json() == fresh_json(trace)
@@ -179,7 +179,7 @@ def test_trace_built_by_hand_with_a_changed_sibling_prints_in_full(monkeypatch):
     # both steps contract the redex at the same path, but the second result
     # also has another argument, off that path; a step built by hand holds
     # no contractum, so neither is spliced
-    t, at = parse_term(r"(\x. x) y z"), (Sel.APP_LEFT,)
+    t, at = parse_term(r"(\x. x) y z"), (0,)
     changed = parse_term(r"([y/x] * x) w")
     good = Trace(t, (TraceStep("Beta", at, None, replace_at(t, at, changed.fn)),))
     bad = Trace(t, (TraceStep("Beta", at, None, changed),))

@@ -30,7 +30,7 @@ def test_node_class_is_a_plain_frozen_dataclass(cls):
     assert issubclass(cls, Value)
     assert not any("__slots__" in vars(k) for k in cls.__mro__)
     assert not hasattr(cls, "__post_init__")
-    kids = {f for _, f in cls.CHILDREN}
+    kids = set(cls.CHILDREN)
     node = cls(*(LEAVES[terms][0] if f in kids else "x" for f in cls.__match_args__))
     assert list(vars(node)) == list(cls.__match_args__)
 
@@ -39,7 +39,7 @@ def test_node_class_is_a_plain_frozen_dataclass(cls):
                          ids=lambda c: c.__name__)
 def test_rebuild_equals_the_constructor(cls):
     old, new = LEAVES[terms if cls.__module__ == terms.__name__ else debruijn]
-    kids = {f for _, f in cls.CHILDREN}
+    kids = set(cls.CHILDREN)
     args = {f: old if f in kids else "x" for f in cls.__match_args__}
     node = cls(**args)
     for field in kids:

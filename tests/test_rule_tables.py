@@ -28,7 +28,7 @@ from exsub.freevars import _fv
 from exsub.generators import GenConfig, gen_db, gen_db_marked, gen_raw_term, gen_wellformed
 from exsub.rewrite import (ALL_RULES, ALPHA, APP, BETA, FULL, IDSHIFT, IDSHIFTP, IDVAR,
                            LAMBDA, LIFTSHIFT, LIFTSHIFTP, LIFTVAR, SHIFT, SHIFTP, SIGMA,
-                           SIGMA_ALPHA, VAR, W, _contract, _root_rule, fresh_var)
+                           SIGMA_ALPHA, VAR, W, _contract, _rule_finder, fresh_var)
 from exsub.syntax import parse_term, print_term
 from exsub.terms import (App, Comp, InvalidRedex, Lam, LeftmostOutermost, Lift, Rename,
                          Slash, VarRef, Weak)
@@ -157,7 +157,7 @@ def all_nodes(t) -> list:
     while stack:
         u = stack.pop()
         out.append(u)
-        stack.extend(getattr(u, f) for _, f in u.CHILDREN)
+        stack.extend(getattr(u, f) for f in u.CHILDREN)
     return out
 
 
@@ -185,9 +185,10 @@ def test_named_rule_lookup_matches_the_reference():
     found = {name: set() for name in ("full", "sigma", "sigma-alpha")}
     for t in named_terms():
         memo, ref_memo = {}, {}
+        rule_at = {rules: _rule_finder(rules, memo) for rules in (FULL, SIGMA, SIGMA_ALPHA)}
         for u in all_nodes(t):
             for name, rules in (("full", FULL), ("sigma", SIGMA), ("sigma-alpha", SIGMA_ALPHA)):
-                r = _root_rule(u, rules, memo)
+                r = rule_at[rules](u)
                 assert r == ref_root_rule(u, rules, ref_memo), (name, u)
                 found[name].add(r)
     # every rule of each set is found somewhere
