@@ -2,9 +2,12 @@
 
 Subcommands: check, fv, good, reduce, normalize, translate, equiv, nf,
 test.  Exit codes: 0 for success or a true answer, 1 for a false answer
-or an ill-formed term, 2 for usage errors, input that does not parse and
-input nested too deeply.  A reader that closes the output early has
-chosen to stop: the command exits 0 and writes nothing on stderr.
+or an ill-formed term, 2 for usage errors and input that does not parse.
+fv, normalize, reduce and nf answer input of any depth; check, good,
+translate, equiv and reduce --context derive, and exit 2 on input nested
+deeper than Python's recursion limit lets them.  A reader that closes
+the output early has chosen to stop: the command exits 0 and writes
+nothing on stderr.
 """
 
 from __future__ import annotations
@@ -23,27 +26,6 @@ from .normalforms import ContainsBlock, is_sigma_nf, to_pure
 from .rewrite import RULE_SETS, Strategy, normalize
 from .suites import SUITES, run_suite
 from .syntax import ParseError, parse_context, parse_term, print_term
-
-
-def _unparsable(e: ParseError) -> NoReturn:
-    """Input that does not parse is a usage error: one line on stderr and
-    exit 2, as argparse does for a bad flag."""
-    print(f"error: {e}", file=sys.stderr)
-    raise SystemExit(2) from e
-
-
-def _term(text: str):
-    try:
-        return parse_term(text)
-    except ParseError as e:
-        _unparsable(e)
-
-
-def _context(text: str):
-    try:
-        return parse_context(text)
-    except ParseError as e:
-        _unparsable(e)
 
 
 def _positive_int(text: str) -> int:
@@ -72,9 +54,9 @@ def _strategy(text: str) -> Strategy:
 
 
 def cmd_check(args) -> int:
-    t = _term(args.term)
+    t = parse_term(args.term)
     if args.context is not None:
-        ctx = _context(args.context)
+        ctx = parse_context(args.context)
     else:
         try:
             ctx = well_formed(t)
@@ -91,7 +73,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_fv(args) -> int:
-    c = fv(_term(args.term))
+    c = fv(parse_term(args.term))
     if c is None:
         print("undefined")
         return 1
@@ -100,7 +82,7 @@ def cmd_fv(args) -> int:
 
 
 def cmd_good(args) -> int:
-    if is_good(_term(args.term)):
+    if is_good(parse_term(args.term)):
         print("yes")
         return 0
     print("no")
@@ -108,10 +90,10 @@ def cmd_good(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    t = _term(args.term)
+    t = parse_term(args.term)
     if args.context is not None:
         try:
-            derive(_context(args.context), t)
+            derive(parse_context(args.context), t)
         except NotDerivable as e:
             print(f"not derivable: {e.reason}")
             return 1
@@ -124,7 +106,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    t = _term(args.term)
+    t = parse_term(args.term)
     nf, _, exhausted = normalize(t, RULE_SETS[args.rules], "lo", args.fuel)
     print(print_term(nf))
     if exhausted:
@@ -133,8 +115,8 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    t = _term(args.term)
-    ctx = _context(args.context)
+    t = parse_term(args.term)
+    ctx = parse_context(args.context)
     try:
         d = derive(ctx, t)
     except NotDerivable as e:
@@ -146,20 +128,20 @@ def cmd_translate(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    a, b = _term(args.a), _term(args.b)
+    a, b = parse_term(args.a), parse_term(args.b)
     if args.context is None:        # --alpha, or the default
         ok = equiv_alpha(a, b)
         if not ok and not (is_good(a) and is_good(b)):
             print("false (both terms must be admitted by a pure set)")
             return 1
     else:
-        ok = equiv_gamma(a, b, _context(args.context))
+        ok = equiv_gamma(a, b, parse_context(args.context))
     print("true" if ok else "false")
     return 0 if ok else 1
 
 
 def cmd_nf(args) -> int:
-    t = _term(args.term)
+    t = parse_term(args.term)
     sigma = is_sigma_nf(t)
     try:
         to_pure(t)
@@ -253,8 +235,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except ParseError as e:
+        # input that does not parse is a usage error, as a bad flag is
+        print(f"error: {e}", file=sys.stderr)
+        raise SystemExit(2) from e
     except RecursionError:
-        # the parser, derive and translate recurse once or more per level
+        # derive, translate and format_derivation recurse once or more per
+        # level, and so does == on their results
         print("error: input nested too deeply for this command "
               f"(Python's recursion limit is {sys.getrecursionlimit()})", file=sys.stderr)
         return 2

@@ -41,9 +41,6 @@ def context(globs=(), locs=()) -> Context:
     return Context(frozenset(globs), tuple(locs))
 
 
-EMPTY = context()
-
-
 def ctx_le(a: Context, b: Context) -> bool:
     """The order on contexts.
 

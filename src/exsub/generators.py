@@ -108,30 +108,30 @@ def gen_wellformed(cfg: GenConfig, rng: Random | None = None) -> tuple[Context, 
     return ctx, gen_term(rng, ctx, rng.randint(1, cfg.size))
 
 
-def gen_raw_term(rng: Random, size: int, names: tuple[Var, ...] = _NAMES) -> Term:
+def gen_raw_term(rng: Random, size: int) -> Term:
     """An arbitrary syntax tree, with no well-formedness discipline."""
     if size <= 1:
-        return VarRef(rng.choice(names))
+        return VarRef(rng.choice(_NAMES))
     kind = rng.choices(("app", "lam", "comp"), (3, 2, 3))[0]
     if kind == "app":
         left = rng.randint(1, size - 2) if size > 2 else 1
-        return App(gen_raw_term(rng, left, names),
-                   gen_raw_term(rng, size - 1 - left, names))
+        return App(gen_raw_term(rng, left),
+                   gen_raw_term(rng, size - 1 - left))
     if kind == "lam":
-        return Lam(rng.choice(names), gen_raw_term(rng, size - 1, names))
-    return Comp(gen_raw_subst(rng, size // 2, names),
-                gen_raw_term(rng, max(1, size - 1 - size // 2), names))
+        return Lam(rng.choice(_NAMES), gen_raw_term(rng, size - 1))
+    return Comp(gen_raw_subst(rng, size // 2),
+                gen_raw_term(rng, max(1, size - 1 - size // 2)))
 
 
-def gen_raw_subst(rng: Random, size: int, names: tuple[Var, ...] = _NAMES) -> Subst:
+def gen_raw_subst(rng: Random, size: int) -> Subst:
     kind = rng.choices(("slash", "weak", "rename", "lift"), (3, 2, 2, 2))[0]
     if kind == "slash":
-        return Slash(gen_raw_term(rng, max(1, size - 1), names), rng.choice(names))
+        return Slash(gen_raw_term(rng, max(1, size - 1)), rng.choice(_NAMES))
     if kind == "weak":
-        return Weak(rng.choice(names))
+        return Weak(rng.choice(_NAMES))
     if kind == "rename":
-        return Rename(rng.choice(names), rng.choice(names))
-    return Lift(gen_raw_subst(rng, max(1, size - 1), names), rng.choice(names))
+        return Rename(rng.choice(_NAMES), rng.choice(_NAMES))
+    return Lift(gen_raw_subst(rng, max(1, size - 1)), rng.choice(_NAMES))
 
 
 def gen_db(rng: Random, n: int, size: int) -> DBTerm:

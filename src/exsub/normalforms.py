@@ -27,43 +27,44 @@ class ContainsBlock(Exception):
 
 
 def is_block(t: Term) -> bool:
-    match t:
-        case Comp(Weak(x), VarRef(z)):
-            return x == z
-        case Comp(Weak(_), b):
-            return is_block(b)
+    while type(t) is Comp and type(t.sub) is Weak:
+        if type(t.body) is VarRef:
+            return t.sub.var == t.body.name
+        t = t.body
     return False
+
+
+def _compositions(t: Term) -> Iterator[Comp]:
+    """The compositions of `t` that no other composition holds, outside-in
+    and left to right, on an explicit stack; a node that is not a term
+    raises `TypeError` where the walk meets it."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        cls = type(u)
+        if cls is App:
+            stack += (u.arg, u.fn)
+        elif cls is Lam:
+            stack.append(u.body)
+        elif cls is Comp:
+            yield u
+        elif cls is not VarRef:
+            raise TypeError(f"not a term: {u!r}")
 
 
 def is_sigma_nf(t: Term) -> bool:
     """Membership in the normal-form grammar for the propagation rules."""
-    match t:
-        case VarRef(_):
-            return True
-        case App(f, a):
-            return is_sigma_nf(f) and is_sigma_nf(a)
-        case Lam(_, b):
-            return is_sigma_nf(b)
-        case Comp(_, _):
-            return is_block(t)
-    raise TypeError(f"not a term: {t!r}")
+    return all(is_block(c) for c in _compositions(t))
 
 
 def to_pure(t: Term) -> PureTerm:
-    """Identity embedding into pure lambda syntax.
+    """Identity embedding into pure lambda syntax: `t` itself.
 
     Intended for terms admitted by a pure set and normal under the
     propagation rules plus Alpha; such terms provably contain no
     compositions, so any composition found here is a hard failure worth
     surfacing with the offending subterm.
     """
-    match t:
-        case VarRef(_):
-            return t
-        case App(f, a):
-            return App(to_pure(f), to_pure(a))
-        case Lam(x, b):
-            return Lam(x, to_pure(b))
-        case Comp(_, _):
-            raise ContainsBlock(t)
-    raise TypeError(f"not a term: {t!r}")
+    for c in _compositions(t):
+        raise ContainsBlock(c)
+    return t

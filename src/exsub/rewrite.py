@@ -465,10 +465,10 @@ def _advance(red: LeftmostOutermost | _Rescan, memo: _Memo,
     return TraceStep.replayed(rule, path, fresh, before, redex, new, red.replace(new))
 
 
-def step(t: Term, rules: frozenset[str] = FULL, strategy: Strategy = "lo", *,
-         _memo: _Memo | None = None) -> tuple[Term, str, Path, Var | None] | None:
+def step(t: Term, rules: frozenset[str] = FULL,
+         strategy: Strategy = "lo") -> tuple[Term, str, Path, Var | None] | None:
     """One reduction step under the strategy, or None when no redex exists."""
-    memo = {} if _memo is None else _memo
+    memo: _Memo = {}
     s = _advance(_reducer(t, rules, strategy, memo), memo, t)
     return None if s is None else (s.result, s.rule, s.at, s.fresh)
 

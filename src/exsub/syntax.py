@@ -1,4 +1,4 @@
-r"""Concrete syntax: lexer, parser, and printer.
+r"""Concrete syntax: scanner, parser, and printer.
 
 Grammar (ASCII; `λ` and `∘` are accepted on input for `\` and `*`):
 
@@ -14,15 +14,21 @@ Grammar (ASCII; `λ` and `∘` are accepted on input for `\` and `*`):
 Contexts are written `{x,z}; x,x,y`; the local part may be omitted or
 empty (`{}`, `{x};`).
 
+A token is a (kind, text, position) triple.  Its kind is `ident` for a
+variable, `eof` at the end of input, and otherwise its own character,
+`W` included, with `λ` read as `\` and `∘` as `*`.  The parser keeps its
+own stack, so input of any depth parses.
+
 The printer emits minimal parentheses and round-trips: parsing its output
 reproduces the term, structurally.
 """
 
 from __future__ import annotations
 
+import re
+
 from .contexts import Context
-from .terms import (App, Comp, Lam, Lift, Node, Rename, Slash, Subst, Term, Value,
-                    VarRef, Weak)
+from .terms import App, Comp, Lam, Lift, Node, Rename, Slash, Subst, Term, VarRef, Weak
 
 
 class ParseError(Exception):
@@ -31,170 +37,113 @@ class ParseError(Exception):
         self.pos = pos
 
 
-class _Tok(Value):
-    kind: str  # one of: ident lambda dot lparen rparen lbrack rbrack slash
-    #                    lbrace rbrace star caret semi comma weak eof
-    text: str
-    pos: int
+# One token: an identifier, a character that is a token of its own, or a
+# character that starts none.
+_TOKEN = r"([a-z][a-zA-Z0-9_]*)|([\\λ.()[\]/{}*∘^;,W])|(\S)"
+_ALIASES = {"λ": "\\", "∘": "*"}
 
 
-_PUNCT = {
-    "\\": "lambda",
-    "λ": "lambda",
-    ".": "dot",
-    "(": "lparen",
-    ")": "rparen",
-    "[": "lbrack",
-    "]": "rbrack",
-    "/": "slash",
-    "{": "lbrace",
-    "}": "rbrace",
-    "*": "star",
-    "∘": "star",
-    "^": "caret",
-    ";": "semi",
-    ",": "comma",
-}
-
-
-def _lex(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _PUNCT:
-            toks.append(_Tok(_PUNCT[c], c, i))
-            i += 1
-            continue
-        if c == "W":
-            # reserved weakening keyword; identifiers must start lowercase
-            toks.append(_Tok("weak", "W", i))
-            i += 1
-            continue
-        if c.islower() and c.isascii():
-            j = i + 1
-            while j < n and (text[j].isalnum() and text[j].isascii() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("ident", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    toks.append(_Tok("eof", "", n))
+def _scan(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of `text`, last first, after an end-of-input token."""
+    toks = []
+    for m in re.finditer(_TOKEN, text):
+        if m.lastindex == 3:
+            raise ParseError(f"unexpected character {m[0]!r}", m.start())
+        kind = "ident" if m.lastindex == 1 else _ALIASES.get(m[0], m[0])
+        toks.append((kind, m[0], m.start()))
+    toks.append(("eof", "", len(text)))
+    toks.reverse()
     return toks
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.toks = _lex(text)
-        self.i = 0
+def _take(toks: list, kind: str, what: str = "a variable") -> str:
+    """The text of the next token, which must be of `kind`."""
+    k, text, pos = toks[-1]
+    if k != kind:
+        raise ParseError(f"expected {what}, found {text or 'end of input'!r}", pos)
+    toks.pop()
+    return text
 
-    @property
-    def tok(self) -> _Tok:
-        return self.toks[self.i]
 
-    def advance(self) -> _Tok:
-        t = self.tok
-        self.i += 1
-        return t
-
-    def expect(self, kind: str, what: str) -> _Tok:
-        if self.tok.kind != kind:
-            raise ParseError(f"expected {what}, found {self.tok.text or 'end of input'!r}",
-                             self.tok.pos)
-        return self.advance()
-
-    def ident(self, what: str = "a variable") -> str:
-        return self.expect("ident", what).text
-
-    def term(self) -> Term:
-        k = self.tok.kind
-        if k == "lambda":
-            self.advance()
-            x = self.ident()
-            self.expect("dot", "'.'")
-            return Lam(x, self.term())
-        if k in ("lbrack", "weak", "lbrace"):
-            s = self.subst()
-            self.expect("star", "'*' after a substitution")
-            return Comp(s, self.term())
-        return self.app()
-
-    def app(self) -> Term:
-        t = self.atom()
-        while self.tok.kind in ("ident", "lparen"):
-            t = App(t, self.atom())
-        return t
-
-    def atom(self) -> Term:
-        k = self.tok.kind
-        if k == "ident":
-            return VarRef(self.advance().text)
-        if k == "lparen":
-            self.advance()
-            t = self.term()
-            self.expect("rparen", "')'")
-            return t
-        raise ParseError(f"expected a term, found {self.tok.text or 'end of input'!r}",
-                         self.tok.pos)
-
-    def subst(self) -> Subst:
-        k = self.tok.kind
-        if k == "lbrack":
-            self.advance()
-            body = self.term()
-            self.expect("slash", "'/'")
-            x = self.ident()
-            self.expect("rbrack", "']'")
-            s: Subst = Slash(body, x)
-        elif k == "weak":
-            self.advance()
-            s = Weak(self.ident())
-        else:
-            self.expect("lbrace", "a substitution")
-            y = self.ident()
-            x = self.ident()
-            self.expect("rbrace", "'}'")
-            s = Rename(y, x)
-        while self.tok.kind == "caret":
-            self.advance()
-            s = Lift(s, self.ident())
-        return s
-
-    def ctx(self) -> Context:
-        self.expect("lbrace", "'{'")
-        globs: list[str] = []
-        if self.tok.kind == "ident":
-            globs.append(self.advance().text)
-            while self.tok.kind == "comma":
-                self.advance()
-                globs.append(self.ident())
-        self.expect("rbrace", "'}'")
-        locs: list[str] = []
-        if self.tok.kind == "semi":
-            self.advance()
-            if self.tok.kind == "ident":
-                locs.append(self.advance().text)
-                while self.tok.kind == "comma":
-                    self.advance()
-                    locs.append(self.ident())
-        return Context(frozenset(globs), tuple(locs))
+def _lifted(toks: list, s: Subst) -> Subst:
+    """`s` under the lifts that follow it, and the `*` that closes them."""
+    while toks[-1][0] == "^":
+        toks.pop()
+        s = Lift(s, _take(toks, "ident"))
+    _take(toks, "*", "'*' after a substitution")
+    return s
 
 
 def parse_term(text: str) -> Term:
-    p = _Parser(text)
-    t = p.term()
-    p.expect("eof", "end of input")
-    return t
+    """The term `text` denotes.  A term is read as the binders and
+    substitutions in front of it, then an application of atoms.  Nesting
+    goes on an explicit stack, not on Python's: each frame is an open `(`
+    or `[`, and holds the binders and substitutions waiting for the term
+    inside it and the application it interrupted.
+    """
+    toks = _scan(text)
+    stack: list[tuple[str, list, Term | None]] = []
+    prefix: list[str | Subst] = []       # binders' variables and substitutions
+    fn: Term | None = None               # the application so far
+    while True:
+        kind, word, pos = toks.pop()
+        if kind == "ident":
+            fn = VarRef(word) if fn is None else App(fn, VarRef(word))
+        elif kind == "(" or (fn is None and kind == "["):
+            stack.append((kind, prefix, fn))
+            prefix, fn = [], None
+        elif fn is None and kind == "\\":
+            prefix.append(_take(toks, "ident"))
+            _take(toks, ".", "'.'")
+        elif fn is None and kind == "W":
+            prefix.append(_lifted(toks, Weak(_take(toks, "ident"))))
+        elif fn is None and kind == "{":
+            s = Rename(_take(toks, "ident"), _take(toks, "ident"))
+            _take(toks, "}", "'}'")
+            prefix.append(_lifted(toks, s))
+        elif fn is None:
+            raise ParseError(f"expected a term, found {word or 'end of input'!r}", pos)
+        else:                               # the term ends before this token
+            toks.append((kind, word, pos))
+            t = fn
+            for p in reversed(prefix):
+                t = Lam(p, t) if type(p) is str else Comp(p, t)
+            if not stack:
+                _take(toks, "eof", "end of input")
+                return t
+            opened, prefix, fn = stack.pop()
+            if opened == "(":
+                _take(toks, ")", "')'")
+                fn = t if fn is None else App(fn, t)
+            else:
+                _take(toks, "/", "'/'")
+                x = _take(toks, "ident")
+                _take(toks, "]", "']'")
+                prefix.append(_lifted(toks, Slash(t, x)))
+
+
+def _names(toks: list) -> list[str]:
+    """A list of variables separated by commas, possibly empty."""
+    names = []
+    if toks[-1][0] == "ident":
+        names.append(toks.pop()[1])
+        while toks[-1][0] == ",":
+            toks.pop()
+            names.append(_take(toks, "ident"))
+    return names
 
 
 def parse_context(text: str) -> Context:
-    p = _Parser(text)
-    c = p.ctx()
-    p.expect("eof", "end of input")
-    return c
+    toks = _scan(text)
+    _take(toks, "{", "'{'")
+    globs = _names(toks)
+    _take(toks, "}", "'}'")
+    locs = []
+    if toks[-1][0] == ";":
+        toks.pop()
+        locs = _names(toks)
+    _take(toks, "eof", "end of input")
+    return Context(frozenset(globs), tuple(locs))
 
 
 # Entries hold the node itself so its id stays valid for the cache key.

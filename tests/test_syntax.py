@@ -94,6 +94,22 @@ def test_canonical_strings_are_stable():
         assert print_term(parse_term(s)) == s
 
 
+DEEP = 10 ** 4
+
+
+@pytest.mark.parametrize("text, printed", [
+    ("(" * DEEP + "x" + ")" * DEEP, "x"),
+    ("\\x. " * DEEP + "x", None),
+    ("[" * DEEP + "x" + "/y] * y" * DEEP, None),
+    ("W x * " * DEEP + "x", None),
+    ("f (" * DEEP + "f x" + ")" * DEEP, None),
+    ("(" * DEEP + "f" + " x)" * DEEP, "f" + " x" * DEEP),
+], ids=["parentheses", "binders", "slash bodies", "compositions", "arguments", "functions"])
+def test_input_nested_10k_deep_parses(text, printed):
+    # compared as text, because `==` on terms recurses and the printer does not
+    assert print_term(parse_term(text)) == (text if printed is None else printed)
+
+
 def test_roundtrip_seeded_10k():
     rng = Random(20240901)
     for _ in range(10_000):
