@@ -5,9 +5,10 @@ test.  Exit codes: 0 for success or a true answer, 1 for a false answer
 or an ill-formed term, 2 for usage errors and input that does not parse.
 fv, normalize, reduce and nf answer input of any depth; check, good,
 translate, equiv and reduce --context derive, and exit 2 on input nested
-deeper than Python's recursion limit lets them.  A reader that closes
-the output early has chosen to stop: the command exits 0 and writes
-nothing on stderr.
+deeper than Python's recursion limit lets them.  reduce writes its trace
+one step at a time, as each step is printed, and never holds it whole.  A
+reader that closes the output early has chosen to stop: the command exits
+0 and writes nothing on stderr.
 """
 
 from __future__ import annotations
@@ -98,10 +99,8 @@ def cmd_reduce(args) -> int:
             print(f"not derivable: {e.reason}")
             return 1
     _, trace, _ = normalize(t, RULE_SETS[args.rules], args.strategy, args.steps)
-    if args.trace == "json":
-        print(trace.dumps())
-    else:
-        print(trace.to_text())
+    sys.stdout.writelines(trace.pieces(args.trace))
+    print()
     return 0
 
 
@@ -240,8 +239,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         raise SystemExit(2) from e
     except RecursionError:
-        # derive, translate and format_derivation recurse once or more per
-        # level, and so does == on their results
+        # derive and translate recurse once or more per level, and so does
+        # == on their results
         print("error: input nested too deeply for this command "
               f"(Python's recursion limit is {sys.getrecursionlimit()})", file=sys.stderr)
         return 2

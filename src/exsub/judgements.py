@@ -143,14 +143,15 @@ def _show(node: Term | Subst) -> str:
 
 
 def format_derivation(d: Derivation, indent: int = 0) -> str:
-    """Render a derivation tree, one judgement per line, premises indented."""
-    pad = "  " * indent
-    if d.out is None:
-        line = f"{pad}{d.rule:<3} {format_context(d.ctx)} |- {_show(d.subject)}"
-    else:
-        line = (f"{pad}{d.rule:<3} {format_context(d.ctx)} |- {_show(d.subject)}"
-                f" |> {format_context(d.out)}")
-    parts = [line]
-    for p in d.premises:
-        parts.append(format_derivation(p, indent + 1))
-    return "\n".join(parts)
+    """Render a derivation tree, one judgement per line, premises indented.
+    The tree is walked in pre-order on an explicit stack, so a derivation
+    of any depth is rendered."""
+    lines, stack = [], [(d, indent)]
+    while stack:
+        d, indent = stack.pop()
+        line = f"{'  ' * indent}{d.rule:<3} {format_context(d.ctx)} |- {_show(d.subject)}"
+        if d.out is not None:
+            line += f" |> {format_context(d.out)}"
+        lines.append(line)
+        stack.extend((p, indent + 1) for p in reversed(d.premises))
+    return "\n".join(lines)

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 from json.encoder import encode_basestring_ascii as _quote
 
 from .contexts import Context
@@ -263,15 +264,6 @@ class TraceStep:
         self.rule, self.at, self.fresh = rule, at, fresh
         self._result, self._before, self._redex, self._contractum = result, None, None, None
 
-    @classmethod
-    def replayed(cls, rule: str, at: Path, fresh: Var | None, before: "TraceStep | Term",
-                 redex: Term, contractum: Term, result: Term | None = None) -> "TraceStep":
-        """The step that puts `contractum` in place of `redex`, at `at` in
-        the result of `before`; `result` is that term, if it was built."""
-        s = cls(rule, at, fresh, result)
-        s._before, s._redex, s._contractum = before, redex, contractum
-        return s
-
     @property
     def result(self) -> Term:
         # The unread steps before this one are replayed oldest first, in a
@@ -362,44 +354,40 @@ class Trace(Value):
             yield text
             before = s
 
-    def to_json(self) -> dict:
+    def pieces(self, form: str) -> Iterator[str]:
+        """The trace as `form`, "text" or "json", one piece per step, each
+        written as soon as it is printed.  JSON comes from templates: with an
+        indent, `json` falls back to its pure-Python encoder."""
+        if form not in ("text", "json"):
+            raise ValueError(f"unknown trace form: {form!r}")
         texts = self._printed()
-        return {
-            "initial": next(texts),
-            "steps": [
-                {
-                    "ruleName": s.rule,
-                    "pathAsChildIndices": list(s.at),
-                    "freshVariableOrNull": s.fresh,
-                    "printedTerm": text,
-                }
-                for s, text in zip(self.steps, texts)
-            ],
-        }
+        if form == "text":
+            yield next(texts)
+            for s, text in zip(self.steps, texts):
+                p = ".".join(map(str, s.at)) or "-"
+                yield f"\n{s.rule}\t{p}\t{s.fresh or '-'}\t{text}"
+            return
+        yield '{\n  "initial": %s,\n  "steps": [' % _quote(next(texts))
+        for i, (s, text) in enumerate(zip(self.steps, texts)):
+            yield _STEP_JSON % (
+                "," if i else "", _quote(s.rule),
+                "[\n        %s\n      ]" % ",\n        ".join(map(str, s.at))
+                if s.at else "[]",
+                "null" if s.fresh is None else _quote(s.fresh), _quote(text))
+        yield "\n  ]\n}" if self.steps else "]\n}"
+
+    def to_json(self) -> dict:
+        return json.loads(self.dumps())
 
     def to_text(self) -> str:
-        texts = self._printed()
-        lines = [next(texts)]
-        for s, text in zip(self.steps, texts):
-            p = ".".join(map(str, s.at)) or "-"
-            lines.append(f"{s.rule}\t{p}\t{s.fresh or '-'}\t{text}")
-        return "\n".join(lines)
+        return "".join(self.pieces("text"))
 
     def dumps(self) -> str:
-        """`json.dumps(self.to_json(), indent=2)`, written from templates:
-        with an indent, `json` falls back to its pure-Python encoder."""
-        texts = self._printed()
-        head = '{\n  "initial": %s,\n  "steps": [' % _quote(next(texts))
-        steps = ",".join(_STEP_JSON % (
-            _quote(s.rule),
-            "[\n        %s\n      ]" % ",\n        ".join(map(str, s.at))
-            if s.at else "[]",
-            "null" if s.fresh is None else _quote(s.fresh), _quote(text))
-            for s, text in zip(self.steps, texts))
-        return head + steps + ("\n  ]\n}" if steps else "]\n}")
+        """`json.dumps(self.to_json(), indent=2)`."""
+        return "".join(self.pieces("json"))
 
 
-_STEP_JSON = ('\n    {\n      "ruleName": %s,\n      "pathAsChildIndices": %s,'
+_STEP_JSON = ('%s\n    {\n      "ruleName": %s,\n      "pathAsChildIndices": %s,'
               '\n      "freshVariableOrNull": %s,\n      "printedTerm": %s\n    }')
 
 
@@ -452,52 +440,47 @@ def _reducer(t: Term, rules: frozenset[str], strategy: Strategy,
     return LeftmostOutermost(t, _rule_finder(rules, memo), unsettled)
 
 
-def _advance(red: LeftmostOutermost | _Rescan, memo: _Memo,
-             before: TraceStep | Term) -> TraceStep | None:
-    """Contract the redex the strategy picks next, if there is one;
-    `before` is the previous step, or the initial term."""
-    picked = red.next_redex()
-    if picked is None:
-        return None
-    path, rule = picked
-    redex = red.focus
-    new, fresh = apply_rule(redex, (), rule, _memo=memo)
-    return TraceStep.replayed(rule, path, fresh, before, redex, new, red.replace(new))
+def _steps(red: LeftmostOutermost | _Rescan, memo: _Memo,
+           initial: Term) -> Iterator[TraceStep]:
+    """The steps of the strategy, each made when it is asked for and linked
+    to the step before it, or to `initial`."""
+    before: TraceStep | Term = initial
+    while (picked := red.next_redex()) is not None:
+        path, rule = picked
+        redex = red.focus
+        new, fresh = apply_rule(redex, (), rule, _memo=memo)
+        s = TraceStep(rule, path, fresh, red.replace(new))
+        s._before, s._redex, s._contractum = before, redex, new
+        yield s
+        before = s
 
 
 def step(t: Term, rules: frozenset[str] = FULL,
          strategy: Strategy = "lo") -> tuple[Term, str, Path, Var | None] | None:
     """One reduction step under the strategy, or None when no redex exists."""
     memo: _Memo = {}
-    s = _advance(_reducer(t, rules, strategy, memo), memo, t)
+    s = next(_steps(_reducer(t, rules, strategy, memo), memo, t), None)
     return None if s is None else (s.result, s.rule, s.at, s.fresh)
 
 
 def normalize(t: Term, rules: frozenset[str] = FULL, strategy: Strategy = "lo",
               fuel: int = 10000) -> tuple[Term, Trace, bool]:
     """Reduce under the strategy until no redex remains or `fuel` steps
-    were taken.
+    were taken: the first `fuel` steps of one stream (`_steps`).
 
     Under lo one `LeftmostOutermost` walk serves every step: it resumes
     next to the last contraction instead of rescanning from the root.
     Under every strategy the trace's results are built only when read (see
     `TraceStep`).
     Returns the final term, the trace, and an exhaustion flag, which says
-    whether a redex is left after the last step (none is contracted to
-    find out).  Exhaustion is a normal outcome for the full rule set
-    (untyped Beta); the propagation rules with Alpha terminate on
-    well-formed terms.
+    whether a redex is left after the last step.  The stream is not asked
+    for a step past `fuel`, so none is contracted to find out.  Exhaustion
+    is a normal outcome for the full rule set (untyped Beta); the
+    propagation rules with Alpha terminate on well-formed terms.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     memo: _Memo = {}
     red = _reducer(t, rules, strategy, memo)
-    steps: list[TraceStep] = []
-    before: TraceStep | Term = t
-    for _ in range(fuel):
-        s = _advance(red, memo, before)
-        if s is None:
-            return red.root, Trace(t, tuple(steps)), False
-        steps.append(s)
-        before = s
-    return red.root, Trace(t, tuple(steps)), red.next_redex() is not None
+    steps = tuple(itertools.islice(_steps(red, memo, t), fuel))
+    return red.root, Trace(t, steps), len(steps) == fuel and red.next_redex() is not None

@@ -1,10 +1,9 @@
 """Deep input through the command line.  The parser, `fv`, the reducer,
 the normal-form checks and the printer keep their own stacks, so `fv`,
 `normalize`, `reduce` and `nf` answer input nested 10⁴ deep.  Commands
-that still go through a layer that recurses (`derive`, `translate`,
-`format_derivation`) refuse input nested deeper than it can handle
-cleanly: exit 2 and one line on stderr, never a traceback or the exit
-code for "false".
+that still go through a layer that recurses (`derive`, `translate`)
+refuse input nested deeper than it can handle cleanly: exit 2 and one
+line on stderr, never a traceback or the exit code for "false".
 """
 
 from __future__ import annotations

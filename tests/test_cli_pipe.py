@@ -1,5 +1,7 @@
-"""A reader that closes the output pipe early has chosen to stop: the command
-exits 0 and writes nothing on stderr, in particular no traceback."""
+"""`exsub reduce` writes its trace step by step.  A reader that closes the
+output pipe early has chosen to stop: the command exits 0 and writes nothing
+on stderr, in particular no traceback.  The output is never held whole, so
+the peak memory of a long trace stays that of the reduction."""
 
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 C_8 = r"(\f.\x. f (f (f (f (f (f (f (f x))))))))"
 MULT = rf"(\m.\n.\f. m (n f)) {C_8} {C_8}"
 
@@ -17,8 +20,7 @@ MULT = rf"(\m.\n.\f. m (n f)) {C_8} {C_8}"
 @pytest.mark.parametrize("trace", ["json", "text"])
 def test_closing_the_pipe_after_one_line_exits_0_quietly(trace, tmp_path):
     # the trace is 170 kB as text and 290 kB as JSON, more than a pipe holds
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     err = tmp_path / "stderr"
     with open(err, "wb") as stderr:
         proc = subprocess.Popen(
@@ -30,3 +32,32 @@ def test_closing_the_pipe_after_one_line_exits_0_quietly(trace, tmp_path):
     assert first.strip()
     assert code == 0
     assert err.read_bytes() == b""
+
+
+# Runs `exsub ARGS...` in a child with its output sent to the null device,
+# and prints the exit code and the child's peak RSS in bytes (ru_maxrss is
+# in KiB on Linux, in bytes on macOS).  Linux carries a process's peak RSS
+# across exec, so the child is started from this small wrapper, not from the
+# test process, whose own peak it would report.
+PEAK_RSS = """
+import resource, subprocess, sys
+code = subprocess.call([sys.executable, "-S", "-m", "exsub", *sys.argv[1:]],
+                       stdout=subprocess.DEVNULL)
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(code, peak if sys.platform == "darwin" else peak * 1024)
+"""
+
+
+@pytest.mark.parametrize("trace", ["json", "text"])
+def test_a_long_trace_is_written_in_flat_memory(trace):
+    # 2*10^4 omega steps are 35 MB of JSON and 32 MB of text; holding the
+    # whole output before writing it peaked at 152 and 102 MB
+    pytest.importorskip("resource")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    r = subprocess.run(
+        [sys.executable, "-S", "-c", PEAK_RSS, "reduce", "--steps", "20000",
+         "--trace", trace, r"(\x. x x) (\x. x x)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    code, peak = map(int, r.stdout.split())
+    assert code == 0
+    assert peak < 40 * 2**20, f"peak RSS {peak / 2**20:.1f} MB"

@@ -11,10 +11,10 @@ import pytest
 from exsub.contexts import context, ctx_le
 from exsub.freevars import fv
 from exsub.generators import GenConfig, gen_wellformed
-from exsub.judgements import (IllFormed, NotDerivable, derive, derive_subst,
+from exsub.judgements import (Derivation, IllFormed, NotDerivable, derive, derive_subst,
                               format_derivation, is_good, well_formed)
 from exsub.syntax import parse_context, parse_term
-from exsub.terms import Comp, Lam, Lift, Slash, subterm_at
+from exsub.terms import Comp, Lam, Lift, Slash, VarRef, subterm_at
 
 from conftest import assert_valid_derivation, grow_context
 
@@ -171,3 +171,16 @@ def test_format_derivation_shape():
     text = format_derivation(d)
     assert text.splitlines()[0].startswith("R5")
     assert "|>" in text  # substitution judgement appears with its output
+
+
+def test_format_derivation_of_a_deep_chain():
+    # 3000 R3 steps strip a local y each, deeper than the recursion limit
+    x, ctx = VarRef("x"), context({"x"})
+    d = Derivation("R1", ctx, x, None, ())
+    for _ in range(3000):
+        ctx = ctx.push("y")
+        d = Derivation("R3", ctx, x, None, (d,))
+    lines = format_derivation(d).splitlines()
+    assert len(lines) == 3001
+    assert lines[0] == "R3  {x}; " + ",".join(["y"] * 3000) + " |- x"
+    assert lines[-1] == "  " * 3000 + "R1  {x} |- x"

@@ -16,6 +16,7 @@ from random import Random
 import pytest
 
 from exsub import rewrite, syntax
+from exsub.cli import main
 from exsub.generators import GenConfig, gen_raw_subst, gen_raw_term, gen_wellformed
 from exsub.rewrite import FULL, SIGMA, SIGMA_ALPHA, Trace, TraceStep, normalize
 from exsub.syntax import children_at, parse_term, print_spliced, print_subst, print_term
@@ -231,6 +232,27 @@ def test_dumps_edge_cases(src, rules, fired, shown):
     assert [s.rule for s in trace.steps] == fired
     assert shown in trace.dumps()
     assert trace.dumps() == json.dumps(trace.to_json(), indent=2)
+    with pytest.raises(ValueError, match="unknown trace form"):
+        "".join(trace.pieces("jsonl"))
+
+
+@pytest.mark.parametrize("flag, strategy", [("lo", "lo"), ("ri", "ri"), ("index:1", 1),
+                                            ("index:2", 2)],
+                         ids=["lo", "ri", "index:1", "index:2"])
+def test_reduce_writes_the_trace_that_dumps_and_to_text_return(flag, strategy, capsys):
+    # `exsub reduce` writes the pieces of the trace as they are made; the
+    # bytes are the joined trace's, with and without steps
+    rng, cfg = Random(5), GenConfig(seed=5, size=20)
+    terms = [parse_term("x")]
+    for _ in range(25):
+        terms += [gen_raw_term(rng, rng.randint(2, 30)), gen_wellformed(cfg, rng)[1]]
+    for t in terms:
+        argv = ["reduce", print_term(t), "--strategy", flag, "--steps", "30"]
+        _, trace, _ = normalize(t, FULL, strategy, 30)
+        assert main(argv + ["--trace", "json"]) == 0
+        assert capsys.readouterr().out == trace.dumps() + "\n"
+        assert main(argv + ["--trace", "text"]) == 0
+        assert capsys.readouterr().out == trace.to_text() + "\n"
 
 
 def numeral(n: int):
