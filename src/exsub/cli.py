@@ -5,10 +5,11 @@ test.  Exit codes: 0 for success or a true answer, 1 for a false answer
 or an ill-formed term, 2 for usage errors and input that does not parse.
 fv, normalize, reduce and nf answer input of any depth; check, good,
 translate, equiv and reduce --context derive, and exit 2 on input nested
-deeper than Python's recursion limit lets them.  reduce writes its trace
-one step at a time, as each step is printed, and never holds it whole.  A
-reader that closes the output early has chosen to stop: the command exits
-0 and writes nothing on stderr.
+deeper than Python's recursion limit lets them.  reduce and normalize read
+the engine's stream of steps and keep no step: reduce writes each step as
+it is printed, and normalize keeps only the current term.  A reader that
+closes the output early has chosen to stop: the command exits 0 and writes
+nothing on stderr.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import deque
+from itertools import islice
 
 from . import __version__
 from .contexts import format_context
@@ -24,7 +27,7 @@ from .freevars import fv
 from .generators import GenConfig
 from .judgements import IllFormed, NotDerivable, derive, format_derivation, is_good, well_formed
 from .normalforms import ContainsBlock, is_sigma_nf, to_pure
-from .rewrite import RULE_SETS, Strategy, normalize
+from .rewrite import RULE_SETS, Strategy, Trace, _stream
 from .suites import SUITES, run_suite
 from .syntax import ParseError, parse_context, parse_term, print_term
 
@@ -56,20 +59,8 @@ def _strategy(text: str) -> Strategy:
 
 def cmd_check(args) -> int:
     t = parse_term(args.term)
-    if args.context is not None:
-        ctx = parse_context(args.context)
-    else:
-        try:
-            ctx = well_formed(t)
-        except IllFormed as e:
-            print(f"ill-formed: {e}")
-            return 1
-    try:
-        d = derive(ctx, t)
-    except NotDerivable as e:
-        print(f"not derivable: {e.reason}")
-        return 1
-    print(format_derivation(d))
+    ctx = well_formed(t) if args.context is None else parse_context(args.context)
+    print(format_derivation(derive(ctx, t)))
     return 0
 
 
@@ -93,34 +84,25 @@ def cmd_good(args) -> int:
 def cmd_reduce(args) -> int:
     t = parse_term(args.term)
     if args.context is not None:
-        try:
-            derive(parse_context(args.context), t)
-        except NotDerivable as e:
-            print(f"not derivable: {e.reason}")
-            return 1
-    _, trace, _ = normalize(t, RULE_SETS[args.rules], args.strategy, args.steps)
-    sys.stdout.writelines(trace.pieces(args.trace))
+        derive(parse_context(args.context), t)
+    _, steps = _stream(t, RULE_SETS[args.rules], args.strategy)
+    sys.stdout.writelines(Trace(t, islice(steps, args.steps)).pieces(args.trace))
     print()
     return 0
 
 
 def cmd_normalize(args) -> int:
-    t = parse_term(args.term)
-    nf, _, exhausted = normalize(t, RULE_SETS[args.rules], "lo", args.fuel)
-    print(print_term(nf))
-    if exhausted:
+    red, steps = _stream(parse_term(args.term), RULE_SETS[args.rules], "lo")
+    deque(islice(steps, args.fuel), maxlen=0)
+    print(print_term(red.root))
+    if red.next_redex() is not None:
         print(f"(fuel {args.fuel} exhausted; not a normal form)", file=sys.stderr)
     return 0
 
 
 def cmd_translate(args) -> int:
     t = parse_term(args.term)
-    ctx = parse_context(args.context)
-    try:
-        d = derive(ctx, t)
-    except NotDerivable as e:
-        print(f"not derivable: {e.reason}")
-        return 1
+    d = derive(parse_context(args.context), t)
     flavor = UPSILON2 if args.calculus == "upsilon2" else UPSILON
     print(print_db(translate(d, flavor), args.notation))
     return 0
@@ -238,6 +220,12 @@ def main(argv: list[str] | None = None) -> int:
         # input that does not parse is a usage error, as a bad flag is
         print(f"error: {e}", file=sys.stderr)
         raise SystemExit(2) from e
+    except NotDerivable as e:
+        print(f"not derivable: {e.reason}")
+        return 1
+    except IllFormed as e:
+        print(f"ill-formed: {e}")
+        return 1
     except RecursionError:
         # derive and translate recurse once or more per level, and so does
         # == on their results

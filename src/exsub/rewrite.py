@@ -247,9 +247,10 @@ class TraceStep:
     """One reduction step: the rule, the path of its redex, the fresh name
     Alpha chose (else None), and the term after the step.
 
-    A step that the engine made, under any strategy, holds the redex, the
-    contractum and the step before it (or the initial term).  A lo step
-    does not hold its result: that is `replace_at(previous result, at,
+    A step that the engine made, under any strategy, holds the redex and
+    the contractum; in a trace of `normalize` it also holds the step before
+    it (or the initial term), and in the engine's stream none.  A linked lo
+    step does not hold its result: that is `replace_at(previous result, at,
     contractum)`, built on first read and then kept.  The replay rebuilds
     the spine above the redex and shares every other subtree, as an eager
     rebuild does, so a normalization that reads only its normal form never
@@ -300,8 +301,9 @@ class Trace(Value):
     initial: Term
     steps: tuple[TraceStep, ...]
 
-    def _printed(self) -> Iterator[str]:
-        """The printed initial term, then the printed result of each step.
+    def _printed(self) -> Iterator[tuple[TraceStep | None, str]]:
+        """The printed initial term, paired with None, then each step with
+        its printed result; `steps` is read once, and may be a stream.
 
         A step's text is the text before it with the redex's text replaced
         by the contractum's (`syntax.print_spliced`).  A zipper over the
@@ -311,25 +313,24 @@ class Trace(Value):
         contraction, still holding the old child, is rebuilt only once a
         path leaves the zipper below it; so a lo step costs the same at any
         depth, and printing builds no result.  The zipper takes in the
-        engine's own redex, whose parts the contractum holds by identity.  A
-        step built by hand, or one whose result was read before printing,
-        holds no contractum and is printed in full.
+        engine's own redex, whose parts the contractum holds by identity, in
+        a step linked to the one before it or to none.  Any other step (one
+        linked elsewhere, built by hand, or whose result was read) is
+        printed in full.
 
-        One memo of printed lengths serves the whole trace.  It drops the
-        entries of the redex, of each rebuilt node and of the two levels
-        below the redex, the most any left-hand side reads; a step keeps
-        every deeper subtree whole or drops it, so the memo follows the live
-        term instead of growing with the trace.
+        One memo of printed lengths serves the whole trace.  Its entries are
+        checked by identity, and it is cleared when it holds more entries
+        than the text has characters, so it follows the live term instead of
+        growing with the trace.
         """
         memo: LengthMemo = {}
         before = self.initial
         text = print_term(before)
-        yield text
+        yield None, text
         nodes, starts, last = [before], [0], ()
         for s in self.steps:
-            if s._contractum is None or s._before is not before:
+            if s._contractum is None or (s._before is not None and s._before is not before):
                 text = print_term(s.result)
-                memo.clear()
                 nodes, starts, last = [s.result], [0], ()
             else:
                 at, m = s.at, 0
@@ -338,20 +339,19 @@ class Trace(Value):
                 for d in range(len(last) - 1, m - 1, -1):
                     u, f = nodes[d], nodes[d].CHILDREN[last[d]]
                     if getattr(u, f) is not nodes[d + 1]:
-                        memo.pop(id(u), None)
                         nodes[d] = _with_child(u, f, nodes[d + 1])
                 del nodes[m + 1:], starts[m + 1:]
                 for i in at[m:]:
                     c, start = children_at(nodes[-1], starts[-1], memo)[i]
                     nodes.append(c)
                     starts.append(start)
-                memo.pop(id(nodes[-1]), None)
                 text, starts[-1] = print_spliced(
                     text, starts[-1], nodes[-2] if at else None,
                     at[-1] if at else 0, s._redex, s._contractum, memo)
-                memo.pop(id(s._redex), None)
                 nodes[-1], last = s._contractum, at
-            yield text
+            if len(memo) > len(text):
+                memo.clear()
+            yield s, text
             before = s
 
     def pieces(self, form: str) -> Iterator[str]:
@@ -362,19 +362,21 @@ class Trace(Value):
             raise ValueError(f"unknown trace form: {form!r}")
         texts = self._printed()
         if form == "text":
-            yield next(texts)
-            for s, text in zip(self.steps, texts):
+            yield next(texts)[1]
+            for s, text in texts:
                 p = ".".join(map(str, s.at)) or "-"
                 yield f"\n{s.rule}\t{p}\t{s.fresh or '-'}\t{text}"
             return
-        yield '{\n  "initial": %s,\n  "steps": [' % _quote(next(texts))
-        for i, (s, text) in enumerate(zip(self.steps, texts)):
+        yield '{\n  "initial": %s,\n  "steps": [' % _quote(next(texts)[1])
+        sep = ""
+        for s, text in texts:
             yield _STEP_JSON % (
-                "," if i else "", _quote(s.rule),
+                sep, _quote(s.rule),
                 "[\n        %s\n      ]" % ",\n        ".join(map(str, s.at))
                 if s.at else "[]",
                 "null" if s.fresh is None else _quote(s.fresh), _quote(text))
-        yield "\n  ]\n}" if self.steps else "]\n}"
+            sep = ","
+        yield "\n  ]\n}" if sep else "]\n}"
 
     def to_json(self) -> dict:
         return json.loads(self.dumps())
@@ -423,10 +425,15 @@ class _Rescan:
         return self.root
 
 
-def _reducer(t: Term, rules: frozenset[str], strategy: Strategy,
-             memo: _Memo) -> LeftmostOutermost | _Rescan:
+def _stream(t: Term, rules: frozenset[str], strategy: Strategy
+            ) -> tuple[LeftmostOutermost | _Rescan, Iterator[TraceStep]]:
+    """The reducer of `t` under the strategy, whose `root` is the current
+    term, and the stream of its steps.  Each step is made when it is asked
+    for and is linked to no step before it, so the stream keeps none."""
+    memo: _Memo = {}
     if strategy != "lo":
-        return _Rescan(t, rules, strategy, memo)
+        red = _Rescan(t, rules, strategy, memo)
+        return red, _steps(red, memo)
     # Alpha at a binder depends on its whole body.  A binder whose
     # free-variable context is defined is well-formed, and a step below it
     # only shrinks that context, so it gains no Alpha redex; one whose
@@ -437,36 +444,33 @@ def _reducer(t: Term, rules: frozenset[str], strategy: Strategy,
         # has put a binder's context in the memo.
         def unsettled(u: Node) -> bool:
             return type(u) is Lam and memo[id(u)][1] is None
-    return LeftmostOutermost(t, _rule_finder(rules, memo), unsettled)
+    red = LeftmostOutermost(t, _rule_finder(rules, memo), unsettled)
+    return red, _steps(red, memo)
 
 
-def _steps(red: LeftmostOutermost | _Rescan, memo: _Memo,
-           initial: Term) -> Iterator[TraceStep]:
-    """The steps of the strategy, each made when it is asked for and linked
-    to the step before it, or to `initial`."""
-    before: TraceStep | Term = initial
+def _steps(red: LeftmostOutermost | _Rescan, memo: _Memo) -> Iterator[TraceStep]:
     while (picked := red.next_redex()) is not None:
         path, rule = picked
         redex = red.focus
         new, fresh = apply_rule(redex, (), rule, _memo=memo)
         s = TraceStep(rule, path, fresh, red.replace(new))
-        s._before, s._redex, s._contractum = before, redex, new
+        s._redex, s._contractum = redex, new
         yield s
-        before = s
 
 
 def step(t: Term, rules: frozenset[str] = FULL,
          strategy: Strategy = "lo") -> tuple[Term, str, Path, Var | None] | None:
     """One reduction step under the strategy, or None when no redex exists."""
-    memo: _Memo = {}
-    s = next(_steps(_reducer(t, rules, strategy, memo), memo, t), None)
-    return None if s is None else (s.result, s.rule, s.at, s.fresh)
+    red, steps = _stream(t, rules, strategy)
+    s = next(steps, None)
+    return None if s is None else (red.root, s.rule, s.at, s.fresh)
 
 
 def normalize(t: Term, rules: frozenset[str] = FULL, strategy: Strategy = "lo",
               fuel: int = 10000) -> tuple[Term, Trace, bool]:
     """Reduce under the strategy until no redex remains or `fuel` steps
-    were taken: the first `fuel` steps of one stream (`_steps`).
+    were taken: the first `fuel` steps of one stream (`_stream`), each
+    linked here, and only here, to the step before it.
 
     Under lo one `LeftmostOutermost` walk serves every step: it resumes
     next to the last contraction instead of rescanning from the root.
@@ -480,7 +484,8 @@ def normalize(t: Term, rules: frozenset[str] = FULL, strategy: Strategy = "lo",
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
-    memo: _Memo = {}
-    red = _reducer(t, rules, strategy, memo)
-    steps = tuple(itertools.islice(_steps(red, memo, t), fuel))
+    red, stream = _stream(t, rules, strategy)
+    steps = tuple(itertools.islice(stream, fuel))
+    for before, s in zip((t,) + steps, steps):
+        s._before = before
     return red.root, Trace(t, steps), len(steps) == fuel and red.next_redex() is not None

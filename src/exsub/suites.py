@@ -7,16 +7,17 @@ of fuel or search bound and proves nothing either way, or the texts of a
 failure, `(term, context, detail)` with an optional trace.  A suite
 builds those texts only in its failing branch, so passing trials print
 nothing.  `SUITES` maps each name to a function of the configuration
-that reads the first `cfg.count` outcomes, drawn from
-`Random(cfg.seed)`, into a `TrialReport`.  Reports are deterministic: the
-same seed and configuration produce byte-identical output.
+that reads the first `cfg.count` outcomes, drawn from `Random(cfg.seed)`,
+into a `TrialReport`, where a trial that raises fails with the text
+`raised <Class>: <message>` and `-` for term and context.  Reports are
+deterministic: the same seed and configuration produce byte-identical
+output.
 """
 
 from __future__ import annotations
 
 import json
 from functools import partial
-from itertools import islice
 from random import Random
 
 from .contexts import ctx_le, format_context
@@ -87,10 +88,17 @@ class TrialReport(Value):
 
 
 def _report(suite: str, outcomes, cfg: GenConfig) -> TrialReport:
-    """The report of the first `cfg.count` outcomes of a suite."""
-    passes = inconclusives = 0
-    failures = []
-    for trial, outcome in enumerate(islice(outcomes(cfg, Random(cfg.seed)), cfg.count)):
+    """The report of the first `cfg.count` outcomes of a suite.  A trial
+    whose check raises fails with the exception's text, and the suite
+    starts again on the same `Random`."""
+    rng = Random(cfg.seed)
+    trials, passes, inconclusives, failures = outcomes(cfg, rng), 0, 0, []
+    for trial in range(cfg.count):
+        try:
+            outcome = next(trials)
+        except Exception as e:
+            outcome = "-", "-", f"raised {type(e).__name__}: {e}"
+            trials = outcomes(cfg, rng)
         if outcome is None:
             passes += 1
         elif outcome is SKIP:

@@ -293,8 +293,7 @@ def print_spliced(text: str, start: int, parent: Node | None, k: int, old: Node,
     the root; only the parentheses of that slot are chosen afresh.  `new`
     is printed around the texts of the children and grandchildren of
     `old`, the parts a rule's contractum reuses, cut out of `text`.  `memo`
-    records printed lengths (see `_length`): the length of `new` is added,
-    and those of the parts, which the contractum may have dropped, removed.
+    records printed lengths (see `_length`), that of `new` included.
     """
     sort = _TERMS if type(old) in _TERMS else _SUBSTS
     _expect(new, sort, "term" if sort is _TERMS else "substitution")
@@ -304,7 +303,6 @@ def print_spliced(text: str, start: int, parent: Node | None, k: int, old: Node,
         for g, at_g in [(c, at)] + children_at(c, at, memo):
             if g.CHILDREN:
                 cut[id(g)] = (g, text[at_g:at_g + _length(g, memo)])
-                memo.pop(id(g))
     out = _print(new, cut)
     if new.CHILDREN:
         memo[id(new)] = (new, len(out))

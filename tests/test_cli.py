@@ -31,6 +31,12 @@ def test_check_ill_formed(capsys):
     assert code == 1 and "ill-formed" in out
 
 
+@pytest.mark.parametrize("command", ["check", "reduce", "translate"])
+def test_not_derivable_is_a_false_answer(capsys, command):
+    code, out = run(capsys, command, "x", "--context", "{y};")
+    assert (code, out) == (1, "not derivable: variable x is not in the context\n")
+
+
 def test_fv(capsys):
     code, out = run(capsys, "fv", r"\x. x y")
     assert code == 0 and out.strip() == "{y}"

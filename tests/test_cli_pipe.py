@@ -1,7 +1,8 @@
 """`exsub reduce` writes its trace step by step.  A reader that closes the
 output pipe early has chosen to stop: the command exits 0 and writes nothing
 on stderr, in particular no traceback.  The output is never held whole, so
-the peak memory of a long trace stays that of the reduction."""
+the peak memory of a long trace stays that of the reduction, and `exsub
+normalize` keeps no step either."""
 
 from __future__ import annotations
 
@@ -61,3 +62,17 @@ def test_a_long_trace_is_written_in_flat_memory(trace):
     code, peak = map(int, r.stdout.split())
     assert code == 0
     assert peak < 40 * 2**20, f"peak RSS {peak / 2**20:.1f} MB"
+
+
+def test_normalize_keeps_no_step():
+    # 10^5 omega steps; keeping every step until the normal form was
+    # printed peaked at 28 MB
+    pytest.importorskip("resource")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    r = subprocess.run(
+        [sys.executable, "-S", "-c", PEAK_RSS, "normalize", "--fuel", "100000",
+         r"(\x. x x) (\x. x x)"], env=env, capture_output=True, text=True, timeout=120)
+    code, peak = map(int, r.stdout.split())
+    assert code == 0
+    assert "fuel 100000 exhausted" in r.stderr
+    assert peak < 20 * 2**20, f"peak RSS {peak / 2**20:.1f} MB"

@@ -189,6 +189,20 @@ def test_trace_built_by_hand_with_a_changed_sibling_prints_in_full(monkeypatch):
     assert bad.to_text().splitlines()[-1] == f"Beta\t0\t-\t{print_term(changed)}"
 
 
+@pytest.mark.parametrize("strategy", ["lo", "ri"])
+def test_engine_steps_after_another_predecessor_print_in_full(strategy, monkeypatch):
+    # a step of `normalize` is linked to the step before it; placed after
+    # another step or term, it is printed from its result, not spliced onto
+    # the text of the step it follows
+    term, omega = mult(3), parse_term(r"(\x. x x) (\x. x x)")
+    s1, s2 = normalize(term, FULL, strategy, 2)[1].steps
+    swapped = Trace(term, (s2, s1))
+    assert swapped.to_text() == fresh_text(swapped)
+    steps = normalize(term, FULL, strategy, 40)[1].steps[20:]
+    moved = Trace(omega, steps)
+    assert spliced_steps(moved, monkeypatch) == len(steps) - 1
+
+
 @pytest.mark.parametrize("strategy", ["ri", 1], ids=["ri", "index:1"])
 def test_eager_omega_trace_is_spliced(strategy, monkeypatch):
     # the rescanning strategies make replayed steps, as the lo walk does;

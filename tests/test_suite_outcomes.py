@@ -4,7 +4,8 @@
 check a suite makes is wrong on every k-th call, or the fuel is starved,
 so the failing and inconclusive branches of every suite, and the text
 they report, are pinned as well.  The digests were recorded before the
-suites became generators of trial outcomes.
+suites became generators of trial outcomes.  A check that raises fails its
+trial, and the report goes on.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import hashlib
 import pytest
 
 from exsub import suites
+from exsub.cli import main
 from exsub.generators import GenConfig
 from exsub.judgements import NotDerivable
 from exsub.normalforms import ContainsBlock
@@ -122,3 +124,30 @@ def test_report_of_a_starved_suite(suite, fuel, digest):
     report = run_suite(suite, GenConfig(fuel=fuel, **CFG))
     assert report.failures or report.inconclusives
     assert sha256(report.dumps()) == digest
+
+
+def test_a_check_that_raises_fails_its_trial_and_the_suite_goes_on(monkeypatch, capsys):
+    # the check raises on its fifth call only; the suite starts again on
+    # the same Random and runs every trial that is left
+    calls, real = [0], suites.derive
+
+    def derive(*args):
+        calls[0] += 1
+        if calls[0] == 5:
+            raise FORCED
+        return real(*args)
+
+    monkeypatch.setattr(suites, "derive", derive)
+    report = run_suite("translation-simulation", GenConfig(**CFG))
+    assert report.trials == CFG["count"]
+    assert [(f.term, f.context, f.detail) for f in report.failures] == [
+        ("-", "-", "raised NotDerivable: forced")]
+    assert report.passes + len(report.failures) + report.inconclusives == report.trials
+    assert report.to_text().count("FAIL trial") == 1
+
+    calls[0] = 0
+    argv = ["test", "translation-simulation"] + [f"--{k}={v}" for k, v in CFG.items()]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out.strip() == report.to_text()
+    assert err == ""
