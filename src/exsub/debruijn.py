@@ -27,10 +27,10 @@ admitted by pure sets this is the replacement for alpha congruence.
 from __future__ import annotations
 
 from .contexts import Context
-from .freevars import fv
+from .freevars import _Memo, _fv, fv
 from .judgements import Derivation, NotDerivable, derive, is_good
 from .syntax import _print
-from .terms import (Children, InvalidRedex, Lam, LeftmostOutermost, Path, Term, Value,
+from .terms import (Children, InvalidRedex, LeftmostOutermost, Path, Term, Value,
                     replace_at, subterm_at)
 
 
@@ -266,43 +266,37 @@ def db_normalize_upsilon(a: DBTerm) -> DBTerm:
     return lo.root
 
 
+# The constructor each derivation rule applies to its premises' translations,
+# for every rule but R1, R3 and the marked binder of R5.
+_TRANSLATION = {"R2": One, "R4": DApp, "R5": DLam, "R6": DComp, "R7": DSlash,
+                "R8": DShift, "R9": DId, "R10": DLift}
+
+
 def translate(d: Derivation, flavor: str = UPSILON) -> DBTerm | DBSub:
     """De Bruijn term of a derivation, by recursion over its unique tree.
 
     The upsilon2 flavor marks exactly the binders whose variable is free
-    in the abstraction itself.
+    in the abstraction itself.  Their contexts come from one `fv` memo, so
+    that a chain of binders is walked once.
     """
-    match d.rule:
-        case "R1":
+    memo: _Memo = {}
+
+    def go(d: Derivation) -> DBTerm | DBSub:
+        rule = d.rule
+        if rule == "R1":
             return FreeName(d.subject.name)
-        case "R2":
-            return One()
-        case "R3":
-            return DComp(DShift(), translate(d.premises[0], flavor))
-        case "R4":
-            return DApp(translate(d.premises[0], flavor),
-                        translate(d.premises[1], flavor))
-        case "R5":
-            body = translate(d.premises[0], flavor)
-            if flavor == UPSILON2:
-                lam = d.subject
-                assert isinstance(lam, Lam)
-                c = fv(lam)
-                if c is not None and lam.var in c:
-                    return DBoldLam(body)
-            return DLam(body)
-        case "R6":
-            return DComp(translate(d.premises[0], flavor),
-                         translate(d.premises[1], flavor))
-        case "R7":
-            return DSlash(translate(d.premises[0], flavor))
-        case "R8":
-            return DShift()
-        case "R9":
-            return DId()
-        case "R10":
-            return DLift(translate(d.premises[0], flavor))
-    raise ValueError(f"unknown rule {d.rule}")
+        args = map(go, d.premises)
+        if rule == "R3":
+            return DComp(DShift(), *args)
+        if rule == "R5" and flavor == UPSILON2:
+            c = _fv(d.subject, memo)
+            if c is not None and d.subject.var in c:
+                return DBoldLam(*args)
+        if rule not in _TRANSLATION:
+            raise ValueError(f"unknown rule {rule}")
+        return _TRANSLATION[rule](*args)
+
+    return go(d)
 
 
 def equiv_gamma(a: Term, b: Term, ctx: Context) -> bool:

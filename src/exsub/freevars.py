@@ -39,9 +39,10 @@ def fv(t: Term, *, memo: _Memo | None = None) -> Context | None:
     """Free-variable context of `t`, or None when it does not exist.
 
     Purely syntactic: may be applied to ill-formed terms.  An optional memo
-    dictionary can be shared across calls on overlapping terms (the rewrite
-    engine does this between reduction steps); it only ever holds subterms
-    of the terms it was given.
+    dictionary can be shared across calls on overlapping terms; it only ever
+    holds subterms of the terms it was given.  The rewrite engine, between
+    reduction steps, and `debruijn.translate` share one the same way by
+    calling `_fv` directly.
     """
     if memo is None:
         memo = {}

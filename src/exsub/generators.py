@@ -25,9 +25,12 @@ from .terms import (App, Comp, Lam, Lift, Rename, Slash, Subst, Term, Var,
 
 _NAMES = ("x", "y", "z", "w")           # the variable names of generated terms
 _MAX_GLOBALS, _MAX_LOCALS = 3, 2        # the shape of generated contexts
-# relative weights of term and substitution constructors
+# relative weights of the constructors the generators draw: named terms and
+# substitutions, de Bruijn substitutions, simply typed skeletons
 _MIX = {"var": 4, "app": 3, "lam": 3, "comp": 3,
         "slash": 3, "weak": 2, "rename": 2, "lift": 2}
+_DB_MIX = {"slash": 3, "shift": 3, "id": 2, "lift": 3}
+_TYPED_MIX = {"lam": 4, "var": 2, "app": 3}
 
 
 class GenConfig(Value):
@@ -59,13 +62,8 @@ def gen_term(rng: Random, ctx: Context, size: int) -> Term:
         # an empty context admits only abstractions; bind and use a name
         x = rng.choice(_NAMES)
         return Lam(x, VarRef(x))
-    choices, weights = [], []
-    for kind in ("var", "app", "lam", "comp"):
-        if kind == "var" and not members:
-            continue
-        choices.append(kind)
-        weights.append(_MIX[kind])
-    kind = rng.choices(choices, weights)[0]
+    kinds = ("var", "app", "lam", "comp") if members else ("app", "lam", "comp")
+    kind = rng.choices(kinds, [_MIX[k] for k in kinds])[0]
     if kind == "var":
         return VarRef(rng.choice(members))
     if kind == "app":
@@ -82,12 +80,8 @@ def gen_term(rng: Random, ctx: Context, size: int) -> Term:
 
 def gen_subst(rng: Random, ctx: Context, size: int) -> tuple[Subst, Context]:
     """A substitution accepted by `ctx`, with its output context."""
-    choices, weights = ["slash"], [_MIX["slash"]]
-    if ctx.locals:
-        for kind in ("weak", "rename", "lift"):
-            choices.append(kind)
-            weights.append(_MIX[kind])
-    kind = rng.choices(choices, weights)[0]
+    kinds = ("slash", "weak", "rename", "lift") if ctx.locals else ("slash",)
+    kind = rng.choices(kinds, [_MIX[k] for k in kinds])[0]
     if kind == "slash":
         x = rng.choice(_NAMES)
         return Slash(gen_term(rng, ctx, max(1, size - 1)), x), ctx.push(x)
@@ -156,11 +150,8 @@ def gen_db(rng: Random, n: int, size: int) -> DBTerm:
 
 def gen_db_sub(rng: Random, n: int, size: int) -> tuple[DBSub, int]:
     """A substitution well-formed at input arity `n`, with its output arity."""
-    choices, weights = ["slash"], [3]
-    if n >= 1:
-        choices += ["shift", "id", "lift"]
-        weights += [3, 2, 3]
-    kind = rng.choices(choices, weights)[0]
+    kinds = ("slash", "shift", "id", "lift") if n >= 1 else ("slash",)
+    kind = rng.choices(kinds, [_DB_MIX[k] for k in kinds])[0]
     if kind == "slash":
         return DSlash(gen_db(rng, n, max(1, size - 1))), n + 1
     if kind == "shift":
@@ -231,25 +222,15 @@ def gen_simply_typed(rng: Random, cfg: GenConfig, size: int | None = None) -> Te
 
     def go(env, ty, budget: int) -> Term:
         candidates = [x for x, t in env if t == ty]
-        if budget <= 1:
-            if candidates:
-                return VarRef(rng.choice(candidates))
-            if ty is None:
-                return VarRef("c")  # base-typed free name always available
-            lo, hi = ty
-            counter[0] += 1
-            x = f"b{counter[0]}"
-            return Lam(x, go(env + [(x, lo)], hi, 1))
-        kinds, weights = [], []
-        if ty is not None:
-            kinds.append("lam")
-            weights.append(4)
-        if candidates:
-            kinds.append("var")
-            weights.append(2)
-        kinds.append("app")
-        weights.append(3)
-        kind = rng.choices(kinds, weights)[0]
+        if budget > 1:
+            kinds = ("lam",) * (ty is not None) + ("var",) * bool(candidates) + ("app",)
+            kind = rng.choices(kinds, [_TYPED_MIX[k] for k in kinds])[0]
+        elif candidates:
+            kind = "var"
+        elif ty is None:
+            return VarRef("c")  # base-typed free name always available
+        else:
+            kind = "lam"        # a budget below 1 draws as 1 does
         if kind == "var":
             return VarRef(rng.choice(candidates))
         if kind == "lam":

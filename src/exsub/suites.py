@@ -58,21 +58,12 @@ class TrialReport(Value):
     inconclusives: int
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "trials": self.trials,
-            "passes": self.passes,
-            "failures": [
-                {"trial": f.trial, "term": f.term, "context": f.context,
-                 "detail": f.detail, "trace": list(f.trace)}
-                for f in self.failures
-            ],
-            "inconclusives": self.inconclusives,
-        }
+        return json.loads(self.dumps())
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
+        """The report as indented JSON: its fields in order, and each
+        failure as an object of its own fields."""
+        return json.dumps(self, default=vars, indent=2)
 
     def to_text(self) -> str:
         lines = [f"suite {self.suite}: {self.passes}/{self.trials} passed, "
@@ -230,10 +221,9 @@ def suite_translation_simulation(cfg: GenConfig, rng: Random):
         ctx, t = gen_wellformed(cfg, rng)
         d = derive(ctx, t)
         a = None
-        redexes = find_redexes(t, no_alpha)
-        if redexes:
-            path, rule = rng.choice(redexes)
-            t2, _ = apply_rule(t, path, rule)
+        stepped = _random_step(rng, t, no_alpha)
+        if stepped is not None:
+            t2, rule = stepped
             a = translate(d)
             b = translate(derive(ctx, t2))
             if rule == W:
@@ -243,10 +233,9 @@ def suite_translation_simulation(cfg: GenConfig, rng: Random):
             elif b not in db_one_step_reducts(a, LAMBDA_UPSILON):
                 yield _failure(t, ctx, f"{rule} step is not one de Bruijn step")
                 continue
-        redexes = find_redexes(t, SIGMA_ALPHA)
-        if redexes:
-            path, rule = rng.choice(redexes)
-            t2, _ = apply_rule(t, path, rule)
+        stepped = _random_step(rng, t, SIGMA_ALPHA)
+        if stepped is not None:
+            t2, rule = stepped
             d2 = derive(ctx, t2)
             reached = _search_upsilon2(translate(d, UPSILON2), translate(d2, UPSILON2), bound)
             if reached is None:

@@ -10,9 +10,10 @@ Two instruments:
 * a labelling of composition and marked-binder nodes by additive weights,
   together with a lexicographic path order on the labelled signature,
   certifying termination of the marked system.  The precedence makes each
-  labelled composition bigger than application, plain binders, lifts, and
-  same-label marks, makes lift bigger than shift, and interleaves marks
-  and compositions by label:
+  labelled composition bigger than application, plain binders, lifts,
+  identities and same-label marks, makes each mark bigger than identities
+  and mark_0 bigger than plain binders, makes lift bigger than shift, and
+  interleaves marks and compositions by label:
 
       ... mark_i < comp_i < mark_{i+1} < comp_{i+1} < ...
 
@@ -105,34 +106,24 @@ def _args(n: Labelled) -> tuple[Labelled, ...]:
     return n[1]
 
 
+# The precedence by rank: mark_i ranks 2i and comp_i ranks 2i+1, and each is
+# above every symbol of lower rank.  The unlabelled symbols below some label
+# have a floor rank; lift > shift is the one pair of two unlabelled symbols.
+_LABELLED = {"mark": 0, "comp": 1}
+_FLOOR = {"app": 0, "lift": 0, "shift": 0, "lam": -1, "id": -1}
+
+
+def _rank(g: tuple) -> int | None:
+    offset = _LABELLED.get(g[0])
+    return _FLOOR.get(g[0]) if offset is None else 2 * g[1] + offset
+
+
 def _prec_gt(f: tuple, g: tuple) -> bool:
     # transitive closure of the generating pairs; see the module docstring
-    match f[0]:
-        case "comp":
-            i = f[1]
-            match g[0]:
-                case "comp":
-                    return i > g[1]
-                case "mark":
-                    return g[1] <= i
-                case "app" | "lam" | "lift" | "shift" | "id":
-                    return True
-            return False
-        case "mark":
-            i = f[1]
-            match g[0]:
-                case "mark":
-                    return i > g[1]
-                case "comp":
-                    return i >= g[1] + 1
-                case "lam" | "id":
-                    return True
-                case "app" | "lift" | "shift":
-                    return i >= 1
-            return False
-        case "lift":
-            return g[0] == "shift"
-    return False
+    if f[0] not in _LABELLED:
+        return f[0] == "lift" and g[0] == "shift"
+    rank = _rank(g)
+    return rank is not None and _rank(f) > rank
 
 
 def lpo_gt(a: Labelled, b: Labelled) -> bool:

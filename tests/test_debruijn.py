@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from exsub import freevars
 from exsub.contexts import context
 from exsub.debruijn import (LAMBDA_UPSILON, UPSILON, UPSILON2, DApp, DBoldLam,
                             DComp, DId, DLam, DLift, DShift, DSlash, FreeName,
@@ -15,7 +16,9 @@ from exsub.debruijn import (LAMBDA_UPSILON, UPSILON, UPSILON2, DApp, DBoldLam,
                             equiv_alpha, equiv_gamma, print_db, translate)
 from exsub.generators import GenConfig, gen_db, gen_db_sub
 from exsub.judgements import derive
+from exsub.freevars import fv
 from exsub.syntax import parse_context, parse_term
+from exsub.terms import node_size
 
 C = context
 x, y, z = FreeName("x"), FreeName("y"), FreeName("z")
@@ -127,6 +130,16 @@ def test_translate_marked_flavor():
     # a plain binder stays plain in the marked flavor
     d2 = derive(parse_context("{x}"), parse_term(r"\y. x"))
     assert translate(d2, UPSILON2) == DLam(DComp(DShift(), x))
+
+
+def test_marked_translation_visits_each_node_once(monkeypatch):
+    # every binder of the chain asks whether its variable is free in it
+    t = parse_term("\\x. " * 300 + "W x * x")
+    d = derive(fv(t), t)
+    calls, operands = [], freevars._operands
+    monkeypatch.setattr(freevars, "_operands", lambda u: calls.append(u) or operands(u))
+    translate(d, UPSILON2)
+    assert len(calls) <= node_size(t) == 303
 
 
 def test_translate_arity_matches_local_length():

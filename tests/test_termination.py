@@ -17,7 +17,7 @@ from exsub.debruijn import (UPSILON, UPSILON2, DApp, DBoldLam, DComp, DId,
                             DLam, DLift, DShift, DSlash, FreeName, One,
                             db_apply, db_find_redexes)
 from exsub.generators import gen_db, gen_db_marked
-from exsub.termination import label, lpo_gt, weight, weights12
+from exsub.termination import _prec_gt, label, lpo_gt, weight, weights12
 
 x, y = FreeName("x"), FreeName("y")
 
@@ -127,3 +127,20 @@ def test_lpo_incomparable_symbols_need_subterm_evidence():
     b = label(DApp(x, y))
     assert lpo_gt(a, b)      # argument of the slash equals b
     assert not lpo_gt(b, a)  # nothing in b reaches the slash
+
+
+def test_precedence_is_the_closure_of_its_generating_pairs():
+    # the generating pairs of the module docstring at labels 0-5, closed by
+    # brute force, against every symbol `label` makes
+    labels = range(6)
+    gt = {(("lift",), ("shift",)), (("mark", 0), ("lam",))}
+    for i in labels:
+        gt |= {(("comp", i), (g,)) for g in ("app", "lam", "lift", "id")}
+        gt |= {(("comp", i), ("mark", i)), (("mark", i), ("id",))}
+        if i + 1 in labels:
+            gt.add((("mark", i + 1), ("comp", i)))
+    while more := {(f, h) for f, g in gt for g2, h in gt if g == g2} - gt:
+        gt |= more
+    symbols = [("name", "x"), ("one",), ("app",), ("lam",), ("slash",), ("shift",),
+               ("id",), ("lift",)] + [(s, i) for i in labels for s in ("comp", "mark")]
+    assert {(f, g) for f in symbols for g in symbols if _prec_gt(f, g)} == gt
