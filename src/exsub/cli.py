@@ -103,8 +103,7 @@ def cmd_normalize(args) -> int:
 def cmd_translate(args) -> int:
     t = parse_term(args.term)
     d = derive(parse_context(args.context), t)
-    flavor = UPSILON2 if args.calculus == "upsilon2" else UPSILON
-    print(print_db(translate(d, flavor), args.notation))
+    print(print_db(translate(d, args.calculus), args.notation))
     return 0
 
 
@@ -183,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("translate", help="de Bruijn translation of a derivable term")
     c.add_argument("term")
     c.add_argument("--context", required=True)
-    c.add_argument("--calculus", choices=("upsilon", "upsilon2"), default="upsilon")
+    c.add_argument("--calculus", choices=(UPSILON, UPSILON2), default=UPSILON)
     c.add_argument("--notation", choices=("bracket", "compose"), default="bracket")
     c.set_defaults(fn=cmd_translate)
 

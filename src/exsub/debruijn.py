@@ -30,58 +30,57 @@ from .contexts import Context
 from .freevars import _Memo, _fv, fv
 from .judgements import Derivation, NotDerivable, derive, is_good
 from .syntax import _print
-from .terms import (Children, InvalidRedex, LeftmostOutermost, Path, Term, Value,
-                    replace_at, subterm_at)
+from .terms import InvalidRedex, LeftmostOutermost, Path, Term, Value, replace_at, subterm_at
 
 
 class FreeName(Value):
     name: str
-    CHILDREN: ClassVar[Children] = ()
+    CHILDREN = ()
 
 
 class One(Value):
-    CHILDREN: ClassVar[Children] = ()
+    CHILDREN = ()
 
 
 class DApp(Value):
     fn: "DBTerm"
     arg: "DBTerm"
-    CHILDREN: ClassVar[Children] = ("fn", "arg")
+    CHILDREN = ("fn", "arg")
 
 
 class DLam(Value):
     body: "DBTerm"
-    CHILDREN: ClassVar[Children] = ("body",)
+    CHILDREN = ("body",)
 
 
 class DBoldLam(Value):
     body: "DBTerm"
-    CHILDREN: ClassVar[Children] = ("body",)
+    CHILDREN = ("body",)
 
 
 class DComp(Value):
     # bracket form: DComp(s, a) is a[s]
     sub: "DBSub"
     body: "DBTerm"
-    CHILDREN: ClassVar[Children] = ("sub", "body")
+    CHILDREN = ("sub", "body")
 
 
 class DSlash(Value):
     term: "DBTerm"
-    CHILDREN: ClassVar[Children] = ("term",)
+    CHILDREN = ("term",)
 
 
 class DShift(Value):
-    CHILDREN: ClassVar[Children] = ()
+    CHILDREN = ()
 
 
 class DId(Value):
-    CHILDREN: ClassVar[Children] = ()
+    CHILDREN = ()
 
 
 class DLift(Value):
     sub: "DBSub"
-    CHILDREN: ClassVar[Children] = ("sub",)
+    CHILDREN = ("sub",)
 
 
 DBTerm = FreeName | One | DApp | DLam | DBoldLam | DComp
@@ -165,16 +164,14 @@ def _shape(a: DBTerm | DBSub) -> tuple:
     return (cls,)
 
 
-_SUBS = (DSlash, DShift, DId, DLift)
-
 # Every rule whose left-hand side matches a shape, in the order the scans
 # report them.  A shape that is not a key matches no rule.
 _SHAPE_RULES: dict[tuple, tuple[str, ...]] = {
     (DApp, DLam): (DB_BETA,),
     (DBoldLam,): (DB_ALPHA, DB_XI),
-    **{(DComp, s, DApp): (DB_APP,) for s in _SUBS},
-    **{(DComp, s, DLam): (DB_LAMBDA, DB_LAMBDAP) for s in _SUBS},
-    **{(DComp, s, DBoldLam): (DB_LAMBDAPP, DB_LAMBDAPPP) for s in _SUBS},
+    **{(DComp, s, DApp): (DB_APP,) for s in DBSub.__args__},
+    **{(DComp, s, DLam): (DB_LAMBDA, DB_LAMBDAP) for s in DBSub.__args__},
+    **{(DComp, s, DBoldLam): (DB_LAMBDAPP, DB_LAMBDAPPP) for s in DBSub.__args__},
     (DComp, DSlash, One): (DB_VAR,),
     (DComp, DId, One): (DB_VARID,),
     (DComp, DLift, One): (DB_VARLIFT,),
@@ -279,6 +276,8 @@ def translate(d: Derivation, flavor: str = UPSILON) -> DBTerm | DBSub:
     in the abstraction itself.  Their contexts come from one `fv` memo, so
     that a chain of binders is walked once.
     """
+    if flavor not in SYSTEM_RULES:
+        raise ValueError(f"unknown flavor: {flavor!r}")
     memo: _Memo = {}
 
     def go(d: Derivation) -> DBTerm | DBSub:
@@ -319,14 +318,29 @@ def equiv_alpha(a: Term, b: Term) -> bool:
     return equiv_gamma(a, b, Context(ca.globals | cb.globals, ()))
 
 
-_NODES = frozenset((FreeName, One, DApp, DLam, DBoldLam, DComp,
-                    DSlash, DShift, DId, DLift))
-# Per notation, the classes printed bare as an argument (also as a slash
-# body in bracket notation), as a function, and as the inner of a lift.
-_COMPOSE_ARG = frozenset((FreeName, One))
-_BRACKET_ARG = _COMPOSE_ARG | {DComp}
-_COMPOSE_FN, _BRACKET_FN = _COMPOSE_ARG | {DApp}, _BRACKET_ARG | {DApp}
-_COMPOSE_LIFTED, _BRACKET_LIFTED = _NODES - {DLift}, _NODES - {DSlash, DLift}
+_NODES = frozenset(DBTerm.__args__ + DBSub.__args__)
+_ATOMS = frozenset((FreeName, One))
+
+# Per notation, the text of each class (but FreeName, which prints its name)
+# from left to right: a literal, or a child's field and the classes printed
+# bare there.  A child of any other class is printed in parentheses.
+_BRACKET = {
+    One: ("1",), DShift: ("^",), DId: ("id",),
+    DApp: (("fn", _ATOMS | {DComp, DApp}), " ", ("arg", _ATOMS | {DComp})),
+    DLam: ("\\", ("body", _NODES)),
+    DBoldLam: ("\\!", ("body", _NODES)),
+    DComp: (("body", _ATOMS | {DComp}), "[", ("sub", _NODES), "]"),
+    DSlash: (("term", _ATOMS | {DComp}), "/"),
+    DLift: ("^^", ("sub", _NODES - {DSlash, DLift})),
+}
+_COMPOSE = {
+    **_BRACKET, DShift: ("W",),
+    DApp: (("fn", _ATOMS | {DApp}), " ", ("arg", _ATOMS)),
+    DComp: (("sub", _NODES), " * ", ("body", _NODES)),
+    DSlash: ("[", ("term", _NODES), "/]"),
+    DLift: ("^^", ("sub", _NODES - {DLift})),
+}
+_NOTATIONS = {"bracket": _BRACKET, "compose": _COMPOSE}
 
 
 def _node(u):
@@ -335,64 +349,25 @@ def _node(u):
     return u
 
 
-def _child(u, bare: frozenset) -> tuple:
-    """The parts of child `u`, last first: bare if its class is in `bare`,
-    else in parentheses."""
-    return (u,) if type(u) in bare else (")", _node(u), "(")
-
-
-def _common(u, lifted: frozenset) -> tuple:
-    """The parts of a node of a class that both notations print alike."""
-    cls = type(u)
-    if cls is FreeName:
-        return u.name,
-    if cls is One:
-        return "1",
-    if cls is DId:
-        return "id",
-    if cls is DLam:
-        return _node(u.body), "\\"
-    if cls is DBoldLam:
-        return _node(u.body), "\\!"
-    return _child(u.sub, lifted) + ("^^",)      # DLift
-
-
-def _bracket(u) -> tuple:
-    """The text parts of `u` in bracket notation, a[s], as `syntax._parts`
-    gives those of a named node: literals and children, last first."""
-    cls = type(u)
-    if cls is DApp:
-        return _child(u.arg, _BRACKET_ARG) + (" ",) + _child(u.fn, _BRACKET_FN)
-    if cls is DComp:
-        return ("]", _node(u.sub), "[") + _child(u.body, _BRACKET_ARG)
-    if cls is DSlash:
-        return ("/",) + _child(u.term, _BRACKET_ARG)
-    if cls is DShift:
-        return "^",
-    return _common(u, _BRACKET_LIFTED)
-
-
-def _compose(u) -> tuple:
-    """The text parts of `u` in composition notation, s * a."""
-    cls = type(u)
-    if cls is DApp:
-        return _child(u.arg, _COMPOSE_ARG) + (" ",) + _child(u.fn, _COMPOSE_FN)
-    if cls is DComp:
-        return _node(u.body), " * ", _node(u.sub)
-    if cls is DSlash:
-        return "/]", _node(u.term), "["
-    if cls is DShift:
-        return "W",
-    return _common(u, _COMPOSE_LIFTED)
+def _parts(u, table: dict) -> list:
+    """The text parts of `u` from `table`, as `syntax._parts` gives those of
+    a named node: literals and children, last first."""
+    if type(u) is FreeName:
+        return [u.name]
+    out = []
+    for part in reversed(table[type(u)]):
+        if type(part) is str:
+            out.append(part)
+        elif type(c := getattr(u, part[0])) in part[1]:
+            out.append(c)
+        else:
+            out += ")", _node(c), "("
+    return out
 
 
 def print_db(a: DBTerm | DBSub, notation: str = "bracket") -> str:
     """Render a de Bruijn term; `bracket` writes a[s], `compose` writes s * a.
-    The printer core of the named calculus prints it, from the parts above."""
-    if notation == "bracket":
-        parts = _bracket
-    elif notation == "compose":
-        parts = _compose
-    else:
+    The printer core of the named calculus prints it from the notation's table."""
+    if notation not in _NOTATIONS:
         raise ValueError(f"unknown notation: {notation!r}")
-    return _print(_node(a), None, parts)
+    return _print(_node(a), None, lambda u: _parts(u, _NOTATIONS[notation]))

@@ -13,20 +13,22 @@ construction.  Well-formedness is a separate judgement (see
 
 Every record of the package (the nodes of both calculi, contexts,
 derivations, traces, suite reports and generator settings) is a
-:class:`Value`: its fields are its annotations, its constructor is made for
-it when the class is defined, and it compares, hashes and prints by those
-fields as a frozen dataclass would.  Setting up a class costs the base
-one compiled ``__init__``, under a tenth of what ``dataclasses`` spends,
-and imports neither ``dataclasses`` nor ``inspect``.  No module imports
-``typing`` either: the unions below are written ``X | Y``, and the other
-names in annotations (``ClassVar``, ``Callable``, ...) are never evaluated.
+:class:`Value`: its fields are exactly its annotations, its constructor is
+made for it when the class is defined, and it compares, hashes and prints by
+those fields as a frozen dataclass would.  Setting up a class costs the base
+one compiled ``__init__``, under a tenth of what ``dataclasses`` spends, and
+imports neither ``dataclasses`` nor ``inspect``.  No module imports
+``typing`` either: the unions below are written ``X | Y``,
+``typing.get_type_hints`` resolves the annotations of every record, and
+``Callable`` and ``Iterator`` appear only in annotations of functions and
+module-level names, which are never evaluated.
 
 Every node class, here and in :mod:`exsub.debruijn`, names the fields that
-hold its children, in scan order, as ``CHILDREN``.  A path is the tuple of
-child positions in each parent's ``CHILDREN`` from the root down, the
-``pathAsChildIndices`` that traces print.  Subterm lookup, rebuilding,
-size, the redex scans of both engines and their shared leftmost-outermost
-driver (:class:`LeftmostOutermost`) read only this table.
+hold its children, in scan order, in the plain class attribute ``CHILDREN``.
+A path is the tuple of child positions in each parent's ``CHILDREN`` from
+the root down, the ``pathAsChildIndices`` that traces print.  Subterm
+lookup, rebuilding, size, the redex scans of both engines and their shared
+leftmost-outermost driver (:class:`LeftmostOutermost`) read only this table.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from __future__ import annotations
 Var = str
 
 Path = tuple[int, ...]
-Children = tuple[str, ...]
 
 
 def _constructor(cls, fields: tuple[str, ...]):
@@ -58,25 +59,23 @@ def _constructor(cls, fields: tuple[str, ...]):
 class Value:
     """Base of the package's immutable records.
 
-    A subclass's fields are its annotations that are not ``ClassVar``, in
-    order; a class attribute of a field's name is its default, and a
-    `__post_init__` is called after the fields are stored.  The instance
-    `__dict__` holds exactly the fields, in order, so `==` compares two
-    records of one class by their dicts, `hash` is the hash of the tuple of
-    field values, and `repr` reads ``Name(field=value, ...)``: the same
-    results as a frozen dataclass with those fields.  Assignment and
-    deletion raise AttributeError; `__dict__` itself is written only by the
-    constructor, `__post_init__`, `copy`/`pickle` and `_with_child`.
+    A subclass's fields are exactly its annotations, in order, and a class
+    attribute that is not annotated, such as ``CHILDREN``, is no field; a
+    class attribute of a field's name is its default, and a `__post_init__`
+    is called after the fields are stored.  The instance `__dict__` holds
+    exactly the fields, in order, so `==` compares two records of one class
+    by their dicts, `hash` is the hash of the tuple of field values, and
+    `repr` reads ``Name(field=value, ...)``: the same results as a frozen
+    dataclass with those fields.  Assignment and deletion raise
+    AttributeError; `__dict__` itself is written only by the constructor,
+    `__post_init__`, `copy`/`pickle` and `_with_child`.
     """
 
-    __match_args__: ClassVar[tuple[str, ...]] = ()
+    __match_args__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # str() reads an annotation alike whether or not it is postponed
-        cls.__match_args__ = tuple(
-            f for f, a in vars(cls).get("__annotations__", {}).items()
-            if not str(a).startswith(("ClassVar", "typing.ClassVar")))
+        cls.__match_args__ = tuple(vars(cls).get("__annotations__", ()))
         cls.__init__ = _constructor(cls, cls.__match_args__)
 
     def __eq__(self, other):
@@ -100,49 +99,49 @@ class Value:
 
 class VarRef(Value):
     name: Var
-    CHILDREN: ClassVar[Children] = ()
+    CHILDREN = ()
 
 
 class App(Value):
     fn: "Term"
     arg: "Term"
-    CHILDREN: ClassVar[Children] = ("fn", "arg")
+    CHILDREN = ("fn", "arg")
 
 
 class Lam(Value):
     var: Var
     body: "Term"
-    CHILDREN: ClassVar[Children] = ("body",)
+    CHILDREN = ("body",)
 
 
 class Comp(Value):
     sub: "Subst"
     body: "Term"
-    CHILDREN: ClassVar[Children] = ("sub", "body")
+    CHILDREN = ("sub", "body")
 
 
 class Slash(Value):
     term: "Term"
     var: Var
-    CHILDREN: ClassVar[Children] = ("term",)
+    CHILDREN = ("term",)
 
 
 class Weak(Value):
     var: Var
-    CHILDREN: ClassVar[Children] = ()
+    CHILDREN = ()
 
 
 class Rename(Value):
     # {new old}: consumes a binding for `new`, produces one for `old`.
     new: Var
     old: Var
-    CHILDREN: ClassVar[Children] = ()
+    CHILDREN = ()
 
 
 class Lift(Value):
     sub: "Subst"
     var: Var
-    CHILDREN: ClassVar[Children] = ("sub",)
+    CHILDREN = ("sub",)
 
 
 Term = VarRef | App | Lam | Comp

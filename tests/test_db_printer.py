@@ -18,7 +18,7 @@ from exsub.debruijn import (UPSILON, UPSILON2, DApp, DBoldLam, DComp, DId, DLam,
                             DShift, DSlash, FreeName, One, print_db, translate)
 from exsub.generators import GenConfig, gen_db, gen_db_marked, gen_db_sub, gen_wellformed
 from exsub.judgements import derive
-from exsub.terms import VarRef
+from exsub.terms import VarRef, replace_at
 
 COUNT = 10_000
 
@@ -124,6 +124,26 @@ def test_print_db_matches_the_recursive_printers_on_translations(flavor):
     for _ in range(2000):
         ctx, t = gen_wellformed(CFG, rng)
         assert_prints_as_defined(translate(derive(ctx, t), flavor))
+
+
+# one small tree of each de Bruijn class, and every (class, field) slot of
+# a node with children
+ONE_OF_EACH = (FreeName("a"), One(), DApp(One(), FreeName("b")), DLam(One()),
+               DBoldLam(One()), DComp(DShift(), One()), DSlash(One()), DShift(), DId(),
+               DLift(DShift()))
+SLOTS = [(p, i) for p in ONE_OF_EACH for i in range(len(p.CHILDREN))]
+
+
+@pytest.mark.parametrize("parent, i", SLOTS,
+                         ids=[f"{type(p).__name__}.{p.CHILDREN[i]}" for p, i in SLOTS])
+def test_print_db_matches_the_recursive_printers_in_every_slot(parent, i):
+    # every class in every child slot, the wrong sort included (a DShift as
+    # the function of a DApp), alone and as both children of an application
+    assert len(ONE_OF_EACH) == 10 and len(SLOTS) == 8
+    for child in ONE_OF_EACH:
+        tree = replace_at(parent, (i,), child)
+        assert_prints_as_defined(tree)
+        assert_prints_as_defined(DApp(tree, tree))
 
 
 DEPTH = 10_000      # well past the default recursion limit

@@ -132,6 +132,15 @@ def test_translate_marked_flavor():
     assert translate(d2, UPSILON2) == DLam(DComp(DShift(), x))
 
 
+def test_translate_rejects_an_unknown_flavor():
+    d = derive(parse_context("{x}"), parse_term(r"\x. W x * x"))
+    assert translate(d, LAMBDA_UPSILON) == translate(d, UPSILON)
+    # rejected on entry, also where no binder would read the flavor
+    for t in (r"\x. W x * x", "x"):
+        with pytest.raises(ValueError, match="unknown flavor: 'bogus'"):
+            translate(derive(parse_context("{x}"), parse_term(t)), "bogus")
+
+
 def test_marked_translation_visits_each_node_once(monkeypatch):
     # every binder of the chain asks whether its variable is free in it
     t = parse_term("\\x. " * 300 + "W x * x")

@@ -14,6 +14,7 @@ import os
 import pickle
 import subprocess
 import sys
+import typing
 from pathlib import Path
 from random import Random
 
@@ -269,6 +270,19 @@ def test_positional_match_patterns():
         match One():
             case One(_):
                 pass
+
+
+def test_type_hints_resolve_to_the_fields():
+    # a record's annotations are exactly its fields, so evaluating them needs
+    # no name that its module does not bind
+    classes, stack = [], [Value]
+    while stack:
+        subs = stack.pop().__subclasses__()
+        classes += subs
+        stack += subs
+    assert len(classes) == 24 and set(classes) == set(FIELDS)
+    for cls in classes:
+        assert tuple(typing.get_type_hints(cls)) == cls.__match_args__ == FIELDS[cls]
 
 
 def test_importing_the_cli_loads_no_dataclasses():
