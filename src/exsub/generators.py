@@ -15,6 +15,8 @@ are good terms with terminating Beta behaviour at any fuel worth having.
 
 from __future__ import annotations
 
+from bisect import bisect
+from itertools import accumulate
 from random import Random
 
 from .contexts import Context
@@ -26,11 +28,31 @@ from .terms import (App, Comp, Lam, Lift, Rename, Slash, Subst, Term, Var,
 _NAMES = ("x", "y", "z", "w")           # the variable names of generated terms
 _MAX_GLOBALS, _MAX_LOCALS = 3, 2        # the shape of generated contexts
 # relative weights of the constructors the generators draw: named terms and
-# substitutions, de Bruijn substitutions, simply typed skeletons
+# substitutions, raw named syntax, de Bruijn terms and substitutions, marked
+# de Bruijn terms, raw marked substitutions, simply typed skeletons
 _MIX = {"var": 4, "app": 3, "lam": 3, "comp": 3,
         "slash": 3, "weak": 2, "rename": 2, "lift": 2}
-_DB_MIX = {"slash": 3, "shift": 3, "id": 2, "lift": 3}
+_RAW_MIX = {"app": 3, "lam": 2, "comp": 3, "slash": 3, "weak": 2, "rename": 2, "lift": 2}
+_DB_MIX = {"leaf": 2, "app": 3, "lam": 2, "comp": 4,
+           "slash": 3, "shift": 3, "id": 2, "lift": 3}
+_MARKED_MIX = {"app": 2, "lam": 2, "mark": 3, "comp": 5,
+               "slash": 3, "shift": 3, "id": 2, "lift": 3}
+_RAW_DB_MIX = {"slash": 3, "shift": 3, "id": 2, "lift": 2}
 _TYPED_MIX = {"lam": 4, "var": 2, "app": 3}
+_CUMULATIVE: dict[tuple[tuple[str, ...], int], tuple[int, ...]] = {}
+
+
+def _choose(rng: Random, kinds: tuple[str, ...], mix: dict[str, int]) -> str:
+    """The kind `rng.choices(kinds, [mix[k] for k in kinds])[0]` draws,
+    from the same one call of `rng.random()`, with the cumulative weights
+    of each tuple of kinds under each mix summed once.  Every mix is a
+    table of this module, which lives as long as the module, so its id
+    names it in the cache."""
+    key = kinds, id(mix)
+    cum = _CUMULATIVE.get(key)
+    if cum is None:
+        cum = _CUMULATIVE[key] = tuple(accumulate(mix[k] for k in kinds))
+    return kinds[bisect(cum, rng.random() * cum[-1], 0, len(kinds) - 1)]
 
 
 class GenConfig(Value):
@@ -63,7 +85,7 @@ def gen_term(rng: Random, ctx: Context, size: int) -> Term:
         x = rng.choice(_NAMES)
         return Lam(x, VarRef(x))
     kinds = ("var", "app", "lam", "comp") if members else ("app", "lam", "comp")
-    kind = rng.choices(kinds, [_MIX[k] for k in kinds])[0]
+    kind = _choose(rng, kinds, _MIX)
     if kind == "var":
         return VarRef(rng.choice(members))
     if kind == "app":
@@ -81,7 +103,7 @@ def gen_term(rng: Random, ctx: Context, size: int) -> Term:
 def gen_subst(rng: Random, ctx: Context, size: int) -> tuple[Subst, Context]:
     """A substitution accepted by `ctx`, with its output context."""
     kinds = ("slash", "weak", "rename", "lift") if ctx.locals else ("slash",)
-    kind = rng.choices(kinds, [_MIX[k] for k in kinds])[0]
+    kind = _choose(rng, kinds, _MIX)
     if kind == "slash":
         x = rng.choice(_NAMES)
         return Slash(gen_term(rng, ctx, max(1, size - 1)), x), ctx.push(x)
@@ -106,7 +128,7 @@ def gen_raw_term(rng: Random, size: int) -> Term:
     """An arbitrary syntax tree, with no well-formedness discipline."""
     if size <= 1:
         return VarRef(rng.choice(_NAMES))
-    kind = rng.choices(("app", "lam", "comp"), (3, 2, 3))[0]
+    kind = _choose(rng, ("app", "lam", "comp"), _RAW_MIX)
     if kind == "app":
         left = rng.randint(1, size - 2) if size > 2 else 1
         return App(gen_raw_term(rng, left),
@@ -118,7 +140,7 @@ def gen_raw_term(rng: Random, size: int) -> Term:
 
 
 def gen_raw_subst(rng: Random, size: int) -> Subst:
-    kind = rng.choices(("slash", "weak", "rename", "lift"), (3, 2, 2, 2))[0]
+    kind = _choose(rng, ("slash", "weak", "rename", "lift"), _RAW_MIX)
     if kind == "slash":
         return Slash(gen_raw_term(rng, max(1, size - 1)), rng.choice(_NAMES))
     if kind == "weak":
@@ -135,7 +157,7 @@ def gen_db(rng: Random, n: int, size: int) -> DBTerm:
         if n == 0:
             return FreeName(rng.choice(_NAMES))
         return One()
-    kind = rng.choices(("leaf", "app", "lam", "comp"), (2, 3, 2, 4))[0]
+    kind = _choose(rng, ("leaf", "app", "lam", "comp"), _DB_MIX)
     if kind == "leaf":
         return FreeName(rng.choice(_NAMES)) if n == 0 else One()
     if kind == "app":
@@ -151,7 +173,7 @@ def gen_db(rng: Random, n: int, size: int) -> DBTerm:
 def gen_db_sub(rng: Random, n: int, size: int) -> tuple[DBSub, int]:
     """A substitution well-formed at input arity `n`, with its output arity."""
     kinds = ("slash", "shift", "id", "lift") if n >= 1 else ("slash",)
-    kind = rng.choices(kinds, [_DB_MIX[k] for k in kinds])[0]
+    kind = _choose(rng, kinds, _DB_MIX)
     if kind == "slash":
         return DSlash(gen_db(rng, n, max(1, size - 1))), n + 1
     if kind == "shift":
@@ -167,7 +189,7 @@ def gen_db_marked(rng: Random, size: int) -> DBTerm:
     exercise the labelled path order on every rule."""
     if size <= 1:
         return rng.choice((One(), FreeName(rng.choice(_NAMES))))
-    kind = rng.choices(("app", "lam", "mark", "comp"), (2, 2, 3, 5))[0]
+    kind = _choose(rng, ("app", "lam", "mark", "comp"), _MARKED_MIX)
     if kind == "app":
         left = rng.randint(1, size - 2) if size > 2 else 1
         return DApp(gen_db_marked(rng, left),
@@ -177,7 +199,7 @@ def gen_db_marked(rng: Random, size: int) -> DBTerm:
     if kind == "mark":
         return DBoldLam(gen_db_marked(rng, size - 1))
     sub_size = rng.randint(1, max(1, size // 2))
-    kinds = rng.choices(("slash", "shift", "id", "lift"), (3, 3, 2, 3))[0]
+    kinds = _choose(rng, ("slash", "shift", "id", "lift"), _MARKED_MIX)
     s: DBSub
     if kinds == "slash":
         s = DSlash(gen_db_marked(rng, sub_size))
@@ -191,7 +213,7 @@ def gen_db_marked(rng: Random, size: int) -> DBTerm:
 
 
 def gen_raw_db_sub(rng: Random, size: int) -> DBSub:
-    kind = rng.choices(("slash", "shift", "id", "lift"), (3, 3, 2, 2))[0]
+    kind = _choose(rng, ("slash", "shift", "id", "lift"), _RAW_DB_MIX)
     if kind == "slash":
         return DSlash(gen_db_marked(rng, max(1, size - 1)))
     if kind == "shift":
@@ -224,7 +246,7 @@ def gen_simply_typed(rng: Random, cfg: GenConfig, size: int | None = None) -> Te
         candidates = [x for x, t in env if t == ty]
         if budget > 1:
             kinds = ("lam",) * (ty is not None) + ("var",) * bool(candidates) + ("app",)
-            kind = rng.choices(kinds, [_TYPED_MIX[k] for k in kinds])[0]
+            kind = _choose(rng, kinds, _TYPED_MIX)
         elif candidates:
             kind = "var"
         elif ty is None:

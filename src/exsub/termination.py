@@ -129,19 +129,39 @@ def _prec_gt(f: tuple, g: tuple) -> bool:
 def lpo_gt(a: Labelled, b: Labelled) -> bool:
     """Lexicographic path order on labelled terms: strict, compatible with
     the precedence above, comparing arguments left to right under equal
-    head symbols."""
+    head symbols.
+
+    Comparing `a` with `b` only ever compares a subterm of `a` with a
+    subterm of `b`, so each pair is decided once, in a memo keyed by the
+    identities of the two subterms, which lives as long as the outer call
+    (Loechner, "Things to know when implementing LPO", 2006).  The memo
+    misses at most |a|*|b| times.
+    """
+    return _lpo_gt(a, b, {})
+
+
+def _lpo_gt(a: Labelled, b: Labelled, memo: dict[tuple[int, int], bool]) -> bool:
+    key = id(a), id(b)
+    known = memo.get(key)
+    if known is not None:
+        return known
+    memo[key] = gt = _lpo_decide(a, b, memo)
+    return gt
+
+
+def _lpo_decide(a: Labelled, b: Labelled, memo: dict[tuple[int, int], bool]) -> bool:
     if a == b:
         return False
     (fa, aargs), (fb, bargs) = a, b
     for arg in aargs:
-        if arg == b or lpo_gt(arg, b):
+        if arg == b or _lpo_gt(arg, b, memo):
             return True
     if _prec_gt(fa, fb):
-        return all(lpo_gt(a, x) for x in bargs)
+        return all(_lpo_gt(a, x, memo) for x in bargs)
     if fa == fb:
         for x, y in zip(aargs, bargs):
             if x == y:
                 continue
-            return lpo_gt(x, y) and all(lpo_gt(a, z) for z in bargs)
+            return _lpo_gt(x, y, memo) and all(_lpo_gt(a, z, memo) for z in bargs)
         return False
     return False

@@ -81,10 +81,16 @@ class Value:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.__dict__ == other.__dict__
+        try:
+            return self.__dict__ == other.__dict__
+        except RecursionError:
+            return _deep_eq(self, other)
 
     def __hash__(self) -> int:
-        return hash(tuple(self.__dict__.values()))
+        try:
+            return hash(tuple(self.__dict__.values()))
+        except RecursionError:
+            return _deep_hash(self)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={v!r}" for f, v in self.__dict__.items())
@@ -95,6 +101,69 @@ class Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+# `==` and `hash` recurse once per level of nesting, which is fast on the
+# shallow values that make up nearly every call.  A value nested past the
+# recursion limit makes them raise RecursionError at some depth; the call
+# there catches it and answers for its own subtree by the loops below,
+# which give the recursive answers, and the calls above it go on as before.
+
+def _deep_eq(a, b) -> bool:
+    """`a == b` for records and tuples nested to any depth, on a stack."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        cls = type(a)
+        if cls is not type(b):
+            if a != b:
+                return False
+        elif isinstance(a, Value):
+            da, db = a.__dict__, b.__dict__
+            if da.keys() != db.keys():
+                return False
+            stack.extend((x, db[k]) for k, x in da.items())
+        elif cls is tuple:
+            if len(a) != len(b):
+                return False
+            stack.extend(zip(a, b))
+        elif a != b:
+            return False
+    return True
+
+
+class _Hashed:
+    """Stands for a value whose hash is known, inside a tuple being hashed."""
+    __slots__ = ("h",)
+
+    def __init__(self, h: int):
+        self.h = h
+
+    def __hash__(self) -> int:
+        return self.h
+
+
+def _deep_hash(v) -> int:
+    """`hash(v)` for records and tuples nested to any depth: a record hashes
+    as the tuple of its field values, and each tuple is hashed once the
+    hashes of its items are known, in post-order on a stack."""
+    stack, done = [(v, False)], []
+    while stack:
+        u, expanded = stack.pop()
+        items = tuple(u.__dict__.values()) if isinstance(u, Value) else u
+        if expanded:
+            n = len(items)
+            hashes = done[len(done) - n:]
+            del done[len(done) - n:]
+            done.append(hash(tuple(map(_Hashed, hashes))))
+        elif isinstance(u, Value) or type(u) is tuple:
+            stack.append((u, True))
+            stack.extend((c, False) for c in reversed(items))
+        else:
+            done.append(hash(u))
+    return done[0]
 
 
 class VarRef(Value):

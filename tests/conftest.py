@@ -7,6 +7,7 @@ from random import Random
 from hypothesis import strategies as st
 
 from exsub.contexts import Context
+from exsub.debruijn import DComp, DLam, DShift, One
 from exsub.judgements import Derivation
 from exsub.terms import (App, Comp, Lam, Lift, Rename, Slash, VarRef, Weak)
 
@@ -34,6 +35,19 @@ raw_substs = st.deferred(lambda: st.one_of(
     st.builds(Rename, var_names, var_names),
     st.builds(Lift, raw_substs, var_names),
 ))
+
+
+def shifted_binders(n: int, bottom=One()):
+    """n de Bruijn binders over n - 1 shifts of `bottom`, 2n - 1 levels deep.
+    With the index at the bottom it is the outermost binder's variable, and
+    pushing a lift through it takes Lambda at every binder and ShiftLift at
+    every shift, one step each."""
+    c = bottom
+    for _ in range(n - 1):
+        c = DComp(DShift(), c)
+    for _ in range(n):
+        c = DLam(c)
+    return c
 
 
 def grow_context(rng: Random, ctx: Context, moves: int = 3) -> Context:

@@ -10,7 +10,8 @@ import pytest
 
 from exsub.contexts import format_context
 from exsub.debruijn import db_check
-from exsub.generators import (GenConfig, gen_db, gen_db_sub, gen_simply_typed,
+from exsub import generators
+from exsub.generators import (GenConfig, _choose, gen_db, gen_db_sub, gen_simply_typed,
                               gen_subst, gen_wellformed)
 from exsub.judgements import derive
 from exsub.pure import classical_normalize, is_pure
@@ -113,3 +114,16 @@ def test_generator_draw_digest():
     found.append(rng.random())
     assert hashlib.sha256(repr(found).encode()).hexdigest() == (
         "0aa0ebc5ef919a44d4bc8c290f2c7080b1caa42f58b4bed0b696b2df3a943ad2")
+
+
+@pytest.mark.parametrize("mix", ["_MIX", "_RAW_MIX", "_DB_MIX", "_MARKED_MIX", "_RAW_DB_MIX",
+                                 "_TYPED_MIX"])
+def test_each_draw_is_the_one_random_choices_makes(mix):
+    mix = getattr(generators, mix)
+    kinds = tuple(mix)
+    for k in (1, 2, len(kinds)):
+        ours, theirs = Random(k), Random(k)
+        for _ in range(2000):
+            assert _choose(ours, kinds[-k:], mix) == \
+                theirs.choices(kinds[-k:], [mix[x] for x in kinds[-k:]])[0]
+        assert ours.getstate() == theirs.getstate()

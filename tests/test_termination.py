@@ -17,7 +17,7 @@ from exsub.debruijn import (UPSILON, UPSILON2, DApp, DBoldLam, DComp, DId,
                             DLam, DLift, DShift, DSlash, FreeName, One,
                             db_apply, db_find_redexes)
 from exsub.generators import gen_db, gen_db_marked
-from exsub.termination import _prec_gt, label, lpo_gt, weight, weights12
+from exsub.termination import _lpo_gt, _prec_gt, label, lpo_gt, weight, weights12
 
 x, y = FreeName("x"), FreeName("y")
 
@@ -144,3 +144,32 @@ def test_precedence_is_the_closure_of_its_generating_pairs():
     symbols = [("name", "x"), ("one",), ("app",), ("lam",), ("slash",), ("shift",),
                ("id",), ("lift",)] + [(s, i) for i in labels for s in ("comp", "mark")]
     assert {(f, g) for f in symbols for g in symbols if _prec_gt(f, g)} == gt
+
+
+class CountingMemo(dict):
+    """A memo that counts its misses: each miss stores one entry."""
+    misses = 0
+
+    def __setitem__(self, key, value):
+        self.misses += 1
+        super().__setitem__(key, value)
+
+
+def labelled_size(n) -> int:
+    return 1 + sum(labelled_size(c) for c in n[1])
+
+
+def test_one_comparison_misses_its_memo_at_most_size_a_times_size_b_times():
+    rng = Random(3)
+    compared = 0
+    for size in (10, 40, 200):
+        for _ in range(30):
+            a = gen_db_marked(rng, rng.randint(2, size))
+            la = label(a)
+            for p, r in db_find_redexes(a, UPSILON2)[:5]:
+                lb = label(db_apply(a, p, r))
+                memo = CountingMemo()
+                assert _lpo_gt(la, lb, memo) is lpo_gt(la, lb) is True
+                assert memo.misses == len(memo) <= labelled_size(la) * labelled_size(lb)
+                compared += 1
+    assert compared > 200

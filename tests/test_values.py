@@ -30,6 +30,8 @@ from exsub.rewrite import SIGMA, Trace, normalize
 from exsub.suites import Failure, TrialReport, run_suite
 from exsub.terms import App, Comp, Lam, Lift, Rename, Slash, Value, VarRef, Weak
 
+from conftest import shifted_binders
+
 MODULES = (contexts, debruijn, generators, judgements, rewrite, suites, syntax, terms)
 NO_DEFAULT = object()
 
@@ -294,3 +296,37 @@ def test_importing_the_cli_loads_no_dataclasses():
                        capture_output=True, text=True, timeout=60)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+def church(n: int, bottom: str = "x") -> Lam:
+    """The numeral c_n, as `mult c_20 c_20` normalizes to for n = 400."""
+    body = VarRef(bottom)
+    for _ in range(n):
+        body = App(VarRef("f"), body)
+    return Lam("f", Lam("x", body))
+
+
+@pytest.mark.parametrize("make, n, other", [(church, 400, "y"), (shifted_binders, 10**4, FreeName("y"))],
+                         ids=["c_400", "10^4 binders"])
+def test_equality_and_hash_answer_past_the_recursion_limit(make, n, other):
+    a, b, c = make(n), make(n), make(n, other)
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != c and not a == c
+    assert (a, 1) == (b, 1) and len({a, b, c}) == 2
+
+
+def test_the_loops_give_the_recursive_answers():
+    a = church(400)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)
+    try:
+        recursive = hash(tuple(a.__dict__.values()))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert terms._deep_hash(a) == recursive == hash(a)
+    for v in SAMPLES:
+        assert terms._deep_hash(v) == hash(v)
+        assert terms._deep_eq(v, copy.copy(v))
+        assert terms._deep_eq((v, 1), (copy.deepcopy(v), 1))
+    assert not terms._deep_eq(a, church(400, "y"))
+    assert not terms._deep_eq(a, church(399))
