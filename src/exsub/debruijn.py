@@ -39,8 +39,8 @@ uses the pass.
 from __future__ import annotations
 
 from .contexts import Context
-from .freevars import _Memo, _fv, fv
-from .judgements import Derivation, NotDerivable, derive, is_good
+from .freevars import _Memo, _fv
+from .judgements import Derivation, IllFormed, NotDerivable, derive, well_formed
 from .syntax import _print
 from .terms import InvalidRedex, LeftmostOutermost, Path, Term, Value, replace_at, subterm_at
 
@@ -192,16 +192,6 @@ _SHAPE_RULES: dict[tuple, tuple[str, ...]] = {
     (DComp, DLift, DComp, DShift): (DB_SHIFTLIFT,),
 }
 
-# Per system: the first rule of the system at each shape that has one, so
-# that `_FIRST_RULE[system].get(_shape(a))` is
-# `next(_node_rules(a, SYSTEM_RULES[system]), None)` by one lookup.
-_FIRST_RULE: dict[str, dict[tuple, str]] = {
-    system: {shape: next(r for r in rs if r in rules)
-             for shape, rs in _SHAPE_RULES.items() if any(r in rules for r in rs)}
-    for system, rules in SYSTEM_RULES.items()
-}
-
-
 def _node_rules(a: DBTerm | DBSub, rules: frozenset[str]) -> Iterator[str]:
     return (r for r in _SHAPE_RULES.get(_shape(a), ()) if r in rules)
 
@@ -268,8 +258,8 @@ def db_one_step_reducts(a: DBTerm, system: str = UPSILON) -> list[DBTerm]:
 def db_normalize_upsilon(a: DBTerm) -> DBTerm:
     """Normal form under the substitution rules (they terminate on every
     term, so no fuel is needed)."""
-    first = _FIRST_RULE[UPSILON].get
-    lo = LeftmostOutermost(a, lambda n: first(_shape(n)))
+    rules = SYSTEM_RULES[UPSILON]
+    lo = LeftmostOutermost(a, lambda n: next(_node_rules(n, rules), None))
     while (picked := lo.next_redex()) is not None:
         lo.replace(db_apply(lo.focus, (), picked[1]))
     return lo.root
@@ -431,11 +421,12 @@ def equiv_gamma(a: Term, b: Term, ctx: Context) -> bool:
 def equiv_alpha(a: Term, b: Term) -> bool:
     """Equivalence of terms admitted by pure sets, taken in the union of
     their free-name sets (any larger set gives the same answer)."""
-    if not (is_good(a) and is_good(b)):
+    try:
+        ca = well_formed(a)
+        cb = well_formed(b) if ca.is_set else ca    # b is not looked at when a fails
+    except IllFormed:
         return False
-    ca, cb = fv(a), fv(b)
-    assert ca is not None and cb is not None
-    return equiv_gamma(a, b, Context(ca.globals | cb.globals, ()))
+    return cb.is_set and equiv_gamma(a, b, Context(ca.globals | cb.globals, ()))
 
 
 _NODES = frozenset(DBTerm.__args__ + DBSub.__args__)

@@ -199,28 +199,20 @@ def gen_db_marked(rng: Random, size: int) -> DBTerm:
     if kind == "mark":
         return DBoldLam(gen_db_marked(rng, size - 1))
     sub_size = rng.randint(1, max(1, size // 2))
-    kinds = _choose(rng, ("slash", "shift", "id", "lift"), _MARKED_MIX)
-    s: DBSub
-    if kinds == "slash":
-        s = DSlash(gen_db_marked(rng, sub_size))
-    elif kinds == "shift":
-        s = DShift()
-    elif kinds == "id":
-        s = DId()
-    else:
-        s = DLift(gen_raw_db_sub(rng, sub_size))
+    s = gen_raw_db_sub(rng, sub_size + 1, _MARKED_MIX)
     return DComp(s, gen_db_marked(rng, max(1, size - 1 - sub_size)))
 
 
-def gen_raw_db_sub(rng: Random, size: int) -> DBSub:
-    kind = _choose(rng, ("slash", "shift", "id", "lift"), _RAW_DB_MIX)
+def gen_raw_db_sub(rng: Random, size: int, mix: dict[str, int]) -> DBSub:
+    """A marked substitution with no arity discipline, its outer kind drawn from `mix`."""
+    kind = _choose(rng, ("slash", "shift", "id", "lift"), mix)
     if kind == "slash":
         return DSlash(gen_db_marked(rng, max(1, size - 1)))
     if kind == "shift":
         return DShift()
     if kind == "id":
         return DId()
-    return DLift(gen_raw_db_sub(rng, max(1, size - 1)))
+    return DLift(gen_raw_db_sub(rng, max(1, size - 1), _RAW_DB_MIX))
 
 
 # Simply typed skeletons.  Types are None (base) or (left, right) pairs.
@@ -249,9 +241,7 @@ def gen_simply_typed(rng: Random, cfg: GenConfig, size: int | None = None) -> Te
             kind = _choose(rng, kinds, _TYPED_MIX)
         elif candidates:
             kind = "var"
-        elif ty is None:
-            return VarRef("c")  # base-typed free name always available
-        else:
+        else:                   # `ty` is an arrow: c and d have the base type
             kind = "lam"        # a budget below 1 draws as 1 does
         if kind == "var":
             return VarRef(rng.choice(candidates))

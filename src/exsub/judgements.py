@@ -1,10 +1,11 @@
 """The judgement engine: deciding whether a context admits a term.
 
 Judgements come in two forms: a context admits a term, or a substitution
-maps one context to another.  The checker is syntax directed and builds the
-unique derivation bottom-up; no search is ever needed.  For a variable the
-rule is decided by the rightmost local name (R2 on a match, R3 to strip a
-mismatch, R1 against a pure set); substitutions fix their output context.
+maps one context to another.  One syntax-directed function, `derive`,
+decides both and builds the unique derivation bottom-up; no search is ever
+needed.  For a variable the rule is decided by the rightmost local name (R2
+on a match, R3 to strip a mismatch, R1 against a pure set); a substitution
+fixes its output context, which its derivation carries (R6 reads it).
 
 Rules, with S ranging over substitutions and x, y over names:
 
@@ -57,8 +58,8 @@ class Derivation(Value):
     premises: tuple["Derivation", ...]
 
 
-def derive(ctx: Context, t: Term, path: Path = ()) -> Derivation:
-    """The unique derivation of `ctx |- t`, or NotDerivable."""
+def derive(ctx: Context, t: Term | Subst, path: Path = ()) -> Derivation:
+    """The unique derivation of `ctx |- t` (or `ctx |- t |> out`), or NotDerivable."""
     match t:
         case VarRef(x):
             if ctx.locals:
@@ -77,36 +78,34 @@ def derive(ctx: Context, t: Term, path: Path = ()) -> Derivation:
             db = derive(ctx.push(x), b, path + (0,))
             return Derivation("R5", ctx, t, None, (db,))
         case Comp(s, b):
-            ds, delta = derive_subst(ctx, s, path + (0,))
-            db = derive(delta, b, path + (1,))
+            ds = derive(ctx, s, path + (0,))
+            db = derive(ds.out, b, path + (1,))
             return Derivation("R6", ctx, t, None, (ds, db))
-    raise TypeError(f"not a term: {t!r}")
+        case Slash(b, x):
+            db = derive(ctx, b, path + (0,))
+            return Derivation("R7", ctx, t, ctx.push(x), (db,))
+        case Weak(x):
+            if not ctx.locals or ctx.top != x:
+                raise NotDerivable(path, f"W {x} needs a local context ending in {x}")
+            return Derivation("R8", ctx, t, ctx.pop(), ())
+        case Rename(y, x):
+            if not ctx.locals or ctx.top != y:
+                raise NotDerivable(path, f"{{{y} {x}}} needs a local context ending in {y}")
+            return Derivation("R9", ctx, t, ctx.pop().push(x), ())
+        case Lift(inner, x):
+            if not ctx.locals or ctx.top != x:
+                raise NotDerivable(path, f"lift by {x} needs a local context ending in {x}")
+            d = derive(ctx.pop(), inner, path + (0,))
+            return Derivation("R10", ctx, t, d.out.push(x), (d,))
+    raise TypeError(f"not a term or substitution: {t!r}")
 
 
 def derive_subst(ctx: Context, s: Subst, path: Path = ()) -> tuple[Derivation, Context]:
     """The unique derivation of `ctx |- s |> out`, plus its output context."""
-    match s:
-        case Slash(b, x):
-            db = derive(ctx, b, path + (0,))
-            out = ctx.push(x)
-            return Derivation("R7", ctx, s, out, (db,)), out
-        case Weak(x):
-            if not ctx.locals or ctx.top != x:
-                raise NotDerivable(path, f"W {x} needs a local context ending in {x}")
-            out = ctx.pop()
-            return Derivation("R8", ctx, s, out, ()), out
-        case Rename(y, x):
-            if not ctx.locals or ctx.top != y:
-                raise NotDerivable(path, f"{{{y} {x}}} needs a local context ending in {y}")
-            out = ctx.pop().push(x)
-            return Derivation("R9", ctx, s, out, ()), out
-        case Lift(inner, x):
-            if not ctx.locals or ctx.top != x:
-                raise NotDerivable(path, f"lift by {x} needs a local context ending in {x}")
-            d, delta = derive_subst(ctx.pop(), inner, path + (0,))
-            out = delta.push(x)
-            return Derivation("R10", ctx, s, out, (d,)), out
-    raise TypeError(f"not a substitution: {s!r}")
+    if not isinstance(s, Subst):
+        raise TypeError(f"not a substitution: {s!r}")
+    d = derive(ctx, s, path)
+    return d, d.out
 
 
 def well_formed(t: Term) -> Context:
@@ -137,7 +136,7 @@ def is_good(t: Term) -> bool:
 
 
 def _show(node: Term | Subst) -> str:
-    if isinstance(node, (Slash, Weak, Rename, Lift)):
+    if isinstance(node, Subst):
         return print_subst(node)
     return print_term(node)
 

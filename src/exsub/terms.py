@@ -331,14 +331,11 @@ class LeftmostOutermost:
         self._marked: list[int] = []    # depths of unsettled frames, ascending
         self._clean: dict[int, object] = {}
         self._found: tuple[Path, str] | None = None
-        self._last = root               # the root, once the walk has ended
 
     @property
     def root(self):
         """The current term, with every stale frame rebuilt."""
         nodes, nxt = self._nodes, self._next
-        if not nodes:
-            return self._last
         for k in range(len(nodes) - 2, -1, -1):
             parent, f = nodes[k], nodes[k].CHILDREN[nxt[k]]
             if getattr(parent, f) is not nodes[k + 1]:
@@ -357,7 +354,7 @@ class LeftmostOutermost:
             return self._found
         nodes, nxt, clean = self._nodes, self._next, self._clean
         rule_at = self._rule_at
-        while nodes:
+        while True:
             node = nodes[-1]
             if len(nxt) < len(nodes):       # entering `node`
                 rule = rule_at(node)
@@ -380,19 +377,17 @@ class LeftmostOutermost:
                 nodes.append(c)
                 continue
             clean[id(node)] = node          # finished: no redex below
+            if len(nodes) == 1:
+                return None                 # the root frame stays for `root`
             nodes.pop()
             nxt.pop()
             if self._marked and self._marked[-1] == len(nodes):
                 self._marked.pop()
-            if not nodes:
-                self._last = node
-                break
             parent = nodes[-1]
             f = parent.CHILDREN[nxt[-1]]
             if getattr(parent, f) is not node:      # stale: rebuild it now
                 nodes[-1] = _with_child(parent, f, node)
             nxt[-1] += 1
-        return None
 
     def replace(self, new) -> None:
         """Put `new` in place of the focus and rebuild the frames down to

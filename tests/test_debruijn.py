@@ -48,6 +48,7 @@ def test_db_check_sub_arities():
     assert db_check_sub(3, DId()) == 3
     assert db_check_sub(0, DId()) is None
     assert db_check_sub(1, DLift(DSlash(x))) == 2
+    assert db_check_sub(1, DLift(DShift())) is None     # the shift under the lift has arity 0
 
 
 def test_db_find_redexes_goldens():

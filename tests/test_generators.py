@@ -11,8 +11,8 @@ import pytest
 from exsub.contexts import format_context
 from exsub.debruijn import db_check
 from exsub import generators
-from exsub.generators import (GenConfig, _choose, gen_db, gen_db_sub, gen_simply_typed,
-                              gen_subst, gen_wellformed)
+from exsub.generators import (GenConfig, _choose, gen_db, gen_db_marked, gen_db_sub,
+                              gen_simply_typed, gen_subst, gen_wellformed)
 from exsub.judgements import derive
 from exsub.pure import classical_normalize, is_pure
 from exsub.terms import VarRef, node_size
@@ -114,6 +114,17 @@ def test_generator_draw_digest():
     found.append(rng.random())
     assert hashlib.sha256(repr(found).encode()).hexdigest() == (
         "0aa0ebc5ef919a44d4bc8c290f2c7080b1caa42f58b4bed0b696b2df3a943ad2")
+
+
+def test_marked_generator_draw_digest():
+    # Recorded while gen_db_marked still spelled out its own substitution
+    # grammar; the last draw pins how many numbers the rounds consumed.
+    rng, found = Random(3), []
+    for size in range(1, 21):
+        found.extend(gen_db_marked(rng, size) for _ in range(200))
+    found.append(rng.random())
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == (
+        "173227cfd27a561eb0af911b0b77ebaa2f13aeb883a0dc54c03658e6ce8498a2")
 
 
 @pytest.mark.parametrize("mix", ["_MIX", "_RAW_MIX", "_DB_MIX", "_MARKED_MIX", "_RAW_DB_MIX",

@@ -104,6 +104,21 @@ def test_replace_needs_a_found_redex():
         lo.replace(parse_term("y"))
 
 
+def test_a_found_redex_is_kept_until_it_is_replaced():
+    lo = LeftmostOutermost(parse_term("x ([y/z] * z)"), _rule_finder(SIGMA, {}))
+    first = lo.next_redex()
+    assert first == ((1,), "Var") and lo.next_redex() is first
+
+
+def test_the_walk_stays_ended_and_keeps_the_normal_form():
+    t = parse_term(r"\w. x ([y/z] * z)")
+    lo = LeftmostOutermost(t, _rule_finder(SIGMA, {}))
+    while (picked := lo.next_redex()) is not None:
+        lo.replace(apply_rule(lo.focus, (), picked[1])[0])
+    assert lo.next_redex() is None and lo.next_redex() is None
+    assert lo.root == parse_term(r"\w. x y") == normalize(t, SIGMA)[0]
+
+
 DEPTH = 5000    # well past the default recursion limit
 
 

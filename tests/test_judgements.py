@@ -95,6 +95,8 @@ def test_is_good_goldens():
     assert not is_good(parse_term("W x * a"))
     assert is_good(parse_term("x y"))
     assert is_good(parse_term(r"\x. W x * x"))
+    # no context admits it, since its free variables are undefined
+    assert not is_good(parse_term("(W x * a) (W y * b)"))
 
 
 def test_derivations_are_deterministic_and_valid():

@@ -127,6 +127,10 @@ def test_lpo_incomparable_symbols_need_subterm_evidence():
     b = label(DApp(x, y))
     assert lpo_gt(a, b)      # argument of the slash equals b
     assert not lpo_gt(b, a)  # nothing in b reaches the slash
+    # an abstraction and id: unrelated heads and no argument of either
+    # that reaches the other
+    a, b = label(DLam(One())), label(DId())
+    assert not lpo_gt(a, b) and not lpo_gt(b, a)
 
 
 def test_precedence_is_the_closure_of_its_generating_pairs():
