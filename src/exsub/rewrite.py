@@ -409,10 +409,8 @@ class _Rescan:
             k = self._strategy
             if k == "ri":
                 self._found = redexes[-1] if redexes else None
-            elif isinstance(k, int):
-                self._found = redexes[k] if 0 <= k < len(redexes) else None
             else:
-                raise ValueError(f"unknown strategy: {k!r}")
+                self._found = redexes[k] if k < len(redexes) else None
         return self._found
 
     @property
@@ -430,6 +428,8 @@ def _stream(t: Term, rules: frozenset[str], strategy: Strategy
     """The reducer of `t` under the strategy, whose `root` is the current
     term, and the stream of its steps.  Each step is made when it is asked
     for and is linked to no step before it, so the stream keeps none."""
+    if strategy not in ("lo", "ri") and not (isinstance(strategy, int) and strategy >= 0):
+        raise ValueError(f"unknown strategy: {strategy!r}")
     memo: _Memo = {}
     if strategy != "lo":
         red = _Rescan(t, rules, strategy, memo)

@@ -262,6 +262,17 @@ def test_normalize_rejects_nonpositive_fuel():
         normalize(parse_term("x"), FULL, "lo", 0)
 
 
+@pytest.mark.parametrize("strategy", [-1, -2, "rl", "index:0"])
+def test_an_unknown_strategy_is_rejected_not_read_as_a_normal_form(strategy):
+    # (\x. x) y has a redex: a negative index must not read as a normal form
+    t = parse_term(r"(\x. x) y")
+    with pytest.raises(ValueError, match="unknown strategy"):
+        normalize(t, FULL, strategy)
+    with pytest.raises(ValueError, match="unknown strategy"):
+        step(t, FULL, strategy)
+    assert normalize(t, FULL, 0)[1].steps and step(t, FULL, 0) is not None
+
+
 @pytest.mark.parametrize("strategy", ["lo", "ri"])
 def test_running_out_of_fuel_contracts_no_extra_redex(monkeypatch, capsys, strategy):
     # the exhaustion check only asks whether a redex is left

@@ -4,23 +4,28 @@
 check a suite makes is wrong on every k-th call, or the fuel is starved,
 so the failing and inconclusive branches of every suite, and the text
 they report, are pinned as well.  The digests were recorded before the
-suites became generators of trial outcomes.  A check that raises fails its
-trial, and the report goes on.
+suites became generators of trial outcomes, and still hold now that each
+suite is a draw and a check.  A check that raises fails its trial on the
+trial's own term and context, and the report goes on; a draw that raises
+has no term to show, so its failure shows `-` and the draws start again.
 """
 
 from __future__ import annotations
 
 import hashlib
+from random import Random
 
 import pytest
 
-from exsub import suites
+from exsub import rewrite, suites
 from exsub.cli import main
+from exsub.debruijn import print_db
 from exsub.generators import GenConfig
-from exsub.judgements import NotDerivable
+from exsub.judgements import NotDerivable, derive
 from exsub.normalforms import ContainsBlock
 from exsub.suites import run_suite
-from exsub.syntax import parse_term
+from exsub.syntax import parse_context, parse_term
+from exsub.terms import Comp, Lam
 
 CFG = dict(seed=1, count=60, size=30)
 
@@ -127,8 +132,8 @@ def test_report_of_a_starved_suite(suite, fuel, digest):
 
 
 def test_a_check_that_raises_fails_its_trial_and_the_suite_goes_on(monkeypatch, capsys):
-    # the check raises on its fifth call only; the suite starts again on
-    # the same Random and runs every trial that is left
+    # the check raises on its fifth call only; the failure shows the drawn
+    # term and context, and the draws go on to every trial that is left
     calls, real = [0], suites.derive
 
     def derive(*args):
@@ -141,7 +146,7 @@ def test_a_check_that_raises_fails_its_trial_and_the_suite_goes_on(monkeypatch, 
     report = run_suite("translation-simulation", GenConfig(**CFG))
     assert report.trials == CFG["count"]
     assert [(f.term, f.context, f.detail) for f in report.failures] == [
-        ("-", "-", "raised NotDerivable: forced")]
+        (r"[[\z. z/y] * y/z] * \w. W w * [z z/w] * w", "{}", "raised NotDerivable: forced")]
     assert report.passes + len(report.failures) + report.inconclusives == report.trials
     assert report.to_text().count("FAIL trial") == 1
 
@@ -151,3 +156,47 @@ def test_a_check_that_raises_fails_its_trial_and_the_suite_goes_on(monkeypatch, 
     out, err = capsys.readouterr()
     assert out.strip() == report.to_text()
     assert err == ""
+
+
+def test_every_trial_that_raises_under_a_wrong_rule_keeps_its_term(monkeypatch):
+    # Lambda without its lift: [s] * \x. a -> \x. [s] * a.  About half of
+    # the failing trials raise, because the contractum no longer derives.
+    monkeypatch.setitem(rewrite._CONTRACT, rewrite.LAMBDA,
+                        lambda t, _: Lam(t.body.var, Comp(t.sub, t.body.body)))
+    report = run_suite("translation-simulation", GenConfig(seed=0, count=200))
+    assert [f.trial for f in report.failures] == [
+        1, 4, 21, 48, 53, 59, 75, 76, 77, 83, 99, 100, 101, 112, 113, 118, 129, 135,
+        154, 159, 167, 172, 183, 187]
+    raised = [f for f in report.failures if f.detail.startswith("raised ")]
+    assert [f.trial for f in raised] == [4, 21, 59, 75, 76, 100, 112, 113, 159, 167, 187]
+    assert all("-" not in (f.term, f.context) for f in report.failures)
+    for f in raised:
+        derive(parse_context(f.context), parse_term(f.term))
+
+
+def test_a_draw_that_raises_fails_with_no_term_and_the_draws_start_again(monkeypatch):
+    # the per-redex draw scans each term it draws; recorded before the
+    # suites were split into a draw and a check
+    monkeypatch.setattr(suites, "db_find_redexes",
+                        wrong_every(3, suites.db_find_redexes, RuntimeError("forced")))
+    report = run_suite("upsilon-weights", GenConfig(**CFG))
+    assert len(report.failures) == 23
+    assert {(f.term, f.context, f.detail) for f in report.failures} == {
+        ("-", "-", "raised RuntimeError: forced")}
+    assert sha256(report.dumps()) == (
+        "b210edea9f33bd5b569a1798f48883a66ef872bd7d836209b573e81d5d90fb5b")
+
+
+def test_a_join_lemmas_trial_that_raises_shows_its_first_pair(monkeypatch):
+    # every trial normalizes ten sides, so each one reaches a raise before
+    # its check draws anything: the draws alone replay the trials
+    monkeypatch.setattr(suites, "upsilon_nf",
+                        wrong_every(9, suites.upsilon_nf, RuntimeError("forced")))
+    cfg = GenConfig(**CFG)
+    report = run_suite("join-lemmas", cfg)
+    assert len(report.failures) == cfg.count
+    trials = suites._join_pairs(cfg, Random(cfg.seed))
+    for f in report.failures:
+        left, right, *_ = next(trials)
+        assert (f.term, f.context, f.detail) == (
+            print_db(left), print_db(right), "raised RuntimeError: forced")
