@@ -26,7 +26,8 @@ from .debruijn import UPSILON, UPSILON2, equiv_alpha, equiv_gamma, print_db, tra
 from .freevars import fv
 from .generators import GenConfig
 from .judgements import IllFormed, NotDerivable, derive, format_derivation, is_good, well_formed
-from .normalforms import ContainsBlock, is_sigma_nf, to_pure
+from .normalforms import is_sigma_nf
+from .pure import is_pure
 from .rewrite import RULE_SETS, Strategy, Trace, _stream
 from .suites import SUITES, run_suite
 from .syntax import ParseError, parse_context, parse_term, print_term
@@ -123,13 +124,8 @@ def cmd_equiv(args) -> int:
 def cmd_nf(args) -> int:
     t = parse_term(args.term)
     sigma = is_sigma_nf(t)
-    try:
-        to_pure(t)
-        pure = True
-    except ContainsBlock:
-        pure = False
     print(f"sigma-nf: {'yes' if sigma else 'no'}")
-    print(f"pure: {'yes' if pure else 'no'}")
+    print(f"pure: {'yes' if is_pure(t) else 'no'}")
     return 0 if sigma else 1
 
 

@@ -97,6 +97,7 @@ class DLift(Value):
 
 DBTerm = FreeName | One | DApp | DLam | DBoldLam | DComp
 DBSub = DSlash | DShift | DId | DLift
+_NODES = frozenset(DBTerm.__args__ + DBSub.__args__)
 
 DB_BETA = "Beta"
 DB_APP = "App"
@@ -271,7 +272,7 @@ def db_normalize_upsilon(a: DBTerm) -> DBTerm:
 # push `s` through the normal body `b` (`(_INTO, s, b)`).  A task `(cls,)`
 # rebuilds a node of class `cls` from the results on top.
 _PUSH, _ONTO, _INTO = "push", "onto", "into"
-_LEAVES = frozenset((FreeName, One, DShift, DId))
+_LEAVES = frozenset(c for c in _NODES if not c.CHILDREN)
 
 
 def upsilon_nf(a: DBTerm) -> DBTerm:
@@ -429,7 +430,6 @@ def equiv_alpha(a: Term, b: Term) -> bool:
     return cb.is_set and equiv_gamma(a, b, Context(ca.globals | cb.globals, ()))
 
 
-_NODES = frozenset(DBTerm.__args__ + DBSub.__args__)
 _ATOMS = frozenset((FreeName, One))
 
 # Per notation, the text of each class (but FreeName, which prints its name)

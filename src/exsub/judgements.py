@@ -141,11 +141,11 @@ def _show(node: Term | Subst) -> str:
     return print_term(node)
 
 
-def format_derivation(d: Derivation, indent: int = 0) -> str:
+def format_derivation(d: Derivation) -> str:
     """Render a derivation tree, one judgement per line, premises indented.
     The tree is walked in pre-order on an explicit stack, so a derivation
     of any depth is rendered."""
-    lines, stack = [], [(d, indent)]
+    lines, stack = [], [(d, 0)]
     while stack:
         d, indent = stack.pop()
         line = f"{'  ' * indent}{d.rule:<3} {format_context(d.ctx)} |- {_show(d.subject)}"

@@ -18,16 +18,21 @@ PureTerm = Term
 
 
 def is_pure(t: Term) -> bool:
-    match t:
-        case VarRef(_):
-            return True
-        case App(f, a):
-            return is_pure(f) and is_pure(a)
-        case Lam(_, b):
-            return is_pure(b)
-        case Comp(_, _):
-            return False
-    raise TypeError(f"not a term: {t!r}")
+    """Whether `t` holds no composition; on a stack, so at any depth."""
+    stack = [t]
+    while stack:
+        match stack.pop():
+            case VarRef(_):
+                pass
+            case App(f, a):
+                stack += (a, f)
+            case Lam(_, b):
+                stack.append(b)
+            case Comp(_, _):
+                return False
+            case u:
+                raise TypeError(f"not a term: {u!r}")
+    return True
 
 
 def pure_free_vars(t: PureTerm) -> frozenset[Var]:

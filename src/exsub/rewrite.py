@@ -37,7 +37,6 @@ list every redex of the whole term at each step.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from json.encoder import encode_basestring_ascii as _quote
@@ -46,8 +45,8 @@ from .contexts import Context
 from .freevars import _Memo, _fv
 from .syntax import LengthMemo, children_at, print_spliced, print_term
 from .terms import (App, Comp, InvalidRedex, Lam, LeftmostOutermost, Lift, Node, Path,
-                    Rename, Slash, Term, Value, Var, VarRef, Weak, _with_child,
-                    replace_at, subterm_at)
+                    Rename, Slash, Term, Value, Var, VarRef, Weak, refresh, replace_at,
+                    subterm_at)
 
 BETA = "Beta"
 APP = "App"
@@ -148,20 +147,18 @@ def _shape(t: Node) -> tuple:
     return (cls,)
 
 
-@functools.lru_cache(maxsize=None)     # one entry per rule set in use
-def _rule_table(rules: frozenset[str]) -> dict[tuple, str]:
-    return {key: r for key, r in _SHAPE_RULE.items() if r in rules}
-
-
 def _rule_finder(rules: frozenset[str], memo: _Memo) -> Callable[[Node], str | None]:
     """The function that the walks and scans call at every node: it names
     the rule of `rules` whose left-hand side matches at the root of the
-    node, or returns None.  It costs one table lookup, and for Alpha a look
-    at the binder's free-variable context, kept in `memo`."""
-    table = _rule_table(frozenset(rules))
+    node, or returns None (always at a node without children).  It costs
+    one lookup in `_SHAPE_RULE`, read afresh so that an edit of the table
+    takes effect at once, and for Alpha a look at the binder's
+    free-variable context, kept in `memo`."""
 
     def rule_at(t: Node) -> str | None:
-        r = table.get(_shape(t))
+        r = _SHAPE_RULE.get(_shape(t))
+        if r is None or r not in rules:
+            return None
         if r is ALPHA:
             c = _fv(t, memo)
             return r if c is not None and t.var in c else None
@@ -311,12 +308,12 @@ class Trace(Value):
         last step's path and where each one's text starts.  A step walks
         down from where its path leaves that one, and a node above the last
         contraction, still holding the old child, is rebuilt only once a
-        path leaves the zipper below it; so a lo step costs the same at any
-        depth, and printing builds no result.  The zipper takes in the
-        engine's own redex, whose parts the contractum holds by identity, in
-        a step linked to the one before it or to none.  Any other step (one
-        linked elsewhere, built by hand, or whose result was read) is
-        printed in full.
+        path leaves the zipper below it (`terms.refresh`, as in the walk);
+        so a lo step costs the same at any depth, and printing builds no
+        result.  The zipper takes in the engine's own redex, whose parts
+        the contractum holds by identity, in a step linked to the one
+        before it or to none.  Any other step (one linked elsewhere, built by
+        hand, or whose result was read) is printed in full.
 
         One memo of printed lengths serves the whole trace.  Its entries are
         checked by identity, and it is cleared when it holds more entries
@@ -336,10 +333,7 @@ class Trace(Value):
                 at, m = s.at, 0
                 while m < len(at) and m < len(last) and at[m] == last[m]:
                     m += 1
-                for d in range(len(last) - 1, m - 1, -1):
-                    u, f = nodes[d], nodes[d].CHILDREN[last[d]]
-                    if getattr(u, f) is not nodes[d + 1]:
-                        nodes[d] = _with_child(u, f, nodes[d + 1])
+                refresh(nodes, last, m)
                 del nodes[m + 1:], starts[m + 1:]
                 for i in at[m:]:
                     c, start = children_at(nodes[-1], starts[-1], memo)[i]

@@ -150,8 +150,8 @@ def parse_context(text: str) -> Context:
 PrintMemo = dict[int, tuple[Node, str]]
 LengthMemo = dict[int, tuple[Node, int]]
 
-_TERMS = frozenset((VarRef, App, Lam, Comp))
-_SUBSTS = frozenset((Slash, Weak, Rename, Lift))
+_TERMS = frozenset(Term.__args__)
+_SUBSTS = frozenset(Subst.__args__)
 
 
 def _expect(node, sorts: frozenset, what: str) -> None:

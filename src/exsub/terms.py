@@ -287,39 +287,47 @@ def node_size(node) -> int:
     return n
 
 
+def refresh(nodes: list, at: Path | list[int], top: int = 0) -> None:
+    """Rebuild the stale frames of a zipper, from the last node's parent up
+    to `nodes[top]`: each `nodes[k]` whose child `at[k]` is not `nodes[k + 1]`."""
+    for k in range(len(nodes) - 2, top - 1, -1):
+        parent, f = nodes[k], nodes[k].CHILDREN[at[k]]
+        if getattr(parent, f) is not nodes[k + 1]:
+            nodes[k] = _with_child(parent, f, nodes[k + 1])
+
+
 class LeftmostOutermost:
     """Leftmost-outermost reduction of one term, resumed between steps.
 
     `rule_at(node)` names the rule whose left-hand side matches at the root
-    of `node`, or returns None.  `next_redex` walks the term in the order of
-    the redex scans (outside-in, left to right) on an explicit stack of
-    (node, child position) frames and stops at the first node with a rule,
-    the focus.  The positions of the frames above the focus are its path.
-    `replace` puts the contractum in place of the focus.  The next walk
-    does not restart at the root:
+    of `node`, or returns None; it must return None at a node without
+    children, as no left-hand side of either calculus has its root there.
+    `next_redex` walks the term in the order of the redex scans
+    (outside-in, left to right) on an explicit stack of (node, child
+    position) frames and stops at the first node with a rule, the focus.
+    The positions of the frames above the focus are its path.  `replace`
+    puts the contractum in place of the focus.  The next walk does not
+    restart at the root:
 
     * A subtree the walk has finished holds no redex, and later steps do
       not change it.  A memo, keyed by id and holding the node, keeps these
-      subtrees, and the walk skips them wherever they show up again.
+      subtrees, and the walk skips them wherever they show up again.  A
+      child without children is skipped too: it is never entered.
     * Every left-hand side looks at most two levels below its root, so a
       contraction can make a new redex only at the contractum, its parent
       or its grandparent.  The walk resumes at the grandparent.
-    * A child with no children and no rule is settled where the walk
-      meets it: it goes into the memo without being entered, so no frame
-      is pushed for it and popped again.
     * A rule that reads a whole subtree is the exception.  When
       `unsettled(node)` is given, the walk asks it of every node it enters
       without a rule, and resumes at the topmost frame that answered yes
-      when that frame lies above the grandparent.  A leaf settled in place
-      is not asked: its frame would have been popped at once, so its
-      answer could never move a resume.
+      when that frame lies above the grandparent.
 
     The frames form a zipper (Huet, "The Zipper", 1997).  `replace`
     rebuilds only the frames from the focus's parent down to the frame the
     walk resumes at; the frames above it still hold the old child.  The
     walk rebuilds such a stale frame when it pops back into it, and `root`
-    rebuilds what is still stale when it is read.  A step therefore costs
-    the same however deep its redex lies.
+    rebuilds what is still stale when it is read (`refresh`, as the trace
+    printer does).  A step therefore costs the same however deep its redex
+    lies.
     """
 
     def __init__(self, root, rule_at: Callable[[object], str | None],
@@ -335,12 +343,8 @@ class LeftmostOutermost:
     @property
     def root(self):
         """The current term, with every stale frame rebuilt."""
-        nodes, nxt = self._nodes, self._next
-        for k in range(len(nodes) - 2, -1, -1):
-            parent, f = nodes[k], nodes[k].CHILDREN[nxt[k]]
-            if getattr(parent, f) is not nodes[k + 1]:
-                nodes[k] = _with_child(parent, f, nodes[k + 1])
-        return nodes[0]
+        refresh(self._nodes, self._next)
+        return self._nodes[0]
 
     @property
     def focus(self):
@@ -367,10 +371,8 @@ class LeftmostOutermost:
             kids, i = node.CHILDREN, nxt[-1]
             while i < len(kids):
                 c = getattr(node, kids[i])
-                if clean.get(id(c)) is not c:
-                    if c.CHILDREN or rule_at(c) is not None:
-                        break
-                    clean[id(c)] = c        # a leaf with no rule: settled in place
+                if c.CHILDREN and clean.get(id(c)) is not c:
+                    break
                 i += 1
             if i < len(kids):
                 nxt[-1] = i
@@ -400,6 +402,7 @@ class LeftmostOutermost:
         if marked and marked[0] < resume:
             resume = marked[0]
         nodes[depth] = new
+        # all stale: `refresh`'s checks here would cost 2% of church throughput
         for k in range(depth - 1, resume - 1, -1):
             parent = nodes[k]
             nodes[k] = _with_child(parent, parent.CHILDREN[nxt[k]], nodes[k + 1])

@@ -7,8 +7,9 @@ from random import Random
 from hypothesis import strategies as st
 
 from exsub.contexts import Context
-from exsub.debruijn import DComp, DLam, DShift, One
+from exsub.debruijn import UPSILON, DComp, DLam, DShift, One, db_apply, db_find_redexes
 from exsub.judgements import Derivation
+from exsub.rewrite import Trace, TraceStep, apply_rule, find_redexes
 from exsub.terms import (App, Comp, Lam, Lift, Rename, Slash, VarRef, Weak)
 
 NAMES = ("x", "y", "z", "w")
@@ -35,6 +36,30 @@ raw_substs = st.deferred(lambda: st.one_of(
     st.builds(Rename, var_names, var_names),
     st.builds(Lift, raw_substs, var_names),
 ))
+
+
+def oracle_normalize(t, rules, fuel):
+    """Leftmost-outermost normalization by the simplest engine: take the
+    first redex that a scan of the whole term lists, contract it with
+    `apply_rule`, repeat.  Returns the term reached, a trace whose steps
+    hold their results, and whether a redex is left after `fuel` steps,
+    as `normalize` does."""
+    cur, steps = t, []
+    for _ in range(fuel):
+        redexes = find_redexes(cur, rules)
+        if not redexes:
+            return cur, Trace(t, tuple(steps)), False
+        path, rule = redexes[0]
+        cur, fresh = apply_rule(cur, path, rule)
+        steps.append(TraceStep(rule, path, fresh, cur))
+    return cur, Trace(t, tuple(steps)), bool(find_redexes(cur, rules))
+
+
+def oracle_db_normalize(a):
+    """The upsilon normal form by the same engine over `db_find_redexes`."""
+    while redexes := db_find_redexes(a, UPSILON):
+        a = db_apply(a, *redexes[0])
+    return a
 
 
 def shifted_binders(n: int, bottom=One()):

@@ -1,5 +1,6 @@
-"""The de Bruijn rules at a node come from one shape table, and the lo walk
-settles leaves without entering them.
+"""The de Bruijn rules at a node come from one shape table.  No rule of
+either calculus matches at a node without children, and the lo walk never
+enters such a node nor asks it for a rule.
 
 The reference below is the match the table replaced, kept here as it was.
 """
@@ -14,12 +15,12 @@ from exsub.debruijn import (DB_ALPHA, DB_APP, DB_BETA, DB_LAMBDA, DB_LAMBDAP,
                             DB_LAMBDAPP, DB_LAMBDAPPP, DB_SHIFT, DB_SHIFTID,
                             DB_SHIFTLIFT, DB_VAR, DB_VARID, DB_VARLIFT, DB_XI,
                             LAMBDA_UPSILON, SYSTEM_RULES, UPSILON, UPSILON2, DApp,
-                            DBoldLam, DComp, DId, DLam, DLift, DShift, DSlash, One,
-                            _node_rules)
+                            DBoldLam, DBSub, DBTerm, DComp, DId, DLam, DLift, DShift,
+                            DSlash, FreeName, One, _node_rules)
 from exsub.freevars import _fv
 from exsub.generators import gen_db, gen_db_marked, gen_raw_term
-from exsub.rewrite import SIGMA_ALPHA, _rule_finder, apply_rule
-from exsub.terms import App, Lam, LeftmostOutermost, VarRef
+from exsub.rewrite import RULE_SETS, SIGMA_ALPHA, _rule_finder, apply_rule
+from exsub.terms import App, Lam, LeftmostOutermost, Rename, Subst, Term, VarRef, Weak
 
 
 def ref_node_rules(a, rules):
@@ -88,22 +89,56 @@ def test_first_rule_matches_the_reference_match(system):
 
 
 def test_walk_does_not_enter_leaves():
-    # `unsettled` is asked of every node the walk enters without a rule, so
-    # it sees no leaf when the root is not one
+    # `rule_at` is asked of every node the walk enters, and `unsettled` of
+    # every one entered without a rule, so neither sees a leaf when the
+    # root is not one
     rng = Random(12)
     for _ in range(300):
         memo: dict = {}
-        asked = []
+        asked, ruled = [], []
+        finder = _rule_finder(SIGMA_ALPHA, memo)
+
+        def rule_at(u):
+            ruled.append(u)
+            return finder(u)
 
         def unsettled(u):
             asked.append(u)
             return isinstance(u, Lam) and _fv(u, memo) is None
 
         t = App(VarRef("q"), gen_raw_term(rng, rng.randint(1, 18)))
-        lo = LeftmostOutermost(t, _rule_finder(SIGMA_ALPHA, memo), unsettled)
+        lo = LeftmostOutermost(t, rule_at, unsettled)
         for _ in range(50):
             picked = lo.next_redex()
             if picked is None:
                 break
             lo.replace(apply_rule(lo.focus, (), picked[1], _memo=memo)[0])
         assert asked and all(u.CHILDREN for u in asked)
+        assert ruled and all(u.CHILDREN for u in ruled)
+
+
+def leaves(classes) -> set:
+    return {c for c in classes if not c.CHILDREN}
+
+
+@pytest.mark.parametrize("name", sorted(RULE_SETS))
+def test_no_named_rule_matches_at_a_leaf(name):
+    # what the walk relies on when it passes a leaf without asking it
+    assert leaves(Term.__args__ + Subst.__args__) == {VarRef, Weak, Rename}
+    rule_at = _rule_finder(RULE_SETS[name], {})
+    rng = Random(13)
+    found = [u for _ in range(200) for u in all_nodes(gen_raw_term(rng, rng.randint(1, 18)))
+             if not u.CHILDREN]
+    found += [VarRef("x"), Weak("x"), Rename("y", "x"), Rename("x", "x")]
+    assert leaves(map(type, found)) == {VarRef, Weak, Rename}
+    assert all(rule_at(u) is None for u in found)
+
+
+@pytest.mark.parametrize("system", [UPSILON, LAMBDA_UPSILON, UPSILON2])
+def test_no_db_rule_matches_at_a_leaf(system):
+    assert leaves(DBTerm.__args__ + DBSub.__args__) == {FreeName, One, DShift, DId}
+    rules = SYSTEM_RULES[system]
+    found = [u for a in db_terms() for u in all_nodes(a) if not u.CHILDREN]
+    found += [FreeName("f"), One(), DShift(), DId()]
+    assert leaves(map(type, found)) == {FreeName, One, DShift, DId}
+    assert all(not list(_node_rules(u, rules)) for u in found)

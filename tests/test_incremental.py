@@ -1,8 +1,9 @@
 r"""Leftmost-outermost reduction that resumes next to the last contraction
 must pick the same redexes as a rescan from the root.
 
-The oracles below are the simple engines: take the first redex that the
-full scan lists, contract it with `apply_rule` (or `db_apply`), repeat.
+The oracles are the simple engines of `conftest`: take the first redex
+that the full scan lists, contract it with `apply_rule` (or `db_apply`),
+repeat.
 """
 
 from __future__ import annotations
@@ -11,34 +12,23 @@ from random import Random
 
 import pytest
 
-from exsub.debruijn import (UPSILON, DApp, DComp, DSlash, FreeName, One,
-                            db_apply, db_find_redexes, db_normalize_upsilon)
+from exsub.debruijn import (DApp, DComp, DSlash, FreeName, One, db_find_redexes,
+                            db_normalize_upsilon)
 from exsub.generators import (GenConfig, gen_db, gen_db_marked, gen_raw_term,
                               gen_simply_typed, gen_wellformed)
-from exsub.rewrite import (FULL, SIGMA, SIGMA_ALPHA, Trace, TraceStep, _rule_finder,
-                           apply_rule, find_redexes, normalize)
+from exsub.rewrite import (FULL, SIGMA, SIGMA_ALPHA, _rule_finder, apply_rule, find_redexes,
+                           normalize)
 from exsub.syntax import parse_term
 from exsub.terms import App, Lam, LeftmostOutermost, VarRef, path_indices
+
+from conftest import oracle_db_normalize, oracle_normalize
 
 RULE_SETS = {"full": FULL, "sigma": SIGMA, "sigma-alpha": SIGMA_ALPHA}
 
 
-def oracle_normalize(t, rules, fuel):
-    cur, steps = t, []
-    for _ in range(fuel):
-        redexes = find_redexes(cur, rules)
-        if not redexes:
-            return Trace(t, tuple(steps)).to_text(), False
-        path, rule = redexes[0]
-        cur, fresh = apply_rule(cur, path, rule)
-        steps.append(TraceStep(rule, path, fresh, cur))
-    return Trace(t, tuple(steps)).to_text(), bool(find_redexes(cur, rules))
-
-
-def oracle_db_normalize(a):
-    while redexes := db_find_redexes(a, UPSILON):
-        a = db_apply(a, *redexes[0])
-    return a
+def oracle_text(t, rules, fuel):
+    _, trace, exhausted = oracle_normalize(t, rules, fuel)
+    return trace.to_text(), exhausted
 
 
 def named_inputs(seed):
@@ -55,7 +45,7 @@ def test_lo_traces_match_the_rescanning_oracle(name, fuel):
     rules = RULE_SETS[name]
     for t in named_inputs(seed=fuel):
         _, trace, exhausted = normalize(t, rules, "lo", fuel)
-        assert (trace.to_text(), exhausted) == oracle_normalize(t, rules, fuel)
+        assert (trace.to_text(), exhausted) == oracle_text(t, rules, fuel)
 
 
 def test_upsilon_normal_forms_match_the_rescanning_oracle():
@@ -76,7 +66,7 @@ def test_pinned_alpha_above_the_grandparent():
     t = parse_term(PINNED)
     _, trace, exhausted = normalize(t, SIGMA_ALPHA)
     assert not exhausted
-    assert (trace.to_text(), exhausted) == oracle_normalize(t, SIGMA_ALPHA, 100)
+    assert (trace.to_text(), exhausted) == oracle_text(t, SIGMA_ALPHA, 100)
     rows = [(s.rule, path_indices(s.at), s.fresh) for s in trace.steps]
     assert len(rows) == 9
     assert rows[4] == ("W", [0, 1, 1], None)

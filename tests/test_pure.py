@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from exsub.pure import alpha_eq, classical_normalize, is_pure, pure_free_vars, substitute
 from exsub.syntax import parse_term, print_term
-from exsub.terms import Lam, VarRef
+from exsub.terms import Comp, Lam, VarRef, Weak
 
 
 def test_identity_application():
@@ -53,3 +53,17 @@ def test_alpha_eq():
 def test_is_pure():
     assert is_pure(parse_term(r"\x. x y"))
     assert not is_pure(parse_term("W x * y"))
+
+
+def test_is_pure_answers_10_to_the_4_binders_deep():
+    for bottom, pure in ((VarRef("x"), True), (Comp(Weak("x"), VarRef("y")), False)):
+        t = bottom
+        for _ in range(10**4):
+            t = Lam("x", t)
+        try:
+            got = is_pure(t)
+        except RecursionError:
+            # pytest's report of a traceback this deep compares the locals
+            # of every frame, each holding a deep term, which takes minutes
+            got = "RecursionError"
+        assert got is pure

@@ -28,7 +28,8 @@ from exsub.freevars import _fv
 from exsub.generators import GenConfig, gen_db, gen_db_marked, gen_raw_term, gen_wellformed
 from exsub.rewrite import (ALL_RULES, ALPHA, APP, BETA, FULL, IDSHIFT, IDSHIFTP, IDVAR,
                            LAMBDA, LIFTSHIFT, LIFTSHIFTP, LIFTVAR, SHIFT, SHIFTP, SIGMA,
-                           SIGMA_ALPHA, VAR, W, _contract, _rule_finder, fresh_var)
+                           SIGMA_ALPHA, VAR, W, _contract, _rule_finder, find_redexes,
+                           fresh_var, normalize)
 from exsub.syntax import parse_term, print_term
 from exsub.terms import (App, Comp, InvalidRedex, Lam, LeftmostOutermost, Lift, Rename,
                          Slash, VarRef, Weak)
@@ -267,3 +268,14 @@ def test_one_fv_probe_per_binder_entry(monkeypatch):
     assert alphas and sum(entered.values()) > 1000
     assert set(probed) <= set(entered)
     assert all(n <= entered[k] for k, n in probed.items())
+
+
+def test_an_edit_of_the_shape_table_takes_effect_at_once(monkeypatch):
+    # a rule set already used keeps no copy of the table, so a mutant that
+    # patches it is seen by the next lookup
+    normalize(parse_term(r"(\x. x) ([y/x] * x)"), FULL)
+    t = parse_term("[y/x] * x")
+    assert find_redexes(t, FULL) == [((), VAR)]
+    monkeypatch.delitem(rewrite._SHAPE_RULE, (Slash, VarRef, True))
+    assert find_redexes(t, FULL) == []
+    assert find_redexes(t, SIGMA) == []
