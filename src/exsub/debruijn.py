@@ -262,7 +262,7 @@ def db_normalize_upsilon(a: DBTerm) -> DBTerm:
     rules = SYSTEM_RULES[UPSILON]
     lo = LeftmostOutermost(a, lambda n: next(_node_rules(n, rules), None))
     while (picked := lo.next_redex()) is not None:
-        lo.replace(db_apply(lo.focus, (), picked[1]))
+        lo.replace(_DB_CONTRACT[picked[1]](lo.focus))
     return lo.root
 
 

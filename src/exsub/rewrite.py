@@ -43,7 +43,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .contexts import Context
 from .freevars import _Memo, _fv
-from .syntax import LengthMemo, children_at, print_spliced, print_term
+from .syntax import LengthMemo, _length, child_spans, print_spliced, print_term
 from .terms import (App, Comp, InvalidRedex, Lam, LeftmostOutermost, Lift, Node, Path,
                     Rename, Slash, Term, Value, Var, VarRef, Weak, refresh, replace_at,
                     subterm_at)
@@ -223,20 +223,24 @@ _CONTRACT: dict[str, Callable[[Node, _Memo], Term]] = {
 }
 
 
-def _contract(t: Term, rule: str, memo: _Memo) -> tuple[Term, Var | None]:
-    if _SHAPE_RULE.get(_shape(t)) != rule:
+def _contract(t: Term, rule: str, memo: _Memo,
+              matched: bool = False) -> tuple[Term, Var | None]:
+    if not matched and _SHAPE_RULE.get(_shape(t)) != rule:
         raise InvalidRedex(f"rule {rule} does not match {print_term(t)}")
     new = _CONTRACT[rule](t, memo)
     return new, (new.var if rule == ALPHA else None)
 
 
-def apply_rule(t: Term, at: Path, rule: str, *,
-               _memo: _Memo | None = None) -> tuple[Term, Var | None]:
+def apply_rule(t: Term, at: Path, rule: str, *, _memo: _Memo | None = None,
+               _matched: bool = False) -> tuple[Term, Var | None]:
     """Contract the redex for `rule` at `at`; returns the result and, for
-    Alpha, the fresh variable chosen."""
+    Alpha, the fresh variable chosen.  Raises InvalidRedex when the rule
+    does not match there, unless `_matched` says that the caller's rule
+    lookup has just matched it there (the engine's stream)."""
     memo = {} if _memo is None else _memo
-    sub = subterm_at(t, at)
-    new, fresh = _contract(sub, rule, memo)
+    if not at:
+        return _contract(t, rule, memo, _matched)
+    new, fresh = _contract(subterm_at(t, at), rule, memo, _matched)
     return replace_at(t, at, new), fresh
 
 
@@ -294,6 +298,23 @@ class TraceStep:
                 f"result={self.result!r})")
 
 
+def _shared(a: Path, b: Path) -> int:
+    """The length of the longest common prefix of two paths.  It compares
+    slices, not elements: one comparison when the shorter path is a prefix
+    of the longer, else a binary search."""
+    m = min(len(a), len(b))
+    if a[:m] == b[:m]:
+        return m
+    top = 0             # a[:top] == b[:top] and a[:m] != b[:m]
+    while m - top > 1:
+        mid = (top + m) // 2
+        if a[:mid] == b[:mid]:
+            top = mid
+        else:
+            m = mid
+    return top
+
+
 class Trace(Value):
     initial: Term
     steps: tuple[TraceStep, ...]
@@ -305,15 +326,19 @@ class Trace(Value):
         A step's text is the text before it with the redex's text replaced
         by the contractum's (`syntax.print_spliced`).  A zipper over the
         current term, as in `LeftmostOutermost`, holds its nodes down the
-        last step's path and where each one's text starts.  A step walks
-        down from where its path leaves that one, and a node above the last
-        contraction, still holding the old child, is rebuilt only once a
-        path leaves the zipper below it (`terms.refresh`, as in the walk);
-        so a lo step costs the same at any depth, and printing builds no
-        result.  The zipper takes in the engine's own redex, whose parts
-        the contractum holds by identity, in a step linked to the one
-        before it or to none.  Any other step (one linked elsewhere, built by
-        hand, or whose result was read) is printed in full.
+        last step's path, where each one's text starts, and how much text
+        follows it, which a step below it does not change.  A step walks
+        down from where its path leaves that one (`_shared`), and a node
+        above the last contraction, still holding the old child, is rebuilt
+        only once a path leaves the zipper below it (`terms.refresh`, as in
+        the walk); so a lo step costs the same at any depth, and printing
+        builds no result.  Walking down measures only the first child of a
+        node with two (`syntax.child_spans`), and the redex's length is
+        read off the zipper, never measured.  The zipper takes in the
+        engine's own redex, whose parts the contractum holds by identity,
+        in a step linked to the one before it or to none.  Any other step
+        (one linked elsewhere, built by hand, or whose result was read) is
+        printed in full.
 
         One memo of printed lengths serves the whole trace.  Its entries are
         checked by identity, and it is cleared when it holds more entries
@@ -324,25 +349,28 @@ class Trace(Value):
         before = self.initial
         text = print_term(before)
         yield None, text
-        nodes, starts, last = [before], [0], ()
+        nodes, starts, tails, last = [before], [0], [0], ()
         for s in self.steps:
             if s._contractum is None or (s._before is not None and s._before is not before):
                 text = print_term(s.result)
-                nodes, starts, last = [s.result], [0], ()
+                nodes, starts, tails, last = [s.result], [0], [0], ()
             else:
-                at, m = s.at, 0
-                while m < len(at) and m < len(last) and at[m] == last[m]:
-                    m += 1
+                at, old, new = s.at, s._redex, s._contractum
+                m = _shared(at, last)
                 refresh(nodes, last, m)
-                del nodes[m + 1:], starts[m + 1:]
+                del nodes[m + 1:], starts[m + 1:], tails[m + 1:]
                 for i in at[m:]:
-                    c, start = children_at(nodes[-1], starts[-1], memo)[i]
+                    end = len(text) - tails[-1]
+                    c, start, end = child_spans(nodes[-1], starts[-1], end, memo)[i]
                     nodes.append(c)
                     starts.append(start)
+                    tails.append(len(text) - end)
+                memo[id(old)] = old, len(text) - tails[-1] - starts[-1]
                 text, starts[-1] = print_spliced(
                     text, starts[-1], nodes[-2] if at else None,
-                    at[-1] if at else 0, s._redex, s._contractum, memo)
-                nodes[-1], last = s._contractum, at
+                    at[-1] if at else 0, old, new, memo)
+                tails[-1] = len(text) - starts[-1] - _length(new, memo)
+                nodes[-1], last = new, at
             if len(memo) > len(text):
                 memo.clear()
             yield s, text
@@ -443,10 +471,14 @@ def _stream(t: Term, rules: frozenset[str], strategy: Strategy
 
 
 def _steps(red: LeftmostOutermost | _Rescan, memo: _Memo) -> Iterator[TraceStep]:
+    """The steps of `red`, each made when it is asked for.  Its rule lookup
+    has just matched the rule at the redex, so the contraction is not
+    checked again: `apply_rule` reads the rule's entry in `_CONTRACT` at
+    each step, and an edit of the table takes effect at once."""
     while (picked := red.next_redex()) is not None:
         path, rule = picked
         redex = red.focus
-        new, fresh = apply_rule(redex, (), rule, _memo=memo)
+        new, fresh = apply_rule(redex, (), rule, _memo=memo, _matched=True)
         s = TraceStep(rule, path, fresh, red.replace(new))
         s._redex, s._contractum = redex, new
         yield s

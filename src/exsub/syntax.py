@@ -217,8 +217,8 @@ def _print(root, memo: PrintMemo | None, parts=None) -> str:
             out.append(u)
         elif cls is VarRef:
             out.append(u.name)
-        elif memo is not None and id(u) in memo and memo[id(u)][0] is u:
-            out.append(memo[id(u)][1])
+        elif memo is not None and (hit := memo.get(id(u))) is not None and hit[0] is u:
+            out.append(hit[1])
         else:
             stack += parts(u)
     return "".join(out)
@@ -259,19 +259,33 @@ def _length(root: Node, memo: LengthMemo) -> int:
     return sum(out)
 
 
+def child_spans(u, start: int, end: int, memo: LengthMemo) -> list[tuple[Node, int, int]]:
+    """The children of `u`, in the order of its ``CHILDREN``, each with
+    where its text starts and ends when the text of `u` spans `start` to
+    `end`.  Every child but the last is measured; the last one ends where
+    `u` does, less the literal text after it.  `memo` records printed
+    lengths (see `_length`)."""
+    found, tail, c = [], 0, None
+    for p in reversed(_parts(u)):
+        if type(p) is str:
+            start += len(p)
+            tail += len(p)
+        else:
+            if c is not None:
+                n = _length(c, memo)
+                found.append((c, at, at + n))
+                start += n
+            c, at, tail = p, start, 0
+    if c is not None:
+        found.append((c, at, end - tail))
+    return found
+
+
 def children_at(u, at: int, memo: LengthMemo) -> list[tuple[Node, int]]:
     """The children of `u`, in the order of its ``CHILDREN``, each with where
     its text starts when the text of `u` starts at `at`.  `memo` records
     printed lengths (see `_length`)."""
-    found = []
-    for p in reversed(_parts(u)):
-        if type(p) is str:
-            at += len(p)
-        else:
-            if found:
-                at += _length(found[-1][0], memo)
-            found.append((p, at))
-    return found
+    return [(c, start) for c, start, _ in child_spans(u, at, at + _length(u, memo), memo)]
 
 
 def print_term(t: Term) -> str:
@@ -291,20 +305,28 @@ def print_spliced(text: str, start: int, parent: Node | None, k: int, old: Node,
 
     `parent` is the node above `old`, whose child `k` it is, or None at
     the root; only the parentheses of that slot are chosen afresh.  `new`
-    is printed around the texts of the children and grandchildren of
-    `old`, the parts a rule's contractum reuses, cut out of `text`.  `memo`
-    records printed lengths (see `_length`), that of `new` included.
+    is printed by the printer core around the texts of the children and
+    grandchildren of `old`, the parts a rule's contractum reuses, cut out
+    of `text`.  A contractum without children reuses none, and nothing is
+    cut.  Finding where those parts end measures only the first child of
+    each node with two (`child_spans`); the length of `old` comes from
+    `memo`, and is measured only when `memo` lacks it.  `memo` records
+    printed lengths (see `_length`), that of `new` included.
     """
     sort = _TERMS if type(old) in _TERMS else _SUBSTS
     _expect(new, sort, "term" if sort is _TERMS else "substitution")
     end = start + _length(old, memo)
-    cut: PrintMemo = {}
-    for c, at in children_at(old, start, memo):
-        for g, at_g in [(c, at)] + children_at(c, at, memo):
-            if g.CHILDREN:
-                cut[id(g)] = (g, text[at_g:at_g + _length(g, memo)])
-    out = _print(new, cut)
+    cut: PrintMemo | None = None
     if new.CHILDREN:
+        cut = {}
+        for c, s, e in child_spans(old, start, end, memo):
+            if c.CHILDREN:
+                cut[id(c)] = c, text[s:e]
+                for g, s_g, e_g in child_spans(c, s, e, memo):
+                    if g.CHILDREN:
+                        cut[id(g)] = g, text[s_g:e_g]
+    out = _print(new, cut)
+    if cut is not None:
         memo[id(new)] = (new, len(out))
     if type(parent) is App:
         if _in_parens(k, old):
