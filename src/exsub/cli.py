@@ -7,7 +7,8 @@ fv, normalize, reduce and nf answer input of any depth; check, good,
 translate, equiv and reduce --context derive, and exit 2 on input nested
 deeper than Python's recursion limit lets them.  reduce and normalize read
 the engine's stream of steps and keep no step: reduce writes each step as
-it is printed, and normalize keeps only the current term.  A reader that
+it is printed, and normalize keeps only the current term and the engine's
+memos, which grow with the steps when they create binders.  A reader that
 closes the output early has chosen to stop: the command exits 0 and writes
 nothing on stderr.
 """
@@ -48,13 +49,9 @@ def _strategy(text: str) -> Strategy:
     """Argument type of --strategy: lo, ri, or index:K with K >= 0."""
     if text in ("lo", "ri"):
         return text
-    if text.startswith("index:"):
-        try:
-            k = int(text.removeprefix("index:"))
-        except ValueError:
-            k = -1
-        if k >= 0:
-            return k
+    k = text.removeprefix("index:")
+    if k != text and k.isascii() and k.isdigit():     # int() takes signs and spaces too
+        return int(k)
     raise argparse.ArgumentTypeError(f"expected lo, ri, or index:K with K >= 0, got {text!r}")
 
 
@@ -222,8 +219,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ill-formed: {e}")
         return 1
     except RecursionError:
-        # derive and translate recurse once or more per level, and so does
-        # == on their results
+        # derive and translate recurse once or more per level
         print("error: input nested too deeply for this command "
               f"(Python's recursion limit is {sys.getrecursionlimit()})", file=sys.stderr)
         return 2

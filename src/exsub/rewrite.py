@@ -43,9 +43,9 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .contexts import Context
 from .freevars import _Memo, _fv
-from .syntax import LengthMemo, _length, child_spans, print_spliced, print_term
-from .terms import (App, Comp, InvalidRedex, Lam, LeftmostOutermost, Lift, Node, Path,
-                    Rename, Slash, Term, Value, Var, VarRef, Weak, refresh, replace_at,
+from .syntax import LengthMemo, child_spans, print_spliced, print_term
+from .terms import (UNSETTLED, App, Comp, InvalidRedex, Lam, LeftmostOutermost, Lift, Node,
+                    Path, Rename, Slash, Term, Value, Var, VarRef, Weak, refresh, replace_at,
                     subterm_at)
 
 BETA = "Beta"
@@ -153,7 +153,10 @@ def _rule_finder(rules: frozenset[str], memo: _Memo) -> Callable[[Node], str | N
     node, or returns None (always at a node without children).  It costs
     one lookup in `_SHAPE_RULE`, read afresh so that an edit of the table
     takes effect at once, and for Alpha a look at the binder's
-    free-variable context, kept in `memo`."""
+    free-variable context, kept in `memo`.  A binder whose context is
+    undefined answers `UNSETTLED`: a step below it may make that context
+    defined, and the binder an Alpha redex (a defined context only
+    shrinks)."""
 
     def rule_at(t: Node) -> str | None:
         r = _SHAPE_RULE.get(_shape(t))
@@ -161,7 +164,9 @@ def _rule_finder(rules: frozenset[str], memo: _Memo) -> Callable[[Node], str | N
             return None
         if r is ALPHA:
             c = _fv(t, memo)
-            return r if c is not None and t.var in c else None
+            if c is None:
+                return UNSETTLED
+            return r if t.var in c else None
         return r
     return rule_at
 
@@ -173,7 +178,7 @@ def _iter_redexes(t: Node, rules: frozenset[str], path: Path,
     while stack:
         node, p = stack.pop()
         r = rule_at(node)
-        if r is not None:
+        if r:
             yield p, r
         i = len(node.CHILDREN)
         while i:
@@ -186,12 +191,11 @@ def _iter_redexes(t: Node, rules: frozenset[str], path: Path,
 _iter_sub_redexes = _iter_redexes
 
 
-def find_redexes(t: Term, rules: frozenset[str] = FULL, *,
-                 _memo: _Memo | None = None) -> list[tuple[Path, str]]:
+def find_redexes(t: Term, rules: frozenset[str] = FULL) -> list[tuple[Path, str]]:
     """Every position where a rule's left-hand shape matches, outside-in,
     left to right.  Alpha matches a binder `\\x. A` only when the term's
     free-variable context is defined and contains x."""
-    return list(_iter_redexes(t, rules, (), {} if _memo is None else _memo))
+    return list(_iter_redexes(t, rules, (), {}))
 
 
 def _alpha(t: Lam, memo: _Memo) -> Lam:
@@ -333,8 +337,9 @@ class Trace(Value):
         only once a path leaves the zipper below it (`terms.refresh`, as in
         the walk); so a lo step costs the same at any depth, and printing
         builds no result.  Walking down measures only the first child of a
-        node with two (`syntax.child_spans`), and the redex's length is
-        read off the zipper, never measured.  The zipper takes in the
+        node with two (`syntax.child_spans`).  The zipper alone holds the
+        redex's extent: it hands the splice where the redex's text starts
+        and ends, and takes back the contractum's.  The zipper takes in the
         engine's own redex, whose parts the contractum holds by identity,
         in a step linked to the one before it or to none.  Any other step
         (one linked elsewhere, built by hand, or whose result was read) is
@@ -365,11 +370,10 @@ class Trace(Value):
                     nodes.append(c)
                     starts.append(start)
                     tails.append(len(text) - end)
-                memo[id(old)] = old, len(text) - tails[-1] - starts[-1]
-                text, starts[-1] = print_spliced(
-                    text, starts[-1], nodes[-2] if at else None,
+                text, starts[-1], end = print_spliced(
+                    text, starts[-1], len(text) - tails[-1], nodes[-2] if at else None,
                     at[-1] if at else 0, old, new, memo)
-                tails[-1] = len(text) - starts[-1] - _length(new, memo)
+                tails[-1] = len(text) - end
                 nodes[-1], last = new, at
             if len(memo) > len(text):
                 memo.clear()
@@ -427,7 +431,7 @@ class _Rescan:
 
     def next_redex(self) -> tuple[Path, str] | None:
         if self._found is None:
-            redexes = find_redexes(self.root, self._rules, _memo=self._memo)
+            redexes = list(_iter_redexes(self.root, self._rules, (), self._memo))
             k = self._strategy
             if k == "ri":
                 self._found = redexes[-1] if redexes else None
@@ -450,23 +454,11 @@ def _stream(t: Term, rules: frozenset[str], strategy: Strategy
     """The reducer of `t` under the strategy, whose `root` is the current
     term, and the stream of its steps.  Each step is made when it is asked
     for and is linked to no step before it, so the stream keeps none."""
-    if strategy not in ("lo", "ri") and not (isinstance(strategy, int) and strategy >= 0):
+    if strategy not in ("lo", "ri") and not (type(strategy) is int and strategy >= 0):
         raise ValueError(f"unknown strategy: {strategy!r}")
     memo: _Memo = {}
-    if strategy != "lo":
-        red = _Rescan(t, rules, strategy, memo)
-        return red, _steps(red, memo)
-    # Alpha at a binder depends on its whole body.  A binder whose
-    # free-variable context is defined is well-formed, and a step below it
-    # only shrinks that context, so it gains no Alpha redex; one whose
-    # context is undefined may gain one when a step makes it defined.
-    unsettled = None
-    if ALPHA in rules:
-        # The walk asks this of a node only after asking its rule, which
-        # has put a binder's context in the memo.
-        def unsettled(u: Node) -> bool:
-            return type(u) is Lam and memo[id(u)][1] is None
-    red = LeftmostOutermost(t, _rule_finder(rules, memo), unsettled)
+    red = (LeftmostOutermost(t, _rule_finder(rules, memo)) if strategy == "lo"
+           else _Rescan(t, rules, strategy, memo))
     return red, _steps(red, memo)
 
 

@@ -281,13 +281,6 @@ def child_spans(u, start: int, end: int, memo: LengthMemo) -> list[tuple[Node, i
     return found
 
 
-def children_at(u, at: int, memo: LengthMemo) -> list[tuple[Node, int]]:
-    """The children of `u`, in the order of its ``CHILDREN``, each with where
-    its text starts when the text of `u` starts at `at`.  `memo` records
-    printed lengths (see `_length`)."""
-    return [(c, start) for c, start, _ in child_spans(u, at, at + _length(u, memo), memo)]
-
-
 def print_term(t: Term) -> str:
     _expect(t, _TERMS, "term")
     return _print(t, None)
@@ -298,10 +291,11 @@ def print_subst(s: Subst) -> str:
     return _print(s, None)
 
 
-def print_spliced(text: str, start: int, parent: Node | None, k: int, old: Node,
-                  new: Node, memo: LengthMemo) -> tuple[str, int]:
-    """`text` with the text of `old`, which starts at offset `start`,
-    replaced by the text of `new`, and where the text of `new` starts.
+def print_spliced(text: str, start: int, end: int, parent: Node | None, k: int, old: Node,
+                  new: Node, memo: LengthMemo) -> tuple[str, int, int]:
+    """`text` with the text of `old`, which spans offsets `start` to `end`,
+    replaced by the text of `new`, and where the text of `new` starts and
+    ends.
 
     `parent` is the node above `old`, whose child `k` it is, or None at
     the root; only the parentheses of that slot are chosen afresh.  `new`
@@ -309,13 +303,11 @@ def print_spliced(text: str, start: int, parent: Node | None, k: int, old: Node,
     grandchildren of `old`, the parts a rule's contractum reuses, cut out
     of `text`.  A contractum without children reuses none, and nothing is
     cut.  Finding where those parts end measures only the first child of
-    each node with two (`child_spans`); the length of `old` comes from
-    `memo`, and is measured only when `memo` lacks it.  `memo` records
-    printed lengths (see `_length`), that of `new` included.
+    each node with two (`child_spans`).  `memo` records printed lengths
+    (see `_length`), that of `new` included.
     """
     sort = _TERMS if type(old) in _TERMS else _SUBSTS
     _expect(new, sort, "term" if sort is _TERMS else "substitution")
-    end = start + _length(old, memo)
     cut: PrintMemo | None = None
     if new.CHILDREN:
         cut = {}
@@ -332,5 +324,5 @@ def print_spliced(text: str, start: int, parent: Node | None, k: int, old: Node,
         if _in_parens(k, old):
             start, end = start - 1, end + 1
         if _in_parens(k, new):
-            return f"{text[:start]}({out}){text[end:]}", start + 1
-    return text[:start] + out + text[end:], start
+            return f"{text[:start]}({out}){text[end:]}", start + 1, start + 1 + len(out)
+    return text[:start] + out + text[end:], start, start + len(out)

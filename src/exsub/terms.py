@@ -296,18 +296,24 @@ def refresh(nodes: list, at: Path | list[int], top: int = 0) -> None:
             nodes[k] = _with_child(parent, f, nodes[k + 1])
 
 
+# What `rule_at` answers at a node with no redex at its root but whose
+# rule may yet match there after a step below it (see `LeftmostOutermost`).
+UNSETTLED = ""
+
+
 class LeftmostOutermost:
     """Leftmost-outermost reduction of one term, resumed between steps.
 
     `rule_at(node)` names the rule whose left-hand side matches at the root
-    of `node`, or returns None; it must return None at a node without
-    children, as no left-hand side of either calculus has its root there.
-    `next_redex` walks the term in the order of the redex scans
-    (outside-in, left to right) on an explicit stack of (node, child
-    position) frames and stops at the first node with a rule, the focus.
-    The positions of the frames above the focus are its path.  `replace`
-    puts the contractum in place of the focus.  The next walk does not
-    restart at the root:
+    of `node`; or answers `UNSETTLED`, the empty string, when none matches
+    but a step below `node` may make one match; or returns None.  It must
+    return None at a node without children, as no left-hand side of either
+    calculus has its root there.  `next_redex` walks the term in the order
+    of the redex scans (outside-in, left to right) on an explicit stack of
+    (node, child position) frames and stops at the first node with a rule,
+    the focus.  The positions of the frames above the focus are its path.
+    `replace` puts the contractum in place of the focus.  The next walk
+    does not restart at the root:
 
     * A subtree the walk has finished holds no redex, and later steps do
       not change it.  A memo, keyed by id and holding the node, keeps these
@@ -316,10 +322,11 @@ class LeftmostOutermost:
     * Every left-hand side looks at most two levels below its root, so a
       contraction can make a new redex only at the contractum, its parent
       or its grandparent.  The walk resumes at the grandparent.
-    * A rule that reads a whole subtree is the exception.  When
-      `unsettled(node)` is given, the walk asks it of every node it enters
-      without a rule, and resumes at the topmost frame that answered yes
-      when that frame lies above the grandparent.
+    * A rule that reads a whole subtree is the exception.  The walk keeps
+      the depth of the topmost frame it entered that answered `UNSETTLED`,
+      until it leaves that frame, and resumes there when it lies above the
+      grandparent.  A deeper such frame needs no depth of its own: the
+      walk leaves it before the topmost one.
 
     The frames form a zipper (Huet, "The Zipper", 1997).  `replace`
     rebuilds only the frames from the focus's parent down to the frame the
@@ -330,13 +337,11 @@ class LeftmostOutermost:
     lies.
     """
 
-    def __init__(self, root, rule_at: Callable[[object], str | None],
-                 unsettled: Callable[[object], bool] | None = None):
+    def __init__(self, root, rule_at: Callable[[object], str | None]):
         self._rule_at = rule_at
-        self._unsettled = unsettled
         self._nodes = [root]    # the path from the root to the walk's position
         self._next: list[int] = []      # per frame: the child being walked
-        self._marked: list[int] = []    # depths of unsettled frames, ascending
+        self._unsettled: int | None = None  # depth of the topmost unsettled frame
         self._clean: dict[int, object] = {}
         self._found: tuple[Path, str] | None = None
 
@@ -362,11 +367,11 @@ class LeftmostOutermost:
             node = nodes[-1]
             if len(nxt) < len(nodes):       # entering `node`
                 rule = rule_at(node)
-                if rule is not None:
+                if rule:
                     self._found = tuple(nxt), rule
                     return self._found
-                if self._unsettled is not None and self._unsettled(node):
-                    self._marked.append(len(nxt))
+                if rule is not None and self._unsettled is None:
+                    self._unsettled = len(nxt)
                 nxt.append(0)
             kids, i = node.CHILDREN, nxt[-1]
             while i < len(kids):
@@ -383,8 +388,8 @@ class LeftmostOutermost:
                 return None                 # the root frame stays for `root`
             nodes.pop()
             nxt.pop()
-            if self._marked and self._marked[-1] == len(nodes):
-                self._marked.pop()
+            if self._unsettled == len(nodes):
+                self._unsettled = None
             parent = nodes[-1]
             f = parent.CHILDREN[nxt[-1]]
             if getattr(parent, f) is not node:      # stale: rebuild it now
@@ -396,17 +401,16 @@ class LeftmostOutermost:
         the one the walk resumes at."""
         if self._found is None:
             raise ValueError("no redex found to replace")
-        nodes, nxt, marked = self._nodes, self._next, self._marked
+        nodes, nxt = self._nodes, self._next
         depth = len(nxt)
         resume = max(depth - 2, 0)
-        if marked and marked[0] < resume:
-            resume = marked[0]
+        if self._unsettled is not None and self._unsettled < resume:
+            resume = self._unsettled
         nodes[depth] = new
         # all stale: `refresh`'s checks here would cost 2% of church throughput
         for k in range(depth - 1, resume - 1, -1):
             parent = nodes[k]
             nodes[k] = _with_child(parent, parent.CHILDREN[nxt[k]], nodes[k + 1])
         del nodes[resume + 1:], nxt[resume:]
-        while marked and marked[-1] >= resume:
-            marked.pop()
+        self._unsettled = None      # it was at `resume` or below
         self._found = None

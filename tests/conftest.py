@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 from random import Random
 
 from hypothesis import strategies as st
 
 from exsub.contexts import Context
 from exsub.debruijn import UPSILON, DComp, DLam, DShift, One, db_apply, db_find_redexes
+from exsub.generators import GenConfig, gen_raw_term, gen_simply_typed, gen_wellformed
 from exsub.judgements import Derivation
 from exsub.rewrite import Trace, TraceStep, apply_rule, find_redexes
 from exsub.terms import (App, Comp, Lam, Lift, Rename, Slash, VarRef, Weak)
@@ -36,6 +38,52 @@ raw_substs = st.deferred(lambda: st.one_of(
     st.builds(Rename, var_names, var_names),
     st.builds(Lift, raw_substs, var_names),
 ))
+
+
+MULT = r"(\m. \n. \f. m (n f))"
+
+
+def church(n: int) -> str:
+    """The text of the Church numeral c_n."""
+    return r"(\f. \x. " + "f (" * n + "x" + ")" * n + ")"
+
+
+def numeral(n: int, bottom: str = "x") -> Lam:
+    """The term `church(n)` parses to, built without the parser; with
+    `bottom` in place of the innermost x."""
+    body = VarRef(bottom)
+    for _ in range(n):
+        body = App(VarRef("f"), body)
+    return Lam("f", Lam("x", body))
+
+
+def mult(k: int) -> App:
+    """The term `MULT` applied to c_k and c_k."""
+    m = Lam("m", Lam("n", Lam("f", App(VarRef("m"), App(VarRef("n"), VarRef("f"))))))
+    return App(App(m, numeral(k)), numeral(k))
+
+
+def all_nodes(t) -> list:
+    """Every node of `t`, of either calculus, in pre-order."""
+    out, stack = [], [t]
+    while stack:
+        u = stack.pop()
+        out.append(u)
+        stack.extend(getattr(u, f) for f in u.CHILDREN)
+    return out
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def named_inputs(seed: int, rounds: int):
+    """`rounds` times a well-formed, a simply typed and a raw named term."""
+    rng, cfg = Random(seed), GenConfig(seed=seed, size=20)
+    for _ in range(rounds):
+        yield gen_wellformed(cfg, rng)[1]
+        yield gen_simply_typed(rng, cfg)
+        yield gen_raw_term(rng, rng.randint(2, 20))
 
 
 def oracle_normalize(t, rules, fuel):

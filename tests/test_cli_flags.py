@@ -40,7 +40,9 @@ def test_smallest_positive_value_is_accepted(capsys, argv, flag):
     assert capsys.readouterr().out
 
 
-@pytest.mark.parametrize("value", ["bogus", "index:x", "index:-1", "index:", "1"])
+# int() reads a sign, spaces and non-ASCII digits, which K may not hold
+@pytest.mark.parametrize("value", ["bogus", "index:x", "index:-1", "index:", "1", "index:+1",
+                                   "index: 1", "index:\u0663"])
 def test_bad_strategy_is_usage_error(capsys, value):
     with pytest.raises(SystemExit) as exit_info:
         main(["reduce", r"(\x. x) y", "--strategy", value])

@@ -13,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import MULT, church
+
 SRC = Path(__file__).resolve().parent.parent / "src"
-C_8 = r"(\f.\x. f (f (f (f (f (f (f (f x))))))))"
-MULT = rf"(\m.\n.\f. m (n f)) {C_8} {C_8}"
 
 
 @pytest.mark.parametrize("trace", ["json", "text"])
@@ -26,7 +26,8 @@ def test_closing_the_pipe_after_one_line_exits_0_quietly(trace, tmp_path):
     with open(err, "wb") as stderr:
         proc = subprocess.Popen(
             [sys.executable, "-S", "-m", "exsub", "reduce", "--steps", "100000",
-             "--trace", trace, MULT], env=env, stdout=subprocess.PIPE, stderr=stderr)
+             "--trace", trace, f"{MULT} {church(8)} {church(8)}"],
+            env=env, stdout=subprocess.PIPE, stderr=stderr)
         first = proc.stdout.readline()
         proc.stdout.close()
         code = proc.wait(timeout=120)

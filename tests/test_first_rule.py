@@ -17,10 +17,11 @@ from exsub.debruijn import (DB_ALPHA, DB_APP, DB_BETA, DB_LAMBDA, DB_LAMBDAP,
                             LAMBDA_UPSILON, SYSTEM_RULES, UPSILON, UPSILON2, DApp,
                             DBoldLam, DBSub, DBTerm, DComp, DId, DLam, DLift, DShift,
                             DSlash, FreeName, One, _node_rules)
-from exsub.freevars import _fv
 from exsub.generators import gen_db, gen_db_marked, gen_raw_term
 from exsub.rewrite import RULE_SETS, SIGMA_ALPHA, _rule_finder, apply_rule
-from exsub.terms import App, Lam, LeftmostOutermost, Rename, Subst, Term, VarRef, Weak
+from exsub.terms import App, LeftmostOutermost, Rename, Subst, Term, VarRef, Weak
+
+from conftest import all_nodes
 
 
 def ref_node_rules(a, rules):
@@ -59,15 +60,6 @@ def ref_node_rules(a, rules):
                         yield r
 
 
-def all_nodes(a) -> list:
-    out, stack = [], [a]
-    while stack:
-        u = stack.pop()
-        out.append(u)
-        stack.extend(getattr(u, f) for f in u.CHILDREN)
-    return out
-
-
 def db_terms() -> list:
     rng = Random(31)
     terms = [gen_db(rng, rng.randint(0, 2), rng.randint(1, 20)) for _ in range(500)]
@@ -89,31 +81,25 @@ def test_first_rule_matches_the_reference_match(system):
 
 
 def test_walk_does_not_enter_leaves():
-    # `rule_at` is asked of every node the walk enters, and `unsettled` of
-    # every one entered without a rule, so neither sees a leaf when the
-    # root is not one
+    # `rule_at` is asked of every node the walk enters, so it sees no leaf
+    # when the root is not one
     rng = Random(12)
     for _ in range(300):
         memo: dict = {}
-        asked, ruled = [], []
+        ruled = []
         finder = _rule_finder(SIGMA_ALPHA, memo)
 
         def rule_at(u):
             ruled.append(u)
             return finder(u)
 
-        def unsettled(u):
-            asked.append(u)
-            return isinstance(u, Lam) and _fv(u, memo) is None
-
         t = App(VarRef("q"), gen_raw_term(rng, rng.randint(1, 18)))
-        lo = LeftmostOutermost(t, rule_at, unsettled)
+        lo = LeftmostOutermost(t, rule_at)
         for _ in range(50):
             picked = lo.next_redex()
             if picked is None:
                 break
             lo.replace(apply_rule(lo.focus, (), picked[1], _memo=memo)[0])
-        assert asked and all(u.CHILDREN for u in asked)
         assert ruled and all(u.CHILDREN for u in ruled)
 
 

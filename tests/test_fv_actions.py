@@ -21,6 +21,8 @@ from exsub.judgements import IllFormed, well_formed
 from exsub.syntax import parse_term
 from exsub.terms import App, Comp, Lam, Lift, Rename, Slash, VarRef, Weak
 
+from conftest import all_nodes
+
 C = context
 DEEP = 10_000
 
@@ -65,15 +67,6 @@ def ref_fv(t) -> Context | None:
             cb = ref_fv(b)
             return None if cb is None else cb.push(x)
     return ref_fv(ref_unfold(t))
-
-
-def nodes_of(t) -> list:
-    out, stack = [], [t]
-    while stack:
-        u = stack.pop()
-        out.append(u)
-        stack.extend(getattr(u, f) for f in u.CHILDREN)
-    return out
 
 
 def test_fv_matches_the_unfolding_on_raw_terms():
@@ -123,7 +116,7 @@ def test_memo_holds_only_nodes_of_the_term():
         t = gen_raw_term(rng, rng.randint(1, 18))
         memo: dict = {}
         fv(t, memo=memo)
-        ids = {id(u) for u in nodes_of(t)}
+        ids = {id(u) for u in all_nodes(t)}
         for key, (node, _) in memo.items():
             assert key == id(node) and key in ids
 
@@ -185,7 +178,7 @@ def test_fv_blame_blames_an_undefined_node_of_the_input():
             assert b is None
             continue
         blamed += 1
-        assert any(u is b for u in nodes_of(t))
+        assert any(u is b for u in all_nodes(t))
         assert fv(b) is None
     assert blamed > 500
 

@@ -13,7 +13,6 @@ of them alters observable output and must say so.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 from contextlib import redirect_stdout
@@ -31,6 +30,8 @@ from exsub.suites import SUITES, run_suite
 from exsub.syntax import parse_term
 from exsub.terms import path_indices
 from exsub.termination import label, lpo_gt, weight
+
+from conftest import MULT, church, sha256
 
 SUITE_DIGESTS = {
     "confluence": "9dbeea5ad73b310db771856922131f5741bb67779ceb886b351e760dfbef6c09",
@@ -64,17 +65,6 @@ SUITE_DIGESTS_SEED1 = {
         "d5799dd8514eb0a5fa8c2ac8f744fdbe655982fef0a014bc6f5730fc3397512a",
     "upsilon-weights": "40e1efef5c788cc9840559e5bd2d422cd960c78b98dfb9e2421f84e1939132eb",
 }
-
-MULT = r"(\m. \n. \f. m (n f))"
-
-
-def sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def church(n: int) -> str:
-    return r"(\f. \x. " + "f (" * n + "x" + ")" * n + ")"
-
 
 def test_every_suite_is_pinned():
     assert sorted(SUITE_DIGESTS) == sorted(SUITE_DIGESTS_SEED1) == sorted(SUITES)

@@ -5,53 +5,25 @@ every step gives.
 The oracle is the rescanning engine of `conftest`: every step contracts
 the first redex of a scan of the whole term with `apply_rule`, which
 rebuilds the spine up to the root, and every trace step holds its result.
+Whole lo traces are checked against it in `test_incremental`.
 """
 
 from __future__ import annotations
 
-from random import Random
-
 import pytest
 
 from exsub import rewrite, terms
-from exsub.debruijn import db_normalize_upsilon
-from exsub.generators import (GenConfig, gen_db, gen_db_marked, gen_raw_term,
-                              gen_simply_typed, gen_wellformed)
-from exsub.rewrite import FULL, SIGMA, SIGMA_ALPHA, TraceStep, apply_rule, normalize, step
+from exsub.rewrite import FULL, RULE_SETS, TraceStep, apply_rule, normalize, step
 from exsub.syntax import parse_term
 from exsub.terms import App, Lam, VarRef, _with_child
 
-from conftest import oracle_db_normalize, oracle_normalize
-
-RULE_SETS = {"full": FULL, "sigma": SIGMA, "sigma-alpha": SIGMA_ALPHA}
-
-
-def named_inputs(seed):
-    rng, cfg = Random(seed), GenConfig(seed=seed, size=20)
-    for _ in range(60):
-        yield gen_wellformed(cfg, rng)[1]
-        yield gen_simply_typed(rng, cfg)
-        yield gen_raw_term(rng, rng.randint(2, 20))
-
-
-@pytest.mark.parametrize("fuel", [300, 7])
-@pytest.mark.parametrize("name", sorted(RULE_SETS))
-def test_lazy_walk_matches_the_eager_walk(name, fuel):
-    # At fuel 7 many walks stop mid-term, so the normal form returned is
-    # the root read while frames above the last redex are still stale.
-    rules = RULE_SETS[name]
-    for t in named_inputs(seed=fuel):
-        nf, trace, exhausted = normalize(t, rules, "lo", fuel)
-        e_nf, e_trace, e_exhausted = oracle_normalize(t, rules, fuel)
-        assert (nf, exhausted) == (e_nf, e_exhausted)
-        assert trace == e_trace
-        assert trace.to_text() == e_trace.to_text()
+from conftest import mult, named_inputs, oracle_normalize
 
 
 @pytest.mark.parametrize("name", sorted(RULE_SETS))
 def test_results_read_last_first(name):
     rules = RULE_SETS[name]
-    for t in named_inputs(seed=11):
+    for t in named_inputs(11, 60):
         nf, trace, _ = normalize(t, rules, "lo", 300)
         _, e_trace, _ = oracle_normalize(t, rules, 300)
         if trace.steps:
@@ -63,7 +35,7 @@ def test_results_read_last_first(name):
 @pytest.mark.parametrize("name", sorted(RULE_SETS))
 def test_step_matches_the_eager_walk(name):
     rules = RULE_SETS[name]
-    for t in named_inputs(seed=5):
+    for t in named_inputs(5, 60):
         got = step(t, rules)
         _, e_trace, _ = oracle_normalize(t, rules, 1)
         if not e_trace.steps:
@@ -71,33 +43,6 @@ def test_step_matches_the_eager_walk(name):
             continue
         s = e_trace.steps[0]
         assert got == (s.result, s.rule, s.at, s.fresh)
-
-
-def test_pinned_unsettled_binder():
-    t = parse_term(r"{w y} * W w * \w. y")
-    nf, trace, exhausted = normalize(t, SIGMA_ALPHA)
-    assert (nf, trace, exhausted) == oracle_normalize(t, SIGMA_ALPHA, 10000)
-    assert [s.rule for s in trace.steps][4:6] == ["W", "Alpha"]
-
-
-def test_db_normalize_upsilon_matches_the_eager_walk():
-    rng = Random(4)
-    for _ in range(200):
-        for a in (gen_db(rng, rng.randint(0, 2), rng.randint(2, 20)),
-                  gen_db_marked(rng, rng.randint(2, 20))):
-            assert db_normalize_upsilon(a) == oracle_db_normalize(a)
-
-
-def numeral(n):
-    body = VarRef("x")
-    for _ in range(n):
-        body = App(VarRef("f"), body)
-    return Lam("f", Lam("x", body))
-
-
-def mult(k):
-    m = Lam("m", Lam("n", Lam("f", App(VarRef("m"), App(VarRef("n"), VarRef("f"))))))
-    return App(App(m, numeral(k)), numeral(k))
 
 
 @pytest.mark.parametrize("k", [4, 20])

@@ -18,10 +18,12 @@ import pytest
 from exsub import rewrite, syntax
 from exsub.cli import main
 from exsub.generators import GenConfig, gen_raw_subst, gen_raw_term, gen_wellformed
-from exsub.rewrite import FULL, SIGMA, SIGMA_ALPHA, Trace, TraceStep, normalize
-from exsub.syntax import children_at, parse_term, print_spliced, print_subst, print_term
+from exsub.rewrite import FULL, RULE_SETS, SIGMA_ALPHA, Trace, TraceStep, normalize
+from exsub.syntax import child_spans, parse_term, print_spliced, print_subst, print_term
 from exsub.terms import (App, Comp, Lam, Lift, Rename, Slash, VarRef, Weak, children,
                          node_size, path_indices, replace_at)
+
+from conftest import mult
 
 
 def spec_term(t) -> str:
@@ -61,15 +63,15 @@ def test_printer_matches_the_recursive_definition():
         assert print_subst(s) == spec_subst(s)
 
 
-def positions(t, memo):
-    """Each node of `t` with its path, its parent, its child index there and
-    where its text starts."""
-    stack = [((), None, 0, t, 0)]
+def positions(t, text, memo):
+    """Each node of `t`, whose text is `text`, with its path, its parent, its
+    child index there and where its text starts and ends."""
+    stack = [((), None, 0, t, 0, len(text))]
     while stack:
-        path, parent, k, u, start = stack.pop()
-        yield path, parent, k, u, start
-        for i, (c, at) in enumerate(children_at(u, start, memo)):
-            stack.append((path + (i,), u, i, c, at))
+        path, parent, k, u, start, end = stack.pop()
+        yield path, parent, k, u, start, end
+        for i, (c, at, to) in enumerate(child_spans(u, start, end, memo)):
+            stack.append((path + (i,), u, i, c, at, to))
 
 
 def test_spliced_printing_matches_fresh_printing():
@@ -80,7 +82,7 @@ def test_spliced_printing_matches_fresh_printing():
     for _ in range(300):
         t = gen_raw_term(rng, rng.randint(1, 30))
         text = print_term(t)
-        for path, parent, k, old, start in positions(t, memo):
+        for path, parent, k, old, start, end in positions(t, text, memo):
             if type(old) in (Slash, Weak, Rename, Lift):
                 news = [gen_raw_subst(rng, rng.randint(1, 6))]
                 news.append(Lift(news[0], "q"))
@@ -92,9 +94,11 @@ def test_spliced_printing_matches_fresh_printing():
                 news = [gen_raw_term(rng, rng.randint(1, 6)), a, App(a, b), App(b, a),
                         Lam("z", a), Comp(Slash(b, "y"), a)]
             for new in news:
-                spliced, at = print_spliced(text, start, parent, k, old, new, memo)
+                assert text[start:end] == (print_subst(old) if type(old) in (
+                    Slash, Weak, Rename, Lift) else print_term(old))
+                spliced, at, to = print_spliced(text, start, end, parent, k, old, new, memo)
                 assert spliced == print_term(replace_at(t, path, new))
-                assert spliced[at:].startswith(print_subst(new) if type(new) in (
+                assert spliced[at:to] == (print_subst(new) if type(new) in (
                     Slash, Weak, Rename, Lift) else print_term(new))
 
 
@@ -110,7 +114,7 @@ def test_printing_a_malformed_tree_is_a_type_error(bad, message):
     with pytest.raises(TypeError, match=message.replace("(", r"\(").replace(")", r"\)")):
         print_term(bad)
     with pytest.raises(TypeError):
-        print_spliced("x", 0, None, 0, VarRef("x"), bad, {})
+        print_spliced("x", 0, 1, None, 0, VarRef("x"), bad, {})
 
 
 def test_print_subst_rejects_a_term():
@@ -119,9 +123,6 @@ def test_print_subst_rejects_a_term():
 
 
 # --- traces ---------------------------------------------------------------
-
-RULE_SETS = {"full": FULL, "sigma": SIGMA, "sigma-alpha": SIGMA_ALPHA}
-
 
 def fresh_text(trace) -> str:
     lines = [print_term(trace.initial)]
@@ -267,18 +268,6 @@ def test_reduce_writes_the_trace_that_dumps_and_to_text_return(flag, strategy, c
         assert capsys.readouterr().out == trace.dumps() + "\n"
         assert main(argv + ["--trace", "text"]) == 0
         assert capsys.readouterr().out == trace.to_text() + "\n"
-
-
-def numeral(n: int):
-    body = VarRef("x")
-    for _ in range(n):
-        body = App(VarRef("f"), body)
-    return Lam("f", Lam("x", body))
-
-
-def mult(k: int):
-    m = parse_term(r"\m. \n. \f. m (n f)")
-    return App(App(m, numeral(k)), numeral(k))
 
 
 def memo_after_printing(trace, monkeypatch):

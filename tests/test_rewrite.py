@@ -23,6 +23,8 @@ from exsub.rewrite import (ALL_RULES, FULL, SIGMA, SIGMA_ALPHA, InvalidRedex,
                            step)
 from exsub.syntax import parse_term, print_term
 
+from conftest import MULT, church
+
 C = context
 
 
@@ -262,7 +264,8 @@ def test_normalize_rejects_nonpositive_fuel():
         normalize(parse_term("x"), FULL, "lo", 0)
 
 
-@pytest.mark.parametrize("strategy", [-1, -2, "rl", "index:0"])
+# bool is a subclass of int, but True is not index:1 nor False index:0
+@pytest.mark.parametrize("strategy", [-1, -2, "rl", "index:0", True, False])
 def test_an_unknown_strategy_is_rejected_not_read_as_a_normal_form(strategy):
     # (\x. x) y has a redex: a negative index must not read as a normal form
     t = parse_term(r"(\x. x) y")
@@ -275,16 +278,19 @@ def test_an_unknown_strategy_is_rejected_not_read_as_a_normal_form(strategy):
 
 @pytest.mark.parametrize("strategy", ["lo", "ri"])
 def test_running_out_of_fuel_contracts_no_extra_redex(monkeypatch, capsys, strategy):
-    # the exhaustion check only asks whether a redex is left
+    # the exhaustion check only asks whether a redex is left; every
+    # contraction, on any call path, goes through an entry of the table
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return apply_rule(*args, **kwargs)
+    def counting(contract):
+        def counted(*args):
+            calls.append(args)
+            return contract(*args)
+        return counted
 
-    monkeypatch.setattr(rewrite, "apply_rule", counting)
-    mult, c3 = r"(\m. \n. \f. m (n f))", r"(\f. \x. f (f (f x)))"
-    assert main(["reduce", f"{mult} {c3} {c3}", "--strategy", strategy,
+    for rule, contract in list(rewrite._CONTRACT.items()):
+        monkeypatch.setitem(rewrite._CONTRACT, rule, counting(contract))
+    assert main(["reduce", f"{MULT} {church(3)} {church(3)}", "--strategy", strategy,
                  "--steps", "40"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 41   # initial + 40 steps
     assert len(calls) == 40

@@ -10,8 +10,9 @@ contractum, Alpha's fresh name, or the exception and its message) must be
 the same as theirs.
 
 The lo walk under a rule set with Alpha asks for a binder's context once
-each time it enters the binder: the rule lookup asks, and the walk's
-`unsettled` question and Alpha's contraction read the memo entry it wrote.
+each time it enters the binder: the rule lookup asks, and answers
+`UNSETTLED` for a binder whose context is undefined, and Alpha's
+contraction reads the memo entry it wrote.
 """
 
 from __future__ import annotations
@@ -31,8 +32,10 @@ from exsub.rewrite import (ALL_RULES, ALPHA, APP, BETA, FULL, IDSHIFT, IDSHIFTP,
                            SIGMA_ALPHA, VAR, W, _contract, _rule_finder, find_redexes,
                            fresh_var, normalize)
 from exsub.syntax import parse_term, print_term
-from exsub.terms import (App, Comp, InvalidRedex, Lam, LeftmostOutermost, Lift, Rename,
-                         Slash, VarRef, Weak)
+from exsub.terms import (UNSETTLED, App, Comp, InvalidRedex, Lam, LeftmostOutermost, Lift,
+                         Rename, Slash, VarRef, Weak)
+
+from conftest import all_nodes
 
 
 def ref_sigma_rule(s, b) -> str | None:
@@ -68,7 +71,9 @@ def ref_root_rule(t, rules, memo) -> str | None:
             return BETA
         case Lam(x, _) if ALPHA in rules:
             c = _fv(t, memo)
-            return ALPHA if c is not None and x in c else None
+            if c is None:
+                return UNSETTLED
+            return ALPHA if x in c else None
         case Comp(s, b):
             r = ref_sigma_rule(s, b)
             return r if r in rules else None
@@ -153,15 +158,6 @@ def outcome(fn, *args) -> tuple:
         return type(e).__name__, str(e)
 
 
-def all_nodes(t) -> list:
-    out, stack = [], [t]
-    while stack:
-        u = stack.pop()
-        out.append(u)
-        stack.extend(getattr(u, f) for f in u.CHILDREN)
-    return out
-
-
 def named_terms() -> list:
     rng = Random(41)
     cfg = GenConfig(seed=41, size=14)
@@ -192,10 +188,12 @@ def test_named_rule_lookup_matches_the_reference():
                 r = rule_at[rules](u)
                 assert r == ref_root_rule(u, rules, ref_memo), (name, u)
                 found[name].add(r)
-    # every rule of each set is found somewhere
-    assert found["full"] - {None} == FULL
+    # every rule of each set is found somewhere, and a binder whose context
+    # is undefined under each set with Alpha
+    assert UNSETTLED in found["full"] and UNSETTLED in found["sigma-alpha"]
+    assert found["full"] - {None, UNSETTLED} == FULL
     assert found["sigma"] - {None} == SIGMA
-    assert found["sigma-alpha"] - {None} == SIGMA_ALPHA
+    assert found["sigma-alpha"] - {None, UNSETTLED} == SIGMA_ALPHA
 
 
 def test_named_contraction_matches_the_reference():
@@ -241,13 +239,13 @@ def test_one_fv_probe_per_binder_entry(monkeypatch):
 
     class CountingWalk(LeftmostOutermost):
         # the walk calls `rule_at` on a binder only when it enters it
-        def __init__(self, root, rule_at, unsettled=None):
+        def __init__(self, root, rule_at):
             def counted(u):
                 if type(u) is Lam:
                     entered[id(u)] += 1
                     alive.append(u)
                 return rule_at(u)
-            super().__init__(root, counted, unsettled)
+            super().__init__(root, counted)
 
     def counted_fv(t, memo):
         probed[id(t)] += 1

@@ -12,7 +12,6 @@ has no term to show, so its failure shows `-` and the draws start again.
 
 from __future__ import annotations
 
-import hashlib
 from random import Random
 
 import pytest
@@ -26,6 +25,8 @@ from exsub.normalforms import ContainsBlock
 from exsub.suites import run_suite
 from exsub.syntax import parse_context, parse_term
 from exsub.terms import Comp, Lam
+
+from conftest import sha256
 
 CFG = dict(seed=1, count=60, size=30)
 
@@ -94,10 +95,6 @@ STARVED = [
     ("oracle-equivalence", 8,
      "f177d707fe0183e01f9376e4aad60369166858f8d53bc1fd23137adde239d6ea"),
 ]
-
-
-def sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def wrong_every(k, real, wrong):

@@ -5,8 +5,9 @@ last one.
 Every entry `(node, n)` must hold `n == len(_print(node, None))` after
 every spliced step: a wrong length would put the next splice in the wrong
 place.  And the splices should rarely measure a node the memo lacks: the
-trace printer reads the redex's length off its zipper, and finding the
-parts a contractum reuses measures only first children.  On `mult c_k c_k`
+trace printer hands the splice the redex's extent off its zipper and takes
+back the contractum's, and finding the parts a contractum reuses measures
+only first children.  On `mult c_k c_k`
 that is 0.4 to 0.5 such measurements per step; measuring every redex and
 every reused part costs about 1.2, above the bound of 0.8.
 """
@@ -20,15 +21,8 @@ import pytest
 from exsub import rewrite, syntax
 from exsub.generators import GenConfig, gen_raw_term, gen_wellformed
 from exsub.rewrite import FULL, SIGMA, SIGMA_ALPHA, _shared, normalize
-from exsub.syntax import parse_term
 
-
-def church(n: int) -> str:
-    return r"(\f. \x. " + "f (" * n + "x" + ")" * n + ")"
-
-
-def mult(k: int):
-    return parse_term(rf"(\m. \n. \f. m (n f)) {church(k)} {church(k)}")
+from conftest import mult
 
 
 def check_memo_after_every_splice(trace, monkeypatch) -> int:

@@ -9,7 +9,6 @@ is the whole normalization: 488 steps at k = 8 and 956 at k = 12.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 from contextlib import redirect_stdout
@@ -19,16 +18,12 @@ import pytest
 
 from exsub.cli import main
 
-MULT = r"(\m. \n. \f. m (n f))"
+from conftest import MULT, church, sha256
 
 TEXT_DIGESTS = {
     8: "29752f944fa59935f9224547c76a4c104e8aa78833aa4362e956beda37372da3",
     12: "169b097936397e534a82f84ac64e38dd352282bd4dccecc727ad9f782b725490",
 }
-
-
-def church(n: int) -> str:
-    return r"(\f. \x. " + "f (" * n + "x" + ")" * n + ")"
 
 
 def reduce_stdout(k: int, form: str) -> str:
@@ -38,10 +33,6 @@ def reduce_stdout(k: int, form: str) -> str:
                      "--steps", "100000", "--trace", form])
     assert code == 0
     return out.getvalue()
-
-
-def sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("k", sorted(TEXT_DIGESTS))

@@ -30,7 +30,7 @@ from exsub.rewrite import SIGMA, Trace, normalize
 from exsub.suites import Failure, TrialReport, run_suite
 from exsub.terms import App, Comp, Lam, Lift, Rename, Slash, Value, VarRef, Weak
 
-from conftest import shifted_binders
+from conftest import all_nodes, numeral, shifted_binders
 
 MODULES = (contexts, debruijn, generators, judgements, rewrite, suites, syntax, terms)
 NO_DEFAULT = object()
@@ -78,15 +78,6 @@ def ref(v):
     return v
 
 
-def nodes(t):
-    out, stack = [], [t]
-    while stack:
-        n = stack.pop()
-        out.append(n)
-        stack.extend(getattr(n, f) for f in n.CHILDREN)
-    return out
-
-
 def agree(a, b=None):
     """`a` prints and hashes as its reference, and `a == b` as theirs."""
     assert repr(a) == repr(ref(a))
@@ -105,7 +96,8 @@ def samples() -> list:
     fail = Failure(3, "x", "x;", "broken", ("Beta 0 x",))
     db = DComp(DLift(DShift()), debruijn.DApp(debruijn.DLam(One()),
                                               debruijn.DBoldLam(FreeName("a"))))
-    return [*nodes(t), Weak("x"), *nodes(Lift(Rename("a", "b"), "c")), *nodes(db), debruijn.DSlash(One()), debruijn.DId(),
+    return [*all_nodes(t), Weak("x"), *all_nodes(Lift(Rename("a", "b"), "c")), *all_nodes(db),
+            debruijn.DSlash(One()), debruijn.DId(),
             ctx, derive(ctx, Lam("x", VarRef("y"))), trace, fail,
             TrialReport("s", 0, 2, 1, (fail,), 0), GenConfig(seed=5)]
 
@@ -134,9 +126,9 @@ def test_generated_terms_contexts_and_derivations_agree_with_the_reference():
         t = gen_raw_term(Random(i), size)
         twin = gen_raw_term(Random(i), size)      # equal, but built anew
         assert t == twin and t is not twin and hash(t) == hash(twin)
-        for a, b in zip(nodes(t), nodes(twin)):
+        for a, b in zip(all_nodes(t), all_nodes(twin)):
             agree(a, b)
-        for a, b in zip(nodes(t), nodes(prev)):
+        for a, b in zip(all_nodes(t), all_nodes(prev)):
             agree(a, b)
         prev = t
         for ctx in (fv(t), gen_context(rng)):
@@ -163,9 +155,9 @@ def test_generated_de_bruijn_terms_agree_with_the_reference():
         twin = gen_db_marked(rng, rng.randint(1, 40))
         assert rng.getstate() == after
         assert t == twin and t is not twin
-        for a, b in zip(nodes(t), nodes(twin)):
+        for a, b in zip(all_nodes(t), all_nodes(twin)):
             agree(a, b)
-        for a, b in zip(nodes(t), nodes(prev)):
+        for a, b in zip(all_nodes(t), all_nodes(prev)):
             agree(a, b)
         prev = t
 
@@ -298,15 +290,9 @@ def test_importing_the_cli_loads_no_dataclasses():
     assert r.stdout.strip() == "[]"
 
 
-def church(n: int, bottom: str = "x") -> Lam:
-    """The numeral c_n, as `mult c_20 c_20` normalizes to for n = 400."""
-    body = VarRef(bottom)
-    for _ in range(n):
-        body = App(VarRef("f"), body)
-    return Lam("f", Lam("x", body))
-
-
-@pytest.mark.parametrize("make, n, other", [(church, 400, "y"), (shifted_binders, 10**4, FreeName("y"))],
+# c_400 is what `mult c_20 c_20` normalizes to
+@pytest.mark.parametrize("make, n, other", [(numeral, 400, "y"),
+                                             (shifted_binders, 10**4, FreeName("y"))],
                          ids=["c_400", "10^4 binders"])
 def test_equality_and_hash_answer_past_the_recursion_limit(make, n, other):
     a, b, c = make(n), make(n), make(n, other)
@@ -316,7 +302,7 @@ def test_equality_and_hash_answer_past_the_recursion_limit(make, n, other):
 
 
 def test_the_loops_give_the_recursive_answers():
-    a = church(400)
+    a = numeral(400)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(10_000)
     try:
@@ -328,5 +314,5 @@ def test_the_loops_give_the_recursive_answers():
         assert terms._deep_hash(v) == hash(v)
         assert terms._deep_eq(v, copy.copy(v))
         assert terms._deep_eq((v, 1), (copy.deepcopy(v), 1))
-    assert not terms._deep_eq(a, church(400, "y"))
-    assert not terms._deep_eq(a, church(399))
+    assert not terms._deep_eq(a, numeral(400, "y"))
+    assert not terms._deep_eq(a, numeral(399))
