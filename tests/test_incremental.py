@@ -45,12 +45,11 @@ def test_lo_traces_match_the_rescanning_oracle(name, fuel):
 
 
 def test_upsilon_normal_forms_match_the_rescanning_oracle():
-    for seed, rounds in ((3, 300), (4, 200)):
-        rng = Random(seed)
-        for _ in range(rounds):
-            for a in (gen_db(rng, rng.randint(0, 2), rng.randint(2, 20)),
-                      gen_db_marked(rng, rng.randint(2, 20))):
-                assert db_normalize_upsilon(a) == oracle_db_normalize(a)
+    rng = Random(3)
+    for _ in range(300):
+        for a in (gen_db(rng, rng.randint(0, 2), rng.randint(2, 20)),
+                  gen_db_marked(rng, rng.randint(2, 20))):
+            assert db_normalize_upsilon(a) == oracle_db_normalize(a)
 
 
 PINNED = r"{w y} * W w * \w. y"

@@ -5,19 +5,39 @@ every step gives.
 The oracle is the rescanning engine of `conftest`: every step contracts
 the first redex of a scan of the whole term with `apply_rule`, which
 rebuilds the spine up to the root, and every trace step holds its result.
-Whole lo traces are checked against it in `test_incremental`.
+`test_incremental` checks whole lo traces with the printed trace read
+first; here every result is read before the trace is printed.
 """
 
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 
 from exsub import rewrite, terms
-from exsub.rewrite import FULL, RULE_SETS, TraceStep, apply_rule, normalize, step
+from exsub.debruijn import db_normalize_upsilon
+from exsub.generators import gen_db, gen_db_marked
+from exsub.rewrite import (FULL, RULE_SETS, SIGMA_ALPHA, TraceStep, apply_rule, normalize,
+                           step)
 from exsub.syntax import parse_term
 from exsub.terms import App, Lam, VarRef, _with_child
 
-from conftest import mult, named_inputs, oracle_normalize
+from conftest import mult, named_inputs, oracle_db_normalize, oracle_normalize
+
+
+@pytest.mark.parametrize("fuel", [300, 7])
+@pytest.mark.parametrize("name", sorted(RULE_SETS))
+def test_lazy_walk_matches_the_eager_walk(name, fuel):
+    # At fuel 7 many walks stop mid-term, so the normal form returned is
+    # the root read while frames above the last redex are still stale.
+    rules = RULE_SETS[name]
+    for t in named_inputs(fuel, 60):
+        nf, trace, exhausted = normalize(t, rules, "lo", fuel)
+        e_nf, e_trace, e_exhausted = oracle_normalize(t, rules, fuel)
+        assert (nf, exhausted) == (e_nf, e_exhausted)
+        assert trace == e_trace
+        assert trace.to_text() == e_trace.to_text()
 
 
 @pytest.mark.parametrize("name", sorted(RULE_SETS))
@@ -43,6 +63,21 @@ def test_step_matches_the_eager_walk(name):
             continue
         s = e_trace.steps[0]
         assert got == (s.result, s.rule, s.at, s.fresh)
+
+
+def test_pinned_unsettled_binder():
+    t = parse_term(r"{w y} * W w * \w. y")
+    nf, trace, exhausted = normalize(t, SIGMA_ALPHA)
+    assert (nf, trace, exhausted) == oracle_normalize(t, SIGMA_ALPHA, 10000)
+    assert [s.rule for s in trace.steps][4:6] == ["W", "Alpha"]
+
+
+def test_db_normalize_upsilon_matches_the_eager_walk():
+    rng = Random(4)
+    for _ in range(200):
+        for a in (gen_db(rng, rng.randint(0, 2), rng.randint(2, 20)),
+                  gen_db_marked(rng, rng.randint(2, 20))):
+            assert db_normalize_upsilon(a) == oracle_db_normalize(a)
 
 
 @pytest.mark.parametrize("k", [4, 20])
