@@ -13,15 +13,17 @@ construction.  Well-formedness is a separate judgement (see
 
 Every record of the package (the nodes of both calculi, contexts,
 derivations, traces, suite reports and generator settings) is a
-:class:`Value`: its fields are exactly its annotations, its constructor is
+:class:`Value`: its fields are exactly its annotations and are its
+``__slots__``, so a record has no instance ``__dict__``; its constructor is
 made for it when the class is defined, and it compares, hashes and prints by
-those fields as a frozen dataclass would.  Setting up a class costs the base
-one compiled ``__init__``, under a tenth of what ``dataclasses`` spends, and
-imports neither ``dataclasses`` nor ``inspect``.  No module imports
-``typing`` either: the unions below are written ``X | Y``,
-``typing.get_type_hints`` resolves the annotations of every record, and
-``Callable`` and ``Iterator`` appear only in annotations of functions and
-module-level names, which are never evaluated.
+those fields as a frozen dataclass would.  The constructor and the field
+tuple ``_values`` are code compiled once per number of fields, with the
+class's field names put in, so setting up a class compiles nothing once a
+class of its shape exists; it imports neither ``dataclasses`` nor
+``inspect``.  No module imports ``typing`` either: the unions below are
+written ``X | Y``, ``typing.get_type_hints`` resolves the annotations of
+every record, and ``Callable`` and ``Iterator`` appear only in annotations
+of functions and module-level names, which are never evaluated.
 
 Every node class, here and in :mod:`exsub.debruijn`, names the fields that
 hold its children, in scan order, in the plain class attribute ``CHILDREN``.
@@ -33,6 +35,9 @@ leftmost-outermost driver (:class:`LeftmostOutermost`) read only this table.
 
 from __future__ import annotations
 
+from functools import cache
+from types import FunctionType
+
 # Variable names are plain interned strings drawn from [a-z][a-zA-Z0-9_]*,
 # with the keyword "W" excluded by the lexer.
 Var = str
@@ -40,61 +45,95 @@ Var = str
 Path = tuple[int, ...]
 
 
-def _constructor(cls, fields: tuple[str, ...]):
-    """An `__init__` for `cls` that takes `fields` positionally or by name,
-    with the class attribute of the same name as a field's default, and
-    stores them straight into the instance `__dict__`."""
-    defaults = {f"_d_{f}": vars(cls)[f] for f in fields if f in vars(cls)}
-    params = [f"{f}=_d_{f}" if f"_d_{f}" in defaults else f for f in fields]
-    body = ["d = self.__dict__"] if fields else ["pass"]
-    body += [f"d[{f!r}] = {f}" for f in fields]
-    if hasattr(cls, "__post_init__"):
+@cache
+def _template(n: int, post_init: bool):
+    """The code of `__init__` and `_values` for a record of `n` fields,
+    compiled once per shape: the fields are named ``_0``, ``_1``, ..., and
+    `__init__` stores field i with the global ``_set_i``."""
+    body = [f"_set_{i}(self, _{i})" for i in range(n)]
+    if post_init:
         body.append("self.__post_init__()")
+    params = "".join(f", _{i}" for i in range(n))
+    values = "".join(f"self._{i}, " for i in range(n))
     ns: dict = {}
-    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body), defaults, ns)
-    ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
-    return ns["__init__"]
+    exec(f"def __init__(self{params}):\n    " + "\n    ".join(body)
+         + f"\ndef _values(self):\n    return ({values})", ns)
+    return ns["__init__"].__code__, ns["_values"].__code__
 
 
-class Value:
+class _Record(type):
+    """The metaclass of `Value`.  A class's annotations become its
+    `__slots__` and `__match_args__`, and a class attribute of a field's
+    name becomes that field's default.  The class gets an `__init__` that
+    takes the fields positionally or by name, stores them through the slot
+    descriptors and then calls `__post_init__` if the class has one, and
+    `_values`, the tuple of the fields: a `_template`'s code with the
+    class's field names put in, so setting up a class compiles nothing once
+    a class of its shape has been set up."""
+
+    def __new__(mcls, name, bases, ns):
+        fields = tuple(ns.get("__annotations__", ()))
+        defaults = {f: ns.pop(f) for f in fields if f in ns}
+        if tuple(defaults) != fields[len(fields) - len(defaults):]:
+            raise TypeError(f"{name}: a field without a default follows one with a default")
+        ns["__slots__"] = ns["__match_args__"] = fields
+        cls = super().__new__(mcls, name, bases, ns)
+        post_init = hasattr(cls, "__post_init__")
+        if fields or post_init:
+            init, values = _template(len(fields), post_init)
+            setters = {f"_set_{i}": getattr(cls, f).__set__ for i, f in enumerate(fields)}
+            cls.__init__ = FunctionType(init.replace(co_varnames=("self", *fields)), setters,
+                                        "__init__", tuple(defaults.values()) or None)
+            cls._values = FunctionType(values.replace(co_names=fields), setters, "_values")
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+            cls._values.__qualname__ = f"{cls.__qualname__}._values"
+        return cls
+
+
+class Value(metaclass=_Record):
     """Base of the package's immutable records.
 
     A subclass's fields are exactly its annotations, in order, and a class
     attribute that is not annotated, such as ``CHILDREN``, is no field; a
     class attribute of a field's name is its default, and a `__post_init__`
-    is called after the fields are stored.  The instance `__dict__` holds
-    exactly the fields, in order, so `==` compares two records of one class
-    by their dicts, `hash` is the hash of the tuple of field values, and
-    `repr` reads ``Name(field=value, ...)``: the same results as a frozen
-    dataclass with those fields.  Assignment and deletion raise
-    AttributeError; `__dict__` itself is written only by the constructor,
-    `__post_init__`, `copy`/`pickle` and `_with_child`.
+    is called after the fields are stored.  The fields are the class's
+    `__slots__`, and an instance has no `__dict__` of its own: `_values()`
+    is the tuple of its field values, in order, and `__dict__` (so
+    `vars(v)`) a new dict of the fields, which writing to does not change
+    the record.  `==` compares two records of one class by their
+    `_values()`, `hash` is the hash of that tuple, and `repr` reads
+    ``Name(field=value, ...)``: the same results as a frozen dataclass with
+    those fields.  `copy` and `pickle` rebuild a record by its constructor.
+    Assignment and deletion raise AttributeError.
     """
 
-    __match_args__ = ()
+    def _values(self) -> tuple:
+        return ()
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls.__match_args__ = tuple(vars(cls).get("__annotations__", ()))
-        cls.__init__ = _constructor(cls, cls.__match_args__)
+    @property
+    def __dict__(self) -> dict:
+        return dict(zip(self.__match_args__, self._values()))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         try:
-            return self.__dict__ == other.__dict__
+            return self._values() == other._values()
         except RecursionError:
             return _deep_eq(self, other)
 
     def __hash__(self) -> int:
         try:
-            return hash(tuple(self.__dict__.values()))
+            return hash(self._values())
         except RecursionError:
             return _deep_hash(self)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={v!r}" for f, v in self.__dict__.items())
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__match_args__, self._values()))
         return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -121,10 +160,7 @@ def _deep_eq(a, b) -> bool:
             if a != b:
                 return False
         elif isinstance(a, Value):
-            da, db = a.__dict__, b.__dict__
-            if da.keys() != db.keys():
-                return False
-            stack.extend((x, db[k]) for k, x in da.items())
+            stack.extend(zip(a._values(), b._values()))
         elif cls is tuple:
             if len(a) != len(b):
                 return False
@@ -152,7 +188,7 @@ def _deep_hash(v) -> int:
     stack, done = [(v, False)], []
     while stack:
         u, expanded = stack.pop()
-        items = tuple(u.__dict__.values()) if isinstance(u, Value) else u
+        items = u._values() if isinstance(u, Value) else u
         if expanded:
             n = len(items)
             hashes = done[len(done) - n:]
@@ -251,15 +287,11 @@ def subterm_at(node, path: Path):
 
 
 def _with_child(node, field: str, new):
-    """`node` with the child in `field` replaced by `new` (one level)."""
-    # A Value's __dict__ holds exactly its fields, and no node class has
-    # __slots__ or __post_init__, so a copy of the dict builds the value the
-    # constructor would, without its call.
-    copy = object.__new__(type(node))
-    d = copy.__dict__
-    d.update(node.__dict__)
-    d[field] = new
-    return copy
+    """`node` with the child in `field` replaced by `new` (one level), built
+    by its class's constructor."""
+    values = [*node._values()]
+    values[node.__match_args__.index(field)] = new
+    return type(node)(*values)
 
 
 def replace_at(node, path: Path, new):

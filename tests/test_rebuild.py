@@ -1,7 +1,8 @@
-"""A one-level rebuild copies the node's fields instead of calling its
-constructor.  That is sound only while every node class of both calculi is
-a plain frozen `Value`: no __slots__, no __post_init__, and a __dict__ that
-holds exactly its fields.
+"""A one-level rebuild calls the node's constructor with the node's field
+values, one of them replaced.  That builds the value the constructor would
+only while every node class of both calculi is a plain frozen `Value`: its
+slots are exactly its fields, it has no instance __dict__ and no
+__post_init__, and `vars` gives exactly its fields.
 """
 
 from __future__ import annotations
@@ -26,9 +27,12 @@ def test_every_node_class_is_found():
 @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
 def test_node_class_is_a_plain_frozen_dataclass(cls):
     # the name is kept from when the nodes were dataclasses; the premise
-    # is the same: a frozen record whose __dict__ holds exactly its fields
+    # is the same: a frozen record that holds exactly its fields, now in
+    # slots, with no instance __dict__
     assert issubclass(cls, Value)
-    assert not any("__slots__" in vars(k) for k in cls.__mro__)
+    slots = [s for k in cls.__mro__ for s in vars(k).get("__slots__", ())]
+    assert slots == list(cls.__match_args__)
+    assert cls.__dictoffset__ == 0
     assert not hasattr(cls, "__post_init__")
     kids = set(cls.CHILDREN)
     node = cls(*(LEAVES[terms][0] if f in kids else "x" for f in cls.__match_args__))

@@ -202,6 +202,13 @@ def test_defaults():
             GenConfig(**{bound: 0})
 
 
+def test_a_field_without_a_default_may_not_follow_one_with_a_default():
+    with pytest.raises(TypeError):
+        class Bad(Value):
+            a: int = 0
+            b: int
+
+
 @pytest.mark.parametrize("v", SAMPLES, ids=lambda v: type(v).__name__)
 def test_assignment_and_deletion_raise(v):
     before = dict(vars(v))
@@ -211,6 +218,25 @@ def test_assignment_and_deletion_raise(v):
         with pytest.raises(AttributeError):
             delattr(v, f)
     assert vars(v) == before
+
+
+def test_no_record_has_an_instance_dict():
+    for cls in FIELDS:
+        assert cls.__dictoffset__ == 0, cls.__name__
+
+
+@pytest.mark.parametrize("v", SAMPLES, ids=lambda v: type(v).__name__)
+def test_writing_into_vars_leaves_the_record_unchanged(v):
+    before, h = repr(v), hash(v)
+    outer = App(v, v)
+    held = {v, outer}
+    d = vars(v)
+    for f in FIELDS[type(v)]:
+        d[f] = "q"
+    d["extra"] = "q"
+    assert repr(v) == before and hash(v) == h
+    assert v in held and outer in held
+    assert list(vars(v)) == list(FIELDS[type(v)])
 
 
 @pytest.mark.parametrize("v", SAMPLES, ids=lambda v: type(v).__name__)
