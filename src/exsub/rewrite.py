@@ -383,23 +383,25 @@ class Trace(Value):
     def pieces(self, form: str) -> Iterator[str]:
         """The trace as `form`, "text" or "json", one piece per step, each
         written as soon as it is printed.  JSON comes from templates: with an
-        indent, `json` falls back to its pure-Python encoder."""
+        indent, `json` falls back to its pure-Python encoder.  A path's text
+        is formatted from where it leaves the path before (`_path_texts`),
+        and the JSON text of each rule name is kept."""
         if form not in ("text", "json"):
             raise ValueError(f"unknown trace form: {form!r}")
         texts = self._printed()
         if form == "text":
+            path_text = _path_texts(".")
             yield next(texts)[1]
             for s, text in texts:
-                p = ".".join(map(str, s.at)) or "-"
-                yield f"\n{s.rule}\t{p}\t{s.fresh or '-'}\t{text}"
+                yield f"\n{s.rule}\t{path_text(s.at) or '-'}\t{s.fresh or '-'}\t{text}"
             return
+        path_text = _path_texts(",\n        ")
         yield '{\n  "initial": %s,\n  "steps": [' % _quote(next(texts)[1])
         sep = ""
         for s, text in texts:
             yield _STEP_JSON % (
-                sep, _quote(s.rule),
-                "[\n        %s\n      ]" % ",\n        ".join(map(str, s.at))
-                if s.at else "[]",
+                sep, _QUOTED_RULES.get(s.rule) or _quote(s.rule),
+                "[\n        %s\n      ]" % path_text(s.at) if s.at else "[]",
                 "null" if s.fresh is None else _quote(s.fresh), _quote(text))
             sep = ","
         yield "\n  ]\n}" if sep else "]\n}"
@@ -414,6 +416,30 @@ class Trace(Value):
         """`json.dumps(self.to_json(), indent=2)`."""
         return "".join(self.pieces("json"))
 
+
+def _path_texts(sep: str) -> Callable[[Path], str]:
+    """A function from each path of a trace, in turn, to its positions
+    joined by `sep`.  Consecutive lo paths mostly share all but their last
+    one or two positions, so only the positions after the prefix a path
+    shares with the one before (`_shared`) are formatted: the text of every
+    prefix of the last path is kept."""
+    last: Path = ()
+    prefixes = [""]             # prefixes[j]: the text of last[:j]
+
+    def text(at: Path) -> str:
+        nonlocal last
+        m = _shared(at, last)
+        del prefixes[m + 1:]
+        t = prefixes[m]
+        for i in at[m:]:
+            t = f"{t}{sep}{i}" if t else str(i)
+            prefixes.append(t)
+        last = at
+        return t
+    return text
+
+
+_QUOTED_RULES = {r: _quote(r) for r in ALL_RULES}
 
 _STEP_JSON = ('%s\n    {\n      "ruleName": %s,\n      "pathAsChildIndices": %s,'
               '\n      "freshVariableOrNull": %s,\n      "printedTerm": %s\n    }')

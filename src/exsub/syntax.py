@@ -159,40 +159,52 @@ def _expect(node, sorts: frozenset, what: str) -> None:
         raise TypeError(f"not a {what}: {node!r}")
 
 
+# The classes that print without parentheses as child 0 and as child 1 of
+# an application: application is left associative, so a left App needs
+# none, and an argument needs them unless it is a variable.
+_BARE_FN, _BARE_ARG = _BARE = frozenset({VarRef, App}), frozenset({VarRef})
+
+
 def _in_parens(k: int, node) -> bool:
-    """Whether `node` prints in parentheses as child `k` of an application:
-    application is left associative, so a left App needs none, and an
-    argument needs them unless it is a variable."""
-    return type(node) is not VarRef and (k == 1 or type(node) is not App)
+    """Whether `node` prints in parentheses as child `k` of an application."""
+    return type(node) not in _BARE[k]
 
 
 def _parts(u) -> tuple:
     """The text of `u` as a stack: literal strings, and its children in place
-    of their texts, last first.  Checks the sort of each child."""
+    of their texts, last first.  Checks the sort of each child; the checks
+    and the choice of parentheses are inline, as this runs at every node
+    printed, and call `_expect` only to raise."""
     cls = type(u)
     if cls is App:
         f, a = u.fn, u.arg
-        _expect(f, _TERMS, "term")
-        _expect(a, _TERMS, "term")
-        return (((")", a, " (") if _in_parens(1, a) else (a, " "))
-                + ((")", f, "(") if _in_parens(0, f) else (f,)))
+        cf, ca = type(f), type(a)
+        if cf not in _TERMS or ca not in _TERMS:
+            _expect(f, _TERMS, "term")
+            _expect(a, _TERMS, "term")
+        return (((a, " ") if ca in _BARE_ARG else (")", a, " ("))
+                + ((f,) if cf in _BARE_FN else (")", f, "(")))
     if cls is Lam:
-        _expect(u.body, _TERMS, "term")
+        if type(u.body) not in _TERMS:
+            _expect(u.body, _TERMS, "term")
         return u.body, f"\\{u.var}. "
     if cls is Comp:
-        _expect(u.sub, _SUBSTS, "substitution")
-        _expect(u.body, _TERMS, "term")
+        if type(u.sub) not in _SUBSTS or type(u.body) not in _TERMS:
+            _expect(u.sub, _SUBSTS, "substitution")
+            _expect(u.body, _TERMS, "term")
         return u.body, " * ", u.sub
     if cls is VarRef:
         return u.name,
     if cls is Slash:
-        _expect(u.term, _TERMS, "term")
+        if type(u.term) not in _TERMS:
+            _expect(u.term, _TERMS, "term")
         return f"/{u.var}]", u.term, "["
     if cls is Weak:
         return f"W {u.var}",
     if cls is Rename:
         return f"{{{u.new} {u.old}}}",
-    _expect(u.sub, _SUBSTS, "substitution")     # Lift
+    if type(u.sub) not in _SUBSTS:              # Lift
+        _expect(u.sub, _SUBSTS, "substitution")
     return f"^{u.var}", u.sub
 
 

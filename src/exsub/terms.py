@@ -17,9 +17,12 @@ derivations, traces, suite reports and generator settings) is a
 ``__slots__``, so a record has no instance ``__dict__``; its constructor is
 made for it when the class is defined, and it compares, hashes and prints by
 those fields as a frozen dataclass would.  The constructor and the field
-tuple ``_values`` are code compiled once per number of fields, with the
-class's field names put in, so setting up a class compiles nothing once a
-class of its shape exists; it imports neither ``dataclasses`` nor
+tuple ``_values`` are code compiled once per number of fields, and each
+one-level rebuilder in ``_rebuild`` (one per child field, see below) code
+compiled once per number of fields and position of the child, with the
+class's field names put in: the node classes of both calculi have three
+such positions, so setting up a class compiles nothing once a class of its
+shape exists.  The package imports neither ``dataclasses`` nor
 ``inspect``.  No module imports ``typing`` either: the unions below are
 written ``X | Y``, ``typing.get_type_hints`` resolves the annotations of
 every record, and ``Callable`` and ``Iterator`` appear only in annotations
@@ -31,6 +34,9 @@ A path is the tuple of child positions in each parent's ``CHILDREN`` from
 the root down, the ``pathAsChildIndices`` that traces print.  Subterm
 lookup, rebuilding, size, the redex scans of both engines and their shared
 leftmost-outermost driver (:class:`LeftmostOutermost`) read only this table.
+Rebuilding one level calls ``node._rebuild[field](node, new)``, the node's
+class built with `new` in place of the child in `field` and every other
+field read from `node`.
 """
 
 from __future__ import annotations
@@ -61,15 +67,29 @@ def _template(n: int, post_init: bool):
     return ns["__init__"].__code__, ns["_values"].__code__
 
 
+@cache
+def _rebuilder(n: int, k: int):
+    """The code of a one-level rebuild of field `k` of a record of `n`
+    fields, compiled once per shape: ``_rebuild(s, v)`` calls the global
+    ``_cls`` with `v` for field k and ``s._i`` for every other field i."""
+    args = ", ".join("v" if i == k else f"s._{i}" for i in range(n))
+    ns: dict = {}
+    exec(f"def _rebuild(s, v):\n    return _cls({args})", ns)
+    return ns["_rebuild"].__code__
+
+
 class _Record(type):
     """The metaclass of `Value`.  A class's annotations become its
     `__slots__` and `__match_args__`, and a class attribute of a field's
     name becomes that field's default.  The class gets an `__init__` that
     takes the fields positionally or by name, stores them through the slot
-    descriptors and then calls `__post_init__` if the class has one, and
-    `_values`, the tuple of the fields: a `_template`'s code with the
-    class's field names put in, so setting up a class compiles nothing once
-    a class of its shape has been set up."""
+    descriptors and then calls `__post_init__` if the class has one,
+    `_values`, the tuple of the fields, and `_rebuild`, which maps each
+    field named in the class's ``CHILDREN`` to a function of a node and a
+    new child that calls the constructor with that field replaced.  Each is
+    the code of `_template` or `_rebuilder` with the class's field names put
+    in, so setting up a class compiles nothing once a class of its shape
+    has been set up."""
 
     def __new__(mcls, name, bases, ns):
         fields = tuple(ns.get("__annotations__", ()))
@@ -81,12 +101,21 @@ class _Record(type):
         post_init = hasattr(cls, "__post_init__")
         if fields or post_init:
             init, values = _template(len(fields), post_init)
-            setters = {f"_set_{i}": getattr(cls, f).__set__ for i, f in enumerate(fields)}
-            cls.__init__ = FunctionType(init.replace(co_varnames=("self", *fields)), setters,
+            env = {f"_set_{i}": getattr(cls, f).__set__ for i, f in enumerate(fields)}
+            env["_cls"] = cls
+            cls.__init__ = FunctionType(init.replace(co_varnames=("self", *fields)), env,
                                         "__init__", tuple(defaults.values()) or None)
-            cls._values = FunctionType(values.replace(co_names=fields), setters, "_values")
+            cls._values = FunctionType(values.replace(co_names=fields), env, "_values")
             cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
             cls._values.__qualname__ = f"{cls.__qualname__}._values"
+            names = {f"_{i}": f for i, f in enumerate(fields)}
+            cls._rebuild = {}
+            for f in getattr(cls, "CHILDREN", ()):
+                code = _rebuilder(len(fields), fields.index(f))
+                rebuild = FunctionType(code.replace(co_names=tuple(
+                    names.get(x, x) for x in code.co_names)), env, f"_with_{f}")
+                rebuild.__qualname__ = f"{cls.__qualname__}._with_{f}"
+                cls._rebuild[f] = rebuild
         return cls
 
 
@@ -288,10 +317,8 @@ def subterm_at(node, path: Path):
 
 def _with_child(node, field: str, new):
     """`node` with the child in `field` replaced by `new` (one level), built
-    by its class's constructor."""
-    values = [*node._values()]
-    values[node.__match_args__.index(field)] = new
-    return type(node)(*values)
+    by its class's constructor through the class's rebuilder for `field`."""
+    return node._rebuild[field](node, new)
 
 
 def replace_at(node, path: Path, new):
@@ -305,7 +332,7 @@ def replace_at(node, path: Path, new):
         spine.append((node, f))
         node = getattr(node, f)
     for parent, f in reversed(spine):
-        new = _with_child(parent, f, new)
+        new = parent._rebuild[f](parent, new)
     return new
 
 
@@ -325,7 +352,7 @@ def refresh(nodes: list, at: Path | list[int], top: int = 0) -> None:
     for k in range(len(nodes) - 2, top - 1, -1):
         parent, f = nodes[k], nodes[k].CHILDREN[at[k]]
         if getattr(parent, f) is not nodes[k + 1]:
-            nodes[k] = _with_child(parent, f, nodes[k + 1])
+            nodes[k] = parent._rebuild[f](parent, nodes[k + 1])
 
 
 # What `rule_at` answers at a node with no redex at its root but whose
@@ -425,7 +452,7 @@ class LeftmostOutermost:
             parent = nodes[-1]
             f = parent.CHILDREN[nxt[-1]]
             if getattr(parent, f) is not node:      # stale: rebuild it now
-                nodes[-1] = _with_child(parent, f, node)
+                nodes[-1] = parent._rebuild[f](parent, node)
             nxt[-1] += 1
 
     def replace(self, new) -> None:
@@ -442,7 +469,7 @@ class LeftmostOutermost:
         # all stale: `refresh`'s checks here would cost 2% of church throughput
         for k in range(depth - 1, resume - 1, -1):
             parent = nodes[k]
-            nodes[k] = _with_child(parent, parent.CHILDREN[nxt[k]], nodes[k + 1])
+            nodes[k] = parent._rebuild[parent.CHILDREN[nxt[k]]](parent, nodes[k + 1])
         del nodes[resume + 1:], nxt[resume:]
         self._unsettled = None      # it was at `resume` or below
         self._found = None

@@ -162,6 +162,18 @@ def test_trace_built_by_hand_prints_each_step_as_a_fresh_print():
                       TraceStep("Beta", (), None, x)))
     assert trace.to_text() == fresh_text(trace)
     assert trace.to_json() == fresh_json(trace)
+    # each path's text is formatted from where it leaves the one before:
+    # these go deeper, back to a strict prefix, to the root, and off a
+    # sibling at depths 2 and 3; one rule name is outside ALL_RULES
+    paths = [(1,), (1, 0, 1, 1), (1, 0), (), (0, 1, 1, 0), (0, 1, 0),
+             (0, 1, 0, 1), (0, 1, 0, 0), (0,), (0, 0)]
+    rules = ["Beta", "App", "Lambda", "Var", 'Eta "\u03b7"\\', "W", "Alpha",
+             "Shift", "Var", "Beta"]
+    trace = Trace(y, tuple(TraceStep(r, p, "z" if r == "Alpha" else None, x if i % 2 else y)
+                           for i, (r, p) in enumerate(zip(rules, paths))))
+    assert trace.to_text() == fresh_text(trace)
+    assert trace.to_json() == fresh_json(trace)
+    assert trace.dumps() == json.dumps(fresh_json(trace), indent=2)
 
 
 def spliced_steps(trace, monkeypatch) -> int:

@@ -54,3 +54,34 @@ def test_rebuild_equals_the_constructor(cls):
         assert getattr(node, field) == old      # the original is untouched
         with pytest.raises(AttributeError):
             setattr(rebuilt, field, old)
+
+
+def test_rebuild_code_is_compiled_once_per_shape():
+    # every child field of both calculi is field 0 of 1, 0 of 2 or 1 of 2;
+    # the rebuilders of one shape run one compiled code, renamed per class
+    by_shape = {}
+    for cls in NODE_CLASSES:
+        for field in cls.CHILDREN:
+            shape = len(cls.__match_args__), cls.__match_args__.index(field)
+            by_shape.setdefault(shape, []).append(cls._rebuild[field].__code__)
+    assert set(by_shape) == {(1, 0), (2, 0), (2, 1)}
+    for (n, k), codes in by_shape.items():
+        template = terms._rebuilder(n, k)
+        assert len(codes) > 1
+        for code in codes:
+            assert code.replace(co_names=template.co_names) == template
+
+
+def test_a_class_of_a_known_shape_compiles_nothing(monkeypatch):
+    compiled = []
+    monkeypatch.setattr(terms, "exec", lambda *args: compiled.append(args), raising=False)
+
+    class Pair(Value):
+        left: object
+        right: object
+        CHILDREN = ("left", "right")
+
+    assert compiled == []
+    assert Pair._rebuild["left"](Pair(1, 2), 3) == Pair(3, 2)
+    assert Pair._rebuild["right"](Pair(1, 2), 3) == Pair(1, 3)
+    assert _with_child(Pair(1, 2), "right", 4) == Pair(1, 4)
