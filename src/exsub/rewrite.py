@@ -127,6 +127,16 @@ _LHS: dict[str, tuple[tuple, ...]] = {
 _SHAPE_RULE: dict[tuple, str] = {key: r for r, keys in _LHS.items() for key in keys}
 assert len(_SHAPE_RULE) == sum(map(len, _LHS.values()))
 
+# How many levels below its root `_shape` reads a node of each class: the
+# class of an application's function, and the substitution of a
+# composition's body (W w * A).  An abstraction reaches 0: a step below it
+# only shrinks the free-variable context that Alpha reads, so a binder that
+# answered None still does, and one that answered `UNSETTLED` is asked
+# again anyway.  No rule has its root at a substitution.  After a step, the
+# lo walk asks a node above the contractum again only within its reach
+# (`LeftmostOutermost`).
+_REACH: dict[type, int] = {App: 1, Comp: 2, Lam: 0, Slash: 0, Lift: 0}
+
 
 def _shape(t: Node) -> tuple:
     """The key of `t`'s root in `_SHAPE_RULE`."""
@@ -323,9 +333,13 @@ class Trace(Value):
     initial: Term
     steps: tuple[TraceStep, ...]
 
-    def _printed(self) -> Iterator[tuple[TraceStep | None, str]]:
+    def _printed(self) -> Iterator[tuple[TraceStep | None, str, int]]:
         """The printed initial term, paired with None, then each step with
-        its printed result; `steps` is read once, and may be a stream.
+        its printed result; `steps` is read once, and may be a stream.  The
+        third item is how many positions the step's path shares with the
+        path before it, or fewer: 0 for the initial term, for a step printed
+        in full and for the step after one, as the zipper then knows no
+        path before.
 
         A step's text is the text before it with the redex's text replaced
         by the contractum's (`syntax.print_spliced`).  A zipper over the
@@ -353,12 +367,12 @@ class Trace(Value):
         memo: LengthMemo = {}
         before = self.initial
         text = print_term(before)
-        yield None, text
+        yield None, text, 0
         nodes, starts, tails, last = [before], [0], [0], ()
         for s in self.steps:
             if s._contractum is None or (s._before is not None and s._before is not before):
                 text = print_term(s.result)
-                nodes, starts, tails, last = [s.result], [0], [0], ()
+                nodes, starts, tails, last, m = [s.result], [0], [0], (), 0
             else:
                 at, old, new = s.at, s._redex, s._contractum
                 m = _shared(at, last)
@@ -377,31 +391,32 @@ class Trace(Value):
                 nodes[-1], last = new, at
             if len(memo) > len(text):
                 memo.clear()
-            yield s, text
+            yield s, text, m
             before = s
 
     def pieces(self, form: str) -> Iterator[str]:
         """The trace as `form`, "text" or "json", one piece per step, each
         written as soon as it is printed.  JSON comes from templates: with an
         indent, `json` falls back to its pure-Python encoder.  A path's text
-        is formatted from where it leaves the path before (`_path_texts`),
-        and the JSON text of each rule name is kept."""
+        is formatted from where it leaves the path before, as the printer
+        found it (`_path_texts`), and the JSON text of each rule name is
+        kept."""
         if form not in ("text", "json"):
             raise ValueError(f"unknown trace form: {form!r}")
         texts = self._printed()
         if form == "text":
             path_text = _path_texts(".")
             yield next(texts)[1]
-            for s, text in texts:
-                yield f"\n{s.rule}\t{path_text(s.at) or '-'}\t{s.fresh or '-'}\t{text}"
+            for s, text, m in texts:
+                yield f"\n{s.rule}\t{path_text(s.at, m) or '-'}\t{s.fresh or '-'}\t{text}"
             return
         path_text = _path_texts(",\n        ")
         yield '{\n  "initial": %s,\n  "steps": [' % _quote(next(texts)[1])
         sep = ""
-        for s, text in texts:
+        for s, text, m in texts:
             yield _STEP_JSON % (
                 sep, _QUOTED_RULES.get(s.rule) or _quote(s.rule),
-                "[\n        %s\n      ]" % path_text(s.at) if s.at else "[]",
+                "[\n        %s\n      ]" % path_text(s.at, m) if s.at else "[]",
                 "null" if s.fresh is None else _quote(s.fresh), _quote(text))
             sep = ","
         yield "\n  ]\n}" if sep else "]\n}"
@@ -417,24 +432,20 @@ class Trace(Value):
         return "".join(self.pieces("json"))
 
 
-def _path_texts(sep: str) -> Callable[[Path], str]:
-    """A function from each path of a trace, in turn, to its positions
+def _path_texts(sep: str) -> Callable[[Path, int], str]:
+    """A function from each path of a trace, in turn, and the number of
+    positions it shares with the path before, or fewer, to its positions
     joined by `sep`.  Consecutive lo paths mostly share all but their last
-    one or two positions, so only the positions after the prefix a path
-    shares with the one before (`_shared`) are formatted: the text of every
-    prefix of the last path is kept."""
-    last: Path = ()
-    prefixes = [""]             # prefixes[j]: the text of last[:j]
+    one or two positions, so only the positions after that shared prefix
+    are formatted: the text of every prefix of the last path is kept."""
+    prefixes = [""]     # prefixes[j]: the text of the first j positions of the last path
 
-    def text(at: Path) -> str:
-        nonlocal last
-        m = _shared(at, last)
+    def text(at: Path, m: int) -> str:
         del prefixes[m + 1:]
         t = prefixes[m]
         for i in at[m:]:
             t = f"{t}{sep}{i}" if t else str(i)
             prefixes.append(t)
-        last = at
         return t
     return text
 
@@ -483,7 +494,7 @@ def _stream(t: Term, rules: frozenset[str], strategy: Strategy
     if strategy not in ("lo", "ri") and not (type(strategy) is int and strategy >= 0):
         raise ValueError(f"unknown strategy: {strategy!r}")
     memo: _Memo = {}
-    red = (LeftmostOutermost(t, _rule_finder(rules, memo)) if strategy == "lo"
+    red = (LeftmostOutermost(t, _rule_finder(rules, memo), _REACH) if strategy == "lo"
            else _Rescan(t, rules, strategy, memo))
     return red, _steps(red, memo)
 

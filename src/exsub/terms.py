@@ -380,15 +380,20 @@ class LeftmostOutermost:
       child without children is skipped too: it is never entered.
     * Every left-hand side looks at most two levels below its root, so a
       contraction can make a new redex only at the contractum, its parent
-      or its grandparent.  The walk resumes at the grandparent.
+      or its grandparent.  `reach` maps a node class to how many levels
+      below its root a left-hand side rooted there reads, 2 for a class it
+      lacks.  The walk resumes at the shallowest of those two frames whose
+      class reaches the contractum, else at the contractum, or at its
+      parent when the contractum has no children: a frame that does not
+      reach the contractum answers as it did.
     * A rule that reads a whole subtree is the exception.  The walk keeps
       the depth of the topmost frame it entered that answered `UNSETTLED`,
       until it leaves that frame, and resumes there when it lies above the
-      grandparent.  A deeper such frame needs no depth of its own: the
-      walk leaves it before the topmost one.
+      frame that reach gives.  A deeper such frame needs no depth of its
+      own: the walk leaves it before the topmost one.
 
     The frames form a zipper (Huet, "The Zipper", 1997).  `replace`
-    rebuilds only the frames from the focus's parent down to the frame the
+    rebuilds only the frames from the focus's parent up to the frame the
     walk resumes at; the frames above it still hold the old child.  The
     walk rebuilds such a stale frame when it pops back into it, and `root`
     rebuilds what is still stale when it is read (`refresh`, as the trace
@@ -396,8 +401,10 @@ class LeftmostOutermost:
     lies.
     """
 
-    def __init__(self, root, rule_at: Callable[[object], str | None]):
+    def __init__(self, root, rule_at: Callable[[object], str | None],
+                 reach: dict[type, int] | None = None):
         self._rule_at = rule_at
+        self._reach = reach or {}
         self._nodes = [root]    # the path from the root to the walk's position
         self._next: list[int] = []      # per frame: the child being walked
         self._unsettled: int | None = None  # depth of the topmost unsettled frame
@@ -456,13 +463,19 @@ class LeftmostOutermost:
             nxt[-1] += 1
 
     def replace(self, new) -> None:
-        """Put `new` in place of the focus and rebuild the frames down to
-        the one the walk resumes at."""
+        """Put `new` in place of the focus and rebuild the frames up to the
+        one the walk resumes at: the shallowest of the two above the focus
+        whose class reaches the focus, else the focus, or its parent when
+        `new` has no children."""
         if self._found is None:
             raise ValueError("no redex found to replace")
-        nodes, nxt = self._nodes, self._next
+        nodes, nxt, reach = self._nodes, self._next, self._reach
         depth = len(nxt)
-        resume = max(depth - 2, 0)
+        resume = depth if new.CHILDREN or not depth else depth - 1
+        for k in range(max(depth - 2, 0), resume):
+            if reach.get(type(nodes[k]), 2) >= depth - k:
+                resume = k
+                break
         if self._unsettled is not None and self._unsettled < resume:
             resume = self._unsettled
         nodes[depth] = new

@@ -12,15 +12,18 @@ from random import Random
 
 import pytest
 
+from exsub import rewrite
 from exsub.debruijn import (DApp, DComp, DSlash, FreeName, One, db_find_redexes,
                             db_normalize_upsilon)
-from exsub.generators import gen_db, gen_db_marked
-from exsub.rewrite import (RULE_SETS, SIGMA, SIGMA_ALPHA, _rule_finder, apply_rule,
-                           find_redexes, normalize)
+from exsub.freevars import _fv
+from exsub.generators import gen_db, gen_db_marked, gen_raw_subst, gen_raw_term
+from exsub.rewrite import (_REACH, _SHAPE_RULE, FULL, RULE_SETS, SIGMA, SIGMA_ALPHA, _rule_finder,
+                           _shape, apply_rule, find_redexes, normalize)
 from exsub.syntax import parse_term
-from exsub.terms import App, Lam, LeftmostOutermost, VarRef, path_indices
+from exsub.terms import (App, Comp, Lam, LeftmostOutermost, Lift, Rename, Slash, VarRef, Weak,
+                         path_indices, replace_at)
 
-from conftest import named_inputs, oracle_db_normalize, oracle_normalize
+from conftest import mult, named_inputs, oracle_db_normalize, oracle_normalize
 
 
 def assert_matches_the_oracle(t, rules, fuel):
@@ -80,6 +83,133 @@ def test_pinned_needs_the_unsettled_binders():
         rows.append((rule, path_indices(path)))
     assert rows[4] == ("W", [0, 1, 1])
     assert rows[5] == ("IdVar", [0, 1])
+
+
+# Each pin makes a redex above its first contraction: the term, the rule
+# set, the first two steps, and the class whose reach the walk needs to
+# find the second (None: the contractum has no children, so the walk
+# resumes at its parent whatever the parent reaches).
+RESUME_PINS = [
+    # Var at the function 1.0 leaves an abstraction there, which makes the
+    # application at 1 a Beta redex
+    (r"w (([\x. x/y] * y) z)", FULL, [("Var", [1, 0]), ("Beta", [1])], App),
+    # IdShift at 1.1 leaves W x * a there, and the composition at 1, whose
+    # Shift rules read the W x two levels down, becomes a Shift redex
+    (r"w ([b/x] * {x y} * W y * a)", SIGMA, [("IdShift", [1, 1]), ("Shift", [1])], Comp),
+    # Var at 1.1 leaves the variable x, a leaf, which makes the composition
+    # at 1 a Var redex
+    (r"w ([a/x] * [x/y] * y)", SIGMA, [("Var", [1, 1]), ("Var", [1])], None),
+]
+
+
+def walk_rows(t, rules, reach):
+    """The (rule, path) of each step of a lo walk with the given reach.
+    The walk asks no node without children for a rule."""
+    memo = {}
+    finder = _rule_finder(rules, memo)
+
+    def rule_at(u):
+        assert u.CHILDREN, u
+        return finder(u)
+
+    lo = LeftmostOutermost(t, rule_at, reach)
+    rows = []
+    while (picked := lo.next_redex()) is not None:
+        path, rule = picked
+        lo.replace(apply_rule(lo.focus, (), rule, _memo=memo, _matched=True)[0])
+        rows.append((rule, path_indices(path)))
+    return rows
+
+
+@pytest.mark.parametrize("src, rules, rows, cls", RESUME_PINS)
+def test_resume_pins_match_the_oracle_and_need_their_reach(src, rules, rows, cls):
+    t = parse_term(src)
+    trace, _ = assert_matches_the_oracle(t, rules, 10000)
+    expected = [(s.rule, path_indices(s.at)) for s in trace.steps]
+    assert expected[:2] == rows
+    short = dict.fromkeys(_REACH, 0)
+    assert walk_rows(t, rules, _REACH) == expected
+    if cls is None:
+        assert walk_rows(t, rules, short) == expected
+    else:
+        assert walk_rows(t, rules, short)[:2] != rows
+        assert walk_rows(t, rules, {**short, cls: _REACH[cls]}) == expected
+
+
+NAMED_CLASSES = (VarRef, App, Lam, Comp, Slash, Weak, Rename, Lift)
+SUBSTS = (Slash, Weak, Rename, Lift)
+TERM_POOL = [parse_term(u) for u in ("x", "y", r"\x. x", "x y", "W x * y", "[y/x] * x",
+                                     r"(\x. x) y", r"{y x} * W x * z")]
+SUBST_POOL = [Weak("x"), Weak("y"), Slash(VarRef("y"), "x"), Rename("x", "y"),
+              Rename("y", "x"), Lift(Weak("x"), "y")]
+
+
+def below(t):
+    """(path, node) for every node of `t` but its root, in pre-order."""
+    out, stack = [], [((i,), getattr(t, f)) for i, f in enumerate(t.CHILDREN)]
+    while stack:
+        p, u = stack.pop()
+        out.append((p, u))
+        stack.extend((p + (i,), getattr(u, f)) for i, f in enumerate(u.CHILDREN))
+    return out
+
+
+def test_a_step_below_a_class_reach_leaves_its_rule():
+    # the walk asks a frame again only within its class's reach: replacing
+    # any node deeper than that leaves the rule at the root, and each reach
+    # is tight, as a node at that depth can change the rule
+    assert set(_REACH) == {c for c in NAMED_CLASSES if c.CHILDREN}
+    rng, changed = Random(27), set()
+    for _ in range(800):
+        size = rng.randint(2, 14)
+        t = gen_raw_subst(rng, size) if rng.random() < 0.2 else gen_raw_term(rng, size)
+        rule, reach = _SHAPE_RULE.get(_shape(t)), _REACH.get(type(t), 0)
+        for path, u in below(t):
+            for v in SUBST_POOL if isinstance(u, SUBSTS) else TERM_POOL:
+                got = _SHAPE_RULE.get(_shape(replace_at(t, path, v)))
+                if len(path) > reach:
+                    assert got == rule, (t, path, v)
+                elif len(path) == reach and got != rule:
+                    changed.add(type(t))
+    assert changed == {c for c, r in _REACH.items() if r}
+
+
+def test_the_root_binder_is_asked_once(monkeypatch):
+    # the steps below \x. leave its context defined and without x, which
+    # a step only shrinks, so the walk does not ask the binder again
+    probed = []
+
+    def counted_fv(t, memo):
+        if type(t) is Lam:
+            probed.append(t)
+        return _fv(t, memo)
+
+    t = parse_term(r"[y/z] * \x. x z")
+    monkeypatch.setattr(rewrite, "_fv", counted_fv)
+    _, trace, _ = normalize(t, SIGMA_ALPHA)
+    assert len(probed) == 1
+    monkeypatch.undo()
+    assert [s.at[:1] for s in trace.steps] == [()] + [(0,)] * 5
+    assert_matches_the_oracle(t, SIGMA_ALPHA, 10000)
+
+
+@pytest.mark.parametrize("k", [4, 8, 12])
+def test_rule_lookups_per_church_step(k, monkeypatch):
+    lookups = [0]
+    finder = rewrite._rule_finder
+
+    def counting_finder(rules, memo):
+        rule_at = finder(rules, memo)
+
+        def counted(u):
+            lookups[0] += 1
+            return rule_at(u)
+        return counted
+
+    monkeypatch.setattr(rewrite, "_rule_finder", counting_finder)
+    _, trace, exhausted = normalize(mult(k), FULL, "lo", 10**5)
+    assert not exhausted
+    assert lookups[0] <= 2.5 * len(trace.steps)
 
 
 def test_replace_needs_a_found_redex():

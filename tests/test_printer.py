@@ -216,6 +216,30 @@ def test_engine_steps_after_another_predecessor_print_in_full(strategy, monkeypa
     assert spliced_steps(moved, monkeypatch) == len(steps) - 1
 
 
+@pytest.mark.parametrize("form", ["text", "json"])
+def test_a_spliced_step_compares_its_path_with_the_last_once(form, monkeypatch):
+    # the printer hands the prefix it shares with the last path on to the
+    # path's formatting; a step printed in full, and the one after it, hand
+    # on 0, as the printer then knows no last path
+    _, trace, _ = normalize(mult(3), FULL, "lo", 300)
+    _, copy, _ = normalize(mult(3), FULL, "lo", 300)
+    steps = list(trace.steps)
+    steps[40] = TraceStep(steps[40].rule, steps[40].at, steps[40].fresh, copy.steps[40].result)
+    mixed = Trace(trace.initial, tuple(steps))
+    calls, shared = [], rewrite._shared
+
+    def counted(a, b):
+        calls.append((a, b))
+        return shared(a, b)
+
+    monkeypatch.setattr(rewrite, "_shared", counted)
+    text = "".join(mixed.pieces(form))
+    assert len(calls) == len(steps) - 2
+    monkeypatch.undo()
+    assert text == (fresh_text(mixed) if form == "text"
+                    else json.dumps(fresh_json(mixed), indent=2))
+
+
 @pytest.mark.parametrize("strategy", ["ri", 1], ids=["ri", "index:1"])
 def test_eager_omega_trace_is_spliced(strategy, monkeypatch):
     # the rescanning strategies make replayed steps, as the lo walk does;

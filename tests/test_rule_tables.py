@@ -239,13 +239,13 @@ def test_one_fv_probe_per_binder_entry(monkeypatch):
 
     class CountingWalk(LeftmostOutermost):
         # the walk calls `rule_at` on a binder only when it enters it
-        def __init__(self, root, rule_at):
+        def __init__(self, root, rule_at, reach=None):
             def counted(u):
                 if type(u) is Lam:
                     entered[id(u)] += 1
                     alive.append(u)
                 return rule_at(u)
-            super().__init__(root, counted)
+            super().__init__(root, counted, reach)
 
     def counted_fv(t, memo):
         probed[id(t)] += 1
