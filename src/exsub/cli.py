@@ -1,4 +1,4 @@
-r"""Command-line front end.
+"""Command-line front end.
 
 Subcommands: check, fv, good, reduce, normalize, translate, equiv, nf,
 test.  Exit codes: 0 for success or a true answer, 1 for a false answer
@@ -7,11 +7,10 @@ fv, normalize, reduce and nf answer input of any depth; check, good,
 translate, equiv and reduce --context derive, and exit 2 on input nested
 deeper than Python's recursion limit lets them.  reduce and normalize read
 the engine's stream of steps and keep no step: reduce writes each step as
-it is printed, and normalize keeps only the current term and the engine's
-memos.  The memos grow with the steps when they create binders, by about
-200 bytes a step on (\x. \z. x x) (\x. \z. x x), as the walk asks a binder
-for its free-variable context again only when a step may have changed its
-answer.  A reader that closes the output early has chosen to stop: the
+it is printed, and normalize keeps only the current term.  The engine keeps
+what it learns of a node (its free-variable context, that it holds no
+redex) on the node, so memory follows the current term, not the number of
+steps.  A reader that closes the output early has chosen to stop: the
 command exits 0 and writes nothing on stderr.
 """
 

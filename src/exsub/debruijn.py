@@ -39,7 +39,7 @@ uses the pass.
 from __future__ import annotations
 
 from .contexts import Context
-from .freevars import _Memo, _fv
+from .freevars import fv
 from .judgements import Derivation, IllFormed, NotDerivable, derive, well_formed
 from .syntax import _print
 from .terms import InvalidRedex, LeftmostOutermost, Path, Term, Value, replace_at, subterm_at
@@ -384,12 +384,11 @@ def translate(d: Derivation, flavor: str = UPSILON) -> DBTerm | DBSub:
     """De Bruijn term of a derivation, by recursion over its unique tree.
 
     The upsilon2 flavor marks exactly the binders whose variable is free
-    in the abstraction itself.  Their contexts come from one `fv` memo, so
-    that a chain of binders is walked once.
+    in the abstraction itself.  `fv` keeps each node's context on the
+    node, so that a chain of binders is walked once.
     """
     if flavor not in SYSTEM_RULES:
         raise ValueError(f"unknown flavor: {flavor!r}")
-    memo: _Memo = {}
 
     def go(d: Derivation) -> DBTerm | DBSub:
         rule = d.rule
@@ -399,7 +398,7 @@ def translate(d: Derivation, flavor: str = UPSILON) -> DBTerm | DBSub:
         if rule == "R3":
             return DComp(DShift(), *args)
         if rule == "R5" and flavor == UPSILON2:
-            c = _fv(d.subject, memo)
+            c = fv(d.subject)
             if c is not None and d.subject.var in c:
                 return DBoldLam(*args)
         if rule not in _TRANSLATION:

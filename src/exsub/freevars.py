@@ -29,28 +29,14 @@ result undefined.
 from __future__ import annotations
 
 from .contexts import Context, ctx_sup, o_lambda
-from .terms import App, Comp, Lam, Lift, Node, Rename, Slash, Term, VarRef, Weak
-
-# Memo entries hold the node itself so its id stays valid for the cache key.
-_Memo = dict[int, tuple[Term, "Context | None"]]
+from .terms import App, Comp, Lam, Lift, Node, Rename, Slash, Term, VarRef, Weak, set_cache
 
 
-def fv(t: Term, *, memo: _Memo | None = None) -> Context | None:
-    """Free-variable context of `t`, or None when it does not exist.
-
-    Purely syntactic: may be applied to ill-formed terms.  An optional memo
-    dictionary can be shared across calls on overlapping terms; it only ever
-    holds subterms of the terms it was given.  The rewrite engine, between
-    reduction steps, and `debruijn.translate` share one the same way by
-    calling `_fv` directly.
-    """
-    if memo is None:
-        memo = {}
-    return _fv(t, memo)
+_TERMS = frozenset(Term.__args__)
 
 
 def _operands(u: Term) -> tuple[Term, ...]:
-    """The subterms whose contexts give the context of `u`."""
+    """The subterms whose contexts give the context of the term `u`."""
     cls = type(u)
     if cls is App:
         return u.fn, u.arg
@@ -61,14 +47,12 @@ def _operands(u: Term) -> tuple[Term, ...]:
         while type(s) is Lift:
             s = s.sub
         return (u.body, s.term) if type(s) is Slash else (u.body,)
-    if cls is VarRef:
-        return ()
-    raise TypeError(f"not a term: {u!r}")
+    return ()
 
 
-def _act(s, c: Context | None, memo: _Memo) -> Context | None:
+def _act(s, c: Context | None) -> Context | None:
     """fv(s * A) from c = fv(A), reading the context of a slash's argument
-    from the memo (see the module docstring)."""
+    from its cache slot (see the module docstring)."""
     lifted = []
     while type(s) is Lift:
         if c is None:
@@ -82,8 +66,8 @@ def _act(s, c: Context | None, memo: _Memo) -> Context | None:
     if cls is Weak:
         c = c.push(s.var)
     elif cls is Slash:
-        c, cb = o_lambda(s.var, c), memo[id(s.term)][1]
-        c = None if c is None or cb is None else ctx_sup(c, cb)
+        c, cb = o_lambda(s.var, c), s.term.fv
+        c = None if c is None or not cb else ctx_sup(c, cb)
     elif cls is Rename:
         c = o_lambda(s.old, c)
         if c is not None:
@@ -96,39 +80,46 @@ def _act(s, c: Context | None, memo: _Memo) -> Context | None:
     return Context(c.globals, c.locals + tuple(lifted))
 
 
-def _fv(t: Term, memo: _Memo) -> Context | None:
-    hit = memo.get(id(t))
-    if hit is not None and hit[0] is t:
-        return hit[1]
+def fv(t: Term) -> Context | None:
+    """Free-variable context of `t`, or None when it does not exist.
+
+    Purely syntactic: may be applied to ill-formed terms, but raises
+    TypeError on a substitution in a term position.  Each term node's
+    context is kept in its cache slot `fv` (False when undefined), and a
+    node whose slot is filled is not entered again, so a call reuses what
+    any earlier call computed on a shared subterm.  A patch of `_act`,
+    `o_lambda` or `ctx_sup` reaches only the contexts computed after it.
+    """
     # Post-order on an explicit stack, so that deep terms do not hit the
     # recursion limit.  A node is pushed bare to be visited, then in a
     # 1-tuple, under its operands, to be combined once their contexts are
-    # in the memo.
+    # in their slots.  A substitution has no slot: the class comes first.
     stack: list = [t]
     while stack:
         u = stack.pop()
-        if type(u) is tuple:
+        cls = type(u)
+        if cls is tuple:
             u = u[0]
             cls = type(u)
             if cls is App:
-                cf, ca = memo[id(u.fn)][1], memo[id(u.arg)][1]
-                res = None if cf is None or ca is None else ctx_sup(cf, ca)
+                res = u.fn.fv and u.arg.fv and ctx_sup(u.fn.fv, u.arg.fv)
             elif cls is Lam:
-                cb = memo[id(u.body)][1]
-                res = None if cb is None else o_lambda(u.var, cb)
+                res = u.body.fv and o_lambda(u.var, u.body.fv)
             else:
-                res = _act(u.sub, memo[id(u.body)][1], memo)
-            memo[id(u)] = (u, res)
-            continue
-        hit = memo.get(id(u))
-        if hit is not None and hit[0] is u:
-            continue
-        if type(u) is VarRef:
-            memo[id(u)] = (u, Context(frozenset((u.name,)), ()))
-            continue
-        stack.append((u,))
-        stack += _operands(u)[::-1]
-    return memo[id(t)][1]
+                res = _act(u.sub, u.body.fv or None)
+            set_cache(u, "fv", res or False)
+        elif cls not in _TERMS:
+            raise TypeError(f"not a term: {u!r}")
+        elif u.fv is None:
+            if cls is VarRef:
+                set_cache(u, "fv", Context(frozenset((u.name,)), ()))
+            else:
+                stack.append((u,))
+                stack += _operands(u)[::-1]
+    return t.fv or None
+
+
+_fv = fv    # the old name of the fill loop, which perfbench/tracer.py wraps
 
 
 def fv_blame(t: Term) -> Node | None:
@@ -138,13 +129,12 @@ def fv_blame(t: Term) -> Node | None:
     composition, then its slash's argument) whose context is undefined is
     entered, and the node none of whose operands is undefined is blamed.
     """
-    memo: _Memo = {}
-    if _fv(t, memo) is not None:
+    if fv(t) is not None:
         return None
     u = t
     while True:
         for v in _operands(u):
-            if _fv(v, memo) is None:
+            if fv(v) is None:
                 u = v
                 break
         else:

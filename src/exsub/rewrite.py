@@ -42,7 +42,7 @@ import json
 from json.encoder import encode_basestring_ascii as _quote
 
 from .contexts import Context
-from .freevars import _Memo, _fv
+from .freevars import fv
 from .syntax import LengthMemo, child_spans, print_spliced, print_term
 from .terms import (UNSETTLED, App, Comp, InvalidRedex, Lam, LeftmostOutermost, Lift, Node,
                     Path, Rename, Slash, Term, Value, Var, VarRef, Weak, refresh, replace_at,
@@ -127,15 +127,16 @@ _LHS: dict[str, tuple[tuple, ...]] = {
 _SHAPE_RULE: dict[tuple, str] = {key: r for r, keys in _LHS.items() for key in keys}
 assert len(_SHAPE_RULE) == sum(map(len, _LHS.values()))
 
-# How many levels below its root `_shape` reads a node of each class: the
-# class of an application's function, and the substitution of a
-# composition's body (W w * A).  An abstraction reaches 0: a step below it
+# How many levels below its root a contraction can change what `_shape`
+# reads at a node of each class.  It reads the class of an application's
+# function, and a composition's body down to the substitution of W w * A;
+# no rule has its root at a substitution, so no contraction lands there,
+# and a composition reaches 1.  An abstraction reaches 0: a step below it
 # only shrinks the free-variable context that Alpha reads, so a binder that
 # answered None still does, and one that answered `UNSETTLED` is asked
-# again anyway.  No rule has its root at a substitution.  After a step, the
-# lo walk asks a node above the contractum again only within its reach
-# (`LeftmostOutermost`).
-_REACH: dict[type, int] = {App: 1, Comp: 2, Lam: 0, Slash: 0, Lift: 0}
+# again anyway.  After a step, the lo walk asks a node above the contractum
+# again only within its reach (`LeftmostOutermost`).
+_REACH: dict[type, int] = {App: 1, Comp: 1, Lam: 0, Slash: 0, Lift: 0}
 
 
 def _shape(t: Node) -> tuple:
@@ -157,23 +158,24 @@ def _shape(t: Node) -> tuple:
     return (cls,)
 
 
-def _rule_finder(rules: frozenset[str], memo: _Memo) -> Callable[[Node], str | None]:
+def _rule_finder(rules: frozenset[str]) -> Callable[[Node], str | None]:
     """The function that the walks and scans call at every node: it names
     the rule of `rules` whose left-hand side matches at the root of the
     node, or returns None (always at a node without children).  It costs
     one lookup in `_SHAPE_RULE`, read afresh so that an edit of the table
     takes effect at once, and for Alpha a look at the binder's
-    free-variable context, kept in `memo`.  A binder whose context is
-    undefined answers `UNSETTLED`: a step below it may make that context
-    defined, and the binder an Alpha redex (a defined context only
-    shrinks)."""
+    free-variable context, which `fv` keeps on the binder.  A binder whose
+    context is undefined answers `UNSETTLED`: a step below it may make that
+    context defined, and the binder an Alpha redex (a defined context only
+    shrinks).  Each call makes a new function, so the marks that a walk
+    leaves with it on finished subtrees (`LeftmostOutermost`) are its own."""
 
     def rule_at(t: Node) -> str | None:
         r = _SHAPE_RULE.get(_shape(t))
         if r is None or r not in rules:
             return None
         if r is ALPHA:
-            c = _fv(t, memo)
+            c = fv(t)
             if c is None:
                 return UNSETTLED
             return r if t.var in c else None
@@ -181,10 +183,9 @@ def _rule_finder(rules: frozenset[str], memo: _Memo) -> Callable[[Node], str | N
     return rule_at
 
 
-def _iter_redexes(t: Node, rules: frozenset[str], path: Path,
-                  memo: _Memo) -> Iterator[tuple[Path, str]]:
-    rule_at = _rule_finder(rules, memo)
-    stack = [(t, path)]
+def _iter_redexes(t: Node, rules: frozenset[str]) -> Iterator[tuple[Path, str]]:
+    rule_at = _rule_finder(rules)
+    stack = [(t, ())]
     while stack:
         node, p = stack.pop()
         r = rule_at(node)
@@ -205,56 +206,52 @@ def find_redexes(t: Term, rules: frozenset[str] = FULL) -> list[tuple[Path, str]
     """Every position where a rule's left-hand shape matches, outside-in,
     left to right.  Alpha matches a binder `\\x. A` only when the term's
     free-variable context is defined and contains x."""
-    return list(_iter_redexes(t, rules, (), {}))
+    return list(_iter_redexes(t, rules))
 
 
-def _alpha(t: Lam, memo: _Memo) -> Lam:
-    # In a walk, the rule lookup has just put the binder's context in the memo.
-    hit = memo.get(id(t))
-    c = hit[1] if hit is not None and hit[0] is t else _fv(t, memo)
-    if c is None or t.var not in c:
+def _alpha(t: Lam) -> Lam:
+    # In a walk, the rule lookup has just put the binder's context in its slot.
+    c = fv(t) if t.fv is None else t.fv
+    if not c or t.var not in c:
         raise InvalidRedex(f"Alpha does not apply: {t.var} is not free in the binder")
     y = fresh_var(c, t.var)
     return Lam(y, Comp(Rename(y, t.var), t.body))
 
 
 # The contractum of each rule, from a redex whose root has the rule's key.
-_CONTRACT: dict[str, Callable[[Node, _Memo], Term]] = {
-    BETA: lambda t, _: Comp(Slash(t.arg, t.fn.var), t.fn.body),
-    APP: lambda t, _: App(Comp(t.sub, t.body.fn), Comp(t.sub, t.body.arg)),
-    LAMBDA: lambda t, _: Lam(t.body.var, Comp(Lift(t.sub, t.body.var), t.body.body)),
-    VAR: lambda t, _: t.sub.term,
-    SHIFT: lambda t, _: t.body.body,
-    SHIFTP: lambda t, _: t.body,
-    IDVAR: lambda t, _: VarRef(t.sub.new),
-    IDSHIFT: lambda t, _: Comp(Weak(t.sub.new), t.body.body),
-    IDSHIFTP: lambda t, _: Comp(Weak(t.sub.new), t.body),
-    LIFTVAR: lambda t, _: t.body,
-    LIFTSHIFT: lambda t, _: Comp(t.body.sub, Comp(t.sub.sub, t.body.body)),   # W x
-    LIFTSHIFTP: lambda t, _: Comp(Weak(t.sub.var), Comp(t.sub.sub, t.body)),
-    W: lambda t, _: t.body,
+_CONTRACT: dict[str, Callable[[Node], Term]] = {
+    BETA: lambda t: Comp(Slash(t.arg, t.fn.var), t.fn.body),
+    APP: lambda t: App(Comp(t.sub, t.body.fn), Comp(t.sub, t.body.arg)),
+    LAMBDA: lambda t: Lam(t.body.var, Comp(Lift(t.sub, t.body.var), t.body.body)),
+    VAR: lambda t: t.sub.term,
+    SHIFT: lambda t: t.body.body,
+    SHIFTP: lambda t: t.body,
+    IDVAR: lambda t: VarRef(t.sub.new),
+    IDSHIFT: lambda t: Comp(Weak(t.sub.new), t.body.body),
+    IDSHIFTP: lambda t: Comp(Weak(t.sub.new), t.body),
+    LIFTVAR: lambda t: t.body,
+    LIFTSHIFT: lambda t: Comp(t.body.sub, Comp(t.sub.sub, t.body.body)),   # W x
+    LIFTSHIFTP: lambda t: Comp(Weak(t.sub.var), Comp(t.sub.sub, t.body)),
+    W: lambda t: t.body,
     ALPHA: _alpha,
 }
 
 
-def _contract(t: Term, rule: str, memo: _Memo,
-              matched: bool = False) -> tuple[Term, Var | None]:
+def _contract(t: Term, rule: str, matched: bool = False) -> tuple[Term, Var | None]:
     if not matched and _SHAPE_RULE.get(_shape(t)) != rule:
         raise InvalidRedex(f"rule {rule} does not match {print_term(t)}")
-    new = _CONTRACT[rule](t, memo)
+    new = _CONTRACT[rule](t)
     return new, (new.var if rule == ALPHA else None)
 
 
-def apply_rule(t: Term, at: Path, rule: str, *, _memo: _Memo | None = None,
-               _matched: bool = False) -> tuple[Term, Var | None]:
+def apply_rule(t: Term, at: Path, rule: str, *, _matched: bool = False) -> tuple[Term, Var | None]:
     """Contract the redex for `rule` at `at`; returns the result and, for
     Alpha, the fresh variable chosen.  Raises InvalidRedex when the rule
     does not match there, unless `_matched` says that the caller's rule
     lookup has just matched it there (the engine's stream)."""
-    memo = {} if _memo is None else _memo
     if not at:
-        return _contract(t, rule, memo, _matched)
-    new, fresh = _contract(subterm_at(t, at), rule, memo, _matched)
+        return _contract(t, rule, _matched)
+    new, fresh = _contract(subterm_at(t, at), rule, _matched)
     return replace_at(t, at, new), fresh
 
 
@@ -460,15 +457,14 @@ class _Rescan:
     """The ri and index:K strategies, behind the interface of
     `LeftmostOutermost`: each step lists every redex of the whole term."""
 
-    def __init__(self, t: Term, rules: frozenset[str], strategy: Strategy,
-                 memo: _Memo):
+    def __init__(self, t: Term, rules: frozenset[str], strategy: Strategy):
         self.root = t
-        self._rules, self._strategy, self._memo = rules, strategy, memo
+        self._rules, self._strategy = rules, strategy
         self._found: tuple[Path, str] | None = None
 
     def next_redex(self) -> tuple[Path, str] | None:
         if self._found is None:
-            redexes = list(_iter_redexes(self.root, self._rules, (), self._memo))
+            redexes = list(_iter_redexes(self.root, self._rules))
             k = self._strategy
             if k == "ri":
                 self._found = redexes[-1] if redexes else None
@@ -493,13 +489,12 @@ def _stream(t: Term, rules: frozenset[str], strategy: Strategy
     for and is linked to no step before it, so the stream keeps none."""
     if strategy not in ("lo", "ri") and not (type(strategy) is int and strategy >= 0):
         raise ValueError(f"unknown strategy: {strategy!r}")
-    memo: _Memo = {}
-    red = (LeftmostOutermost(t, _rule_finder(rules, memo), _REACH) if strategy == "lo"
-           else _Rescan(t, rules, strategy, memo))
-    return red, _steps(red, memo)
+    red = (LeftmostOutermost(t, _rule_finder(rules), _REACH) if strategy == "lo"
+           else _Rescan(t, rules, strategy))
+    return red, _steps(red)
 
 
-def _steps(red: LeftmostOutermost | _Rescan, memo: _Memo) -> Iterator[TraceStep]:
+def _steps(red: LeftmostOutermost | _Rescan) -> Iterator[TraceStep]:
     """The steps of `red`, each made when it is asked for.  Its rule lookup
     has just matched the rule at the redex, so the contraction is not
     checked again: `apply_rule` reads the rule's entry in `_CONTRACT` at
@@ -507,7 +502,7 @@ def _steps(red: LeftmostOutermost | _Rescan, memo: _Memo) -> Iterator[TraceStep]
     while (picked := red.next_redex()) is not None:
         path, rule = picked
         redex = red.focus
-        new, fresh = apply_rule(redex, (), rule, _memo=memo, _matched=True)
+        new, fresh = apply_rule(redex, (), rule, _matched=True)
         s = TraceStep(rule, path, fresh, red.replace(new))
         s._redex, s._contractum = redex, new
         yield s

@@ -13,20 +13,21 @@ construction.  Well-formedness is a separate judgement (see
 
 Every record of the package (the nodes of both calculi, contexts,
 derivations, traces, suite reports and generator settings) is a
-:class:`Value`: its fields are exactly its annotations and are its
-``__slots__``, so a record has no instance ``__dict__``; its constructor is
-made for it when the class is defined, and it compares, hashes and prints by
-those fields as a frozen dataclass would.  The constructor and the field
-tuple ``_values`` are code compiled once per number of fields, and each
-one-level rebuilder in ``_rebuild`` (one per child field, see below) code
-compiled once per number of fields and position of the child, with the
-class's field names put in: the node classes of both calculi have three
-such positions, so setting up a class compiles nothing once a class of its
-shape exists.  The package imports neither ``dataclasses`` nor
-``inspect``.  No module imports ``typing`` either: the unions below are
-written ``X | Y``, ``typing.get_type_hints`` resolves the annotations of
-every record, and ``Callable`` and ``Iterator`` appear only in annotations
-of functions and module-level names, which are never evaluated.
+:class:`Value`: its fields are exactly its annotations and lead its
+``__slots__``, its cache slots follow, and a record has no ``__dict__``; its
+constructor is made for it when the class is defined, and it compares,
+hashes and prints by its fields as a frozen dataclass would.  The
+constructor and ``_values`` are code compiled once per count of fields and
+cache slots, and each one-level rebuilder in ``_rebuild`` (one per child
+field, see below) code compiled once per number of fields and position of
+the child, with the class's field names put in: the node classes of both
+calculi have three such positions, so setting up a class compiles nothing
+once a class of its shape exists.  The package imports neither
+``dataclasses`` nor ``inspect``.  No module imports ``typing`` either: the
+unions below are written ``X | Y``, ``typing.get_type_hints`` resolves the
+annotations of every record, and ``Callable`` and ``Iterator`` appear only
+in annotations of functions and module-level names, which are never
+evaluated.
 
 Every node class, here and in :mod:`exsub.debruijn`, names the fields that
 hold its children, in scan order, in the plain class attribute ``CHILDREN``.
@@ -52,11 +53,13 @@ Path = tuple[int, ...]
 
 
 @cache
-def _template(n: int, post_init: bool):
-    """The code of `__init__` and `_values` for a record of `n` fields,
-    compiled once per shape: the fields are named ``_0``, ``_1``, ..., and
-    `__init__` stores field i with the global ``_set_i``."""
+def _template(n: int, caches: int, post_init: bool):
+    """The code of `__init__` and `_values` for a record of `n` fields and
+    `caches` cache slots, compiled once per shape: the fields are named
+    ``_0``, ``_1``, ..., and `__init__` stores field i with the global
+    ``_set_i``, then None in cache slot j with ``_set_{n + j}``."""
     body = [f"_set_{i}(self, _{i})" for i in range(n)]
+    body += [f"_set_{n + j}(self, None)" for j in range(caches)]
     if post_init:
         body.append("self.__post_init__()")
     params = "".join(f", _{i}" for i in range(n))
@@ -80,28 +83,31 @@ def _rebuilder(n: int, k: int):
 
 class _Record(type):
     """The metaclass of `Value`.  A class's annotations become its
-    `__slots__` and `__match_args__`, and a class attribute of a field's
-    name becomes that field's default.  The class gets an `__init__` that
-    takes the fields positionally or by name, stores them through the slot
-    descriptors and then calls `__post_init__` if the class has one,
-    `_values`, the tuple of the fields, and `_rebuild`, which maps each
-    field named in the class's ``CHILDREN`` to a function of a node and a
-    new child that calls the constructor with that field replaced.  Each is
-    the code of `_template` or `_rebuilder` with the class's field names put
-    in, so setting up a class compiles nothing once a class of its shape
-    has been set up."""
+    `__match_args__`, and a class attribute of a field's name becomes that
+    field's default.  Its `__slots__` are those fields, then its cache
+    slots: the names given as the class keyword `caches`, then ``clean`` if
+    its ``CHILDREN`` is not empty.  The class gets an
+    `__init__` that takes the fields positionally or by name, stores them
+    and None in each cache slot through the slot descriptors and then calls
+    `__post_init__` if the class has one, `_values`, the tuple of the
+    fields, and `_rebuild`, which maps each field named in the class's
+    ``CHILDREN`` to a function of a node and a new child that calls the
+    constructor with that field replaced.  Each is the code of `_template`
+    or `_rebuilder` with the class's field names put in, so setting up a
+    class compiles nothing once a class of its shape has been set up."""
 
-    def __new__(mcls, name, bases, ns):
+    def __new__(mcls, name, bases, ns, caches=()):
         fields = tuple(ns.get("__annotations__", ()))
         defaults = {f: ns.pop(f) for f in fields if f in ns}
         if tuple(defaults) != fields[len(fields) - len(defaults):]:
             raise TypeError(f"{name}: a field without a default follows one with a default")
-        ns["__slots__"] = ns["__match_args__"] = fields
+        caches += ("clean",) if ns.get("CHILDREN") else ()
+        ns["__match_args__"], ns["__slots__"] = fields, fields + caches
         cls = super().__new__(mcls, name, bases, ns)
         post_init = hasattr(cls, "__post_init__")
         if fields or post_init:
-            init, values = _template(len(fields), post_init)
-            env = {f"_set_{i}": getattr(cls, f).__set__ for i, f in enumerate(fields)}
+            init, values = _template(len(fields), len(caches), post_init)
+            env = {f"_set_{i}": getattr(cls, f).__set__ for i, f in enumerate(fields + caches)}
             env["_cls"] = cls
             cls.__init__ = FunctionType(init.replace(co_varnames=("self", *fields)), env,
                                         "__init__", tuple(defaults.values()) or None)
@@ -134,6 +140,10 @@ class Value(metaclass=_Record):
     ``Name(field=value, ...)``: the same results as a frozen dataclass with
     those fields.  `copy` and `pickle` rebuild a record by its constructor.
     Assignment and deletion raise AttributeError.
+
+    A cache slot (see `_Record`) holds a fact that the fields decide: None
+    until its owner writes it with `set_cache`.  It is no field, so none of
+    the above reads it, and a copy starts with None in it.
     """
 
     def _values(self) -> tuple:
@@ -231,24 +241,26 @@ def _deep_hash(v) -> int:
     return done[0]
 
 
-class VarRef(Value):
+# A term's cache slot `fv` holds its context (see `exsub.freevars.fv`).
+
+class VarRef(Value, caches=("fv",)):
     name: Var
     CHILDREN = ()
 
 
-class App(Value):
+class App(Value, caches=("fv",)):
     fn: "Term"
     arg: "Term"
     CHILDREN = ("fn", "arg")
 
 
-class Lam(Value):
+class Lam(Value, caches=("fv",)):
     var: Var
     body: "Term"
     CHILDREN = ("body",)
 
 
-class Comp(Value):
+class Comp(Value, caches=("fv",)):
     sub: "Subst"
     body: "Term"
     CHILDREN = ("sub", "body")
@@ -355,6 +367,8 @@ def refresh(nodes: list, at: Path | list[int], top: int = 0) -> None:
             nodes[k] = parent._rebuild[f](parent, nodes[k + 1])
 
 
+set_cache = object.__setattr__     # writes a cache slot, as `Value.__setattr__` refuses
+
 # What `rule_at` answers at a node with no redex at its root but whose
 # rule may yet match there after a step below it (see `LeftmostOutermost`).
 UNSETTLED = ""
@@ -375,17 +389,18 @@ class LeftmostOutermost:
     does not restart at the root:
 
     * A subtree the walk has finished holds no redex, and later steps do
-      not change it.  A memo, keyed by id and holding the node, keeps these
-      subtrees, and the walk skips them wherever they show up again.  A
-      child without children is skipped too: it is never entered.
+      not change it.  The walk writes its `rule_at` in the root's cache
+      slot `clean`, and skips a subtree marked so wherever it shows up
+      again; another walk's mark, made by another lookup, is not read as
+      one.  A child without children is skipped too: it is never entered.
     * Every left-hand side looks at most two levels below its root, so a
       contraction can make a new redex only at the contractum, its parent
       or its grandparent.  `reach` maps a node class to how many levels
-      below its root a left-hand side rooted there reads, 2 for a class it
-      lacks.  The walk resumes at the shallowest of those two frames whose
-      class reaches the contractum, else at the contractum, or at its
-      parent when the contractum has no children: a frame that does not
-      reach the contractum answers as it did.
+      below its root a contraction can change what a left-hand side rooted
+      there reads, 2 for a class it lacks.  The walk resumes at the
+      shallowest of those two frames whose class reaches the contractum,
+      else at the contractum, or at its parent when the contractum has no
+      children: a frame out of reach of the contractum answers as it did.
     * A rule that reads a whole subtree is the exception.  The walk keeps
       the depth of the topmost frame it entered that answered `UNSETTLED`,
       until it leaves that frame, and resumes there when it lies above the
@@ -408,7 +423,6 @@ class LeftmostOutermost:
         self._nodes = [root]    # the path from the root to the walk's position
         self._next: list[int] = []      # per frame: the child being walked
         self._unsettled: int | None = None  # depth of the topmost unsettled frame
-        self._clean: dict[int, object] = {}
         self._found: tuple[Path, str] | None = None
 
     @property
@@ -427,8 +441,7 @@ class LeftmostOutermost:
         term holds none."""
         if self._found is not None:
             return self._found
-        nodes, nxt, clean = self._nodes, self._next, self._clean
-        rule_at = self._rule_at
+        nodes, nxt, rule_at = self._nodes, self._next, self._rule_at
         while True:
             node = nodes[-1]
             if len(nxt) < len(nodes):       # entering `node`
@@ -442,16 +455,16 @@ class LeftmostOutermost:
             kids, i = node.CHILDREN, nxt[-1]
             while i < len(kids):
                 c = getattr(node, kids[i])
-                if c.CHILDREN and clean.get(id(c)) is not c:
+                if c.CHILDREN and c.clean is not rule_at:
                     break
                 i += 1
             if i < len(kids):
                 nxt[-1] = i
                 nodes.append(c)
                 continue
-            clean[id(node)] = node          # finished: no redex below
             if len(nodes) == 1:
                 return None                 # the root frame stays for `root`
+            set_cache(node, "clean", rule_at)   # finished: no redex below
             nodes.pop()
             nxt.pop()
             if self._unsettled == len(nodes):

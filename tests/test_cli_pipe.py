@@ -2,16 +2,25 @@
 output pipe early has chosen to stop: the command exits 0 and writes nothing
 on stderr, in particular no traceback.  The output is never held whole, so
 the peak memory of a long trace stays that of the reduction, and `exsub
-normalize` keeps no step either."""
+normalize` keeps no step either.  The engine's stream, which both read,
+keeps each fact of a node on the node, so beyond its term it holds only the
+walk's path, however many steps it made."""
 
 from __future__ import annotations
 
 import os
 import subprocess
 import sys
+import tracemalloc
+from collections import deque
+from itertools import islice
 from pathlib import Path
 
 import pytest
+
+from exsub.rewrite import FULL, _stream
+from exsub.syntax import parse_term
+from exsub.terms import node_size
 
 from conftest import MULT, church
 
@@ -77,3 +86,29 @@ def test_normalize_keeps_no_step():
     assert code == 0
     assert "fuel 100000 exhausted" in r.stderr
     assert peak < 20 * 2**20, f"peak RSS {peak / 2**20:.1f} MB"
+
+
+def held_beyond_the_term(term: str, steps: int) -> tuple[int, int]:
+    """The bytes that the lo stream of `term` holds after `steps` steps
+    beyond what its current term holds, and the size of that term."""
+    tracemalloc.start()
+    try:
+        red, stream = _stream(parse_term(term), FULL, "lo")
+        deque(islice(stream, steps), maxlen=0)
+        root = red.root         # rebuilt: no frame of the walk holds an old child
+        with_stream = tracemalloc.get_traced_memory()[0]
+        del red, stream
+        return with_stream - tracemalloc.get_traced_memory()[0], node_size(root)
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_stream_holds_memory_by_its_term_not_by_its_steps():
+    # Every step on this term makes binders, and the term grows with the
+    # steps: 343 nodes after 10^4 steps, 1,308 after 4*10^4.  The stream
+    # holds 26 bytes per node beyond it, the walk's path.  Memos keyed by
+    # id, of contexts and of finished subtrees, held 1.7 and 7.5 MB there
+    # (5 and 5.7 kB per node), as they grew by about 190 bytes a step.
+    for steps in (10**4, 4 * 10**4):
+        held, size = held_beyond_the_term(r"(\x. \z. x x) (\x. \z. x x)", steps)
+        assert held < 200 * size, (steps, held, size)

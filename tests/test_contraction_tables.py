@@ -23,7 +23,7 @@ from exsub.terms import VarRef
 TERM = r"(\x. x) y"
 
 
-def var_gives_q(t, memo):
+def var_gives_q(t):
     return VarRef("q")
 
 

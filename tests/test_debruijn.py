@@ -16,7 +16,6 @@ from exsub.debruijn import (LAMBDA_UPSILON, UPSILON, UPSILON2, DApp, DBoldLam,
                             equiv_alpha, equiv_gamma, print_db, translate)
 from exsub.generators import GenConfig, gen_db, gen_db_sub
 from exsub.judgements import derive
-from exsub.freevars import fv
 from exsub.syntax import parse_context, parse_term
 from exsub.terms import node_size
 
@@ -143,9 +142,10 @@ def test_translate_rejects_an_unknown_flavor():
 
 
 def test_marked_translation_visits_each_node_once(monkeypatch):
-    # every binder of the chain asks whether its variable is free in it
+    # every binder of the chain asks whether its variable is free in it;
+    # the context is given, as `fv` would leave every context on its node
     t = parse_term("\\x. " * 300 + "W x * x")
-    d = derive(fv(t), t)
+    d = derive(context(), t)
     calls, operands = [], freevars._operands
     monkeypatch.setattr(freevars, "_operands", lambda u: calls.append(u) or operands(u))
     translate(d, UPSILON2)

@@ -85,9 +85,8 @@ def test_walk_does_not_enter_leaves():
     # when the root is not one
     rng = Random(12)
     for _ in range(300):
-        memo: dict = {}
         ruled = []
-        finder = _rule_finder(SIGMA_ALPHA, memo)
+        finder = _rule_finder(SIGMA_ALPHA)
 
         def rule_at(u):
             ruled.append(u)
@@ -99,7 +98,7 @@ def test_walk_does_not_enter_leaves():
             picked = lo.next_redex()
             if picked is None:
                 break
-            lo.replace(apply_rule(lo.focus, (), picked[1], _memo=memo)[0])
+            lo.replace(apply_rule(lo.focus, (), picked[1])[0])
         assert ruled and all(u.CHILDREN for u in ruled)
 
 
@@ -111,7 +110,7 @@ def leaves(classes) -> set:
 def test_no_named_rule_matches_at_a_leaf(name):
     # what the walk relies on when it passes a leaf without asking it
     assert leaves(Term.__args__ + Subst.__args__) == {VarRef, Weak, Rename}
-    rule_at = _rule_finder(RULE_SETS[name], {})
+    rule_at = _rule_finder(RULE_SETS[name])
     rng = Random(13)
     found = [u for _ in range(200) for u in all_nodes(gen_raw_term(rng, rng.randint(1, 18)))
              if not u.CHILDREN]

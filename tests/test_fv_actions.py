@@ -13,6 +13,7 @@ from random import Random
 
 import pytest
 
+from exsub import freevars
 from exsub.cli import main
 from exsub.contexts import Context, context, ctx_sup, o_lambda
 from exsub.freevars import fv, fv_blame
@@ -25,6 +26,7 @@ from conftest import all_nodes
 
 C = context
 DEEP = 10_000
+TERMS = (VarRef, App, Lam, Comp)
 
 
 def ref_sup(a: Context, b: Context) -> Context | None:
@@ -110,15 +112,43 @@ def test_fv_satisfies_the_equations_on_raw_terms():
         assert fv(Comp(Lift(s, x), a)) == fv(Comp(Weak(x), Comp(s, Lam(x, a))))
 
 
-def test_memo_holds_only_nodes_of_the_term():
+def test_fv_writes_contexts_only_on_nodes_of_its_term():
+    # every term node of `t` gets its context (False when undefined) in
+    # its slot, and no node outside `t` gets one
     rng = Random(3)
     for _ in range(500):
         t = gen_raw_term(rng, rng.randint(1, 18))
-        memo: dict = {}
-        fv(t, memo=memo)
-        ids = {id(u) for u in all_nodes(t)}
-        for key, (node, _) in memo.items():
-            assert key == id(node) and key in ids
+        outer = App(t, gen_raw_term(rng, rng.randint(1, 18)))
+        fv(t)
+        mine = {id(u) for u in all_nodes(t)}
+        for u in all_nodes(outer):
+            if type(u) in TERMS:
+                if id(u) in mine:
+                    assert u.fv == (ref_fv(u) or False), u
+                else:
+                    assert u.fv is None, u
+
+
+def test_fv_reuses_the_contexts_of_a_shared_subterm(monkeypatch):
+    # a second call on a term that shares a subterm with the first does
+    # not enter that subterm again
+    rng = Random(5)
+    shared = gen_raw_term(rng, 30)
+    fv(App(shared, VarRef("a")))
+    entered = []
+    operands = freevars._operands
+    monkeypatch.setattr(freevars, "_operands", lambda u: entered.append(u) or operands(u))
+    assert fv(Lam("a", shared)) == ref_fv(Lam("a", shared))
+    assert len(entered) == 1
+
+
+@pytest.mark.parametrize("s", [Slash(VarRef("b"), "x"), Weak("x"), Rename("y", "x"),
+                               Lift(Weak("x"), "y")], ids=lambda s: type(s).__name__)
+def test_fv_of_a_substitution_raises(s):
+    # neither on its own nor in a term position, where no slot is read
+    for t in (s, App(VarRef("a"), s), Comp(Slash(s, "x"), VarRef("x"))):
+        with pytest.raises(TypeError, match=r"^not a term: "):
+            fv(t)
 
 
 def test_sup_matches_the_recursive_reference():

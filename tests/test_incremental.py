@@ -15,7 +15,7 @@ import pytest
 from exsub import rewrite
 from exsub.debruijn import (DApp, DComp, DSlash, FreeName, One, db_find_redexes,
                             db_normalize_upsilon)
-from exsub.freevars import _fv
+from exsub.freevars import fv
 from exsub.generators import gen_db, gen_db_marked, gen_raw_subst, gen_raw_term
 from exsub.rewrite import (_REACH, _SHAPE_RULE, FULL, RULE_SETS, SIGMA, SIGMA_ALPHA, _rule_finder,
                            _shape, apply_rule, find_redexes, normalize)
@@ -73,13 +73,12 @@ def test_pinned_alpha_above_the_grandparent():
 def test_pinned_needs_the_unsettled_binders():
     # Without re-checking binders whose context was undefined, the walk
     # resumes at the grandparent of 0.1.1 and misses the root.
-    memo = {}
-    finder = _rule_finder(SIGMA_ALPHA, memo)
+    finder = _rule_finder(SIGMA_ALPHA)
     lo = LeftmostOutermost(parse_term(PINNED), lambda u: finder(u) or None)
     rows = []
     while len(rows) < 6 and (picked := lo.next_redex()) is not None:
         path, rule = picked
-        lo.replace(apply_rule(lo.focus, (), rule, _memo=memo)[0])
+        lo.replace(apply_rule(lo.focus, (), rule)[0])
         rows.append((rule, path_indices(path)))
     assert rows[4] == ("W", [0, 1, 1])
     assert rows[5] == ("IdVar", [0, 1])
@@ -93,8 +92,8 @@ RESUME_PINS = [
     # Var at the function 1.0 leaves an abstraction there, which makes the
     # application at 1 a Beta redex
     (r"w (([\x. x/y] * y) z)", FULL, [("Var", [1, 0]), ("Beta", [1])], App),
-    # IdShift at 1.1 leaves W x * a there, and the composition at 1, whose
-    # Shift rules read the W x two levels down, becomes a Shift redex
+    # IdShift at 1.1 leaves W x * a there, the body of the composition at
+    # 1, whose Shift rules read the body's W x: it becomes a Shift redex
     (r"w ([b/x] * {x y} * W y * a)", SIGMA, [("IdShift", [1, 1]), ("Shift", [1])], Comp),
     # Var at 1.1 leaves the variable x, a leaf, which makes the composition
     # at 1 a Var redex
@@ -105,8 +104,7 @@ RESUME_PINS = [
 def walk_rows(t, rules, reach):
     """The (rule, path) of each step of a lo walk with the given reach.
     The walk asks no node without children for a rule."""
-    memo = {}
-    finder = _rule_finder(rules, memo)
+    finder = _rule_finder(rules)
 
     def rule_at(u):
         assert u.CHILDREN, u
@@ -116,7 +114,7 @@ def walk_rows(t, rules, reach):
     rows = []
     while (picked := lo.next_redex()) is not None:
         path, rule = picked
-        lo.replace(apply_rule(lo.focus, (), rule, _memo=memo, _matched=True)[0])
+        lo.replace(apply_rule(lo.focus, (), rule, _matched=True)[0])
         rows.append((rule, path_indices(path)))
     return rows
 
@@ -140,8 +138,6 @@ NAMED_CLASSES = (VarRef, App, Lam, Comp, Slash, Weak, Rename, Lift)
 SUBSTS = (Slash, Weak, Rename, Lift)
 TERM_POOL = [parse_term(u) for u in ("x", "y", r"\x. x", "x y", "W x * y", "[y/x] * x",
                                      r"(\x. x) y", r"{y x} * W x * z")]
-SUBST_POOL = [Weak("x"), Weak("y"), Slash(VarRef("y"), "x"), Rename("x", "y"),
-              Rename("y", "x"), Lift(Weak("x"), "y")]
 
 
 def below(t):
@@ -156,8 +152,10 @@ def below(t):
 
 def test_a_step_below_a_class_reach_leaves_its_rule():
     # the walk asks a frame again only within its class's reach: replacing
-    # any node deeper than that leaves the rule at the root, and each reach
-    # is tight, as a node at that depth can change the rule
+    # any term deeper than that leaves the rule at the root, and each reach
+    # is tight, as a term at that depth can change the rule.  Only terms
+    # are replaced: no rule has its root at a substitution, so that is
+    # where every contraction lands.
     assert set(_REACH) == {c for c in NAMED_CLASSES if c.CHILDREN}
     rng, changed = Random(27), set()
     for _ in range(800):
@@ -165,7 +163,9 @@ def test_a_step_below_a_class_reach_leaves_its_rule():
         t = gen_raw_subst(rng, size) if rng.random() < 0.2 else gen_raw_term(rng, size)
         rule, reach = _SHAPE_RULE.get(_shape(t)), _REACH.get(type(t), 0)
         for path, u in below(t):
-            for v in SUBST_POOL if isinstance(u, SUBSTS) else TERM_POOL:
+            if isinstance(u, SUBSTS):
+                continue
+            for v in TERM_POOL:
                 got = _SHAPE_RULE.get(_shape(replace_at(t, path, v)))
                 if len(path) > reach:
                     assert got == rule, (t, path, v)
@@ -179,13 +179,13 @@ def test_the_root_binder_is_asked_once(monkeypatch):
     # a step only shrinks, so the walk does not ask the binder again
     probed = []
 
-    def counted_fv(t, memo):
+    def counted_fv(t):
         if type(t) is Lam:
             probed.append(t)
-        return _fv(t, memo)
+        return fv(t)
 
     t = parse_term(r"[y/z] * \x. x z")
-    monkeypatch.setattr(rewrite, "_fv", counted_fv)
+    monkeypatch.setattr(rewrite, "fv", counted_fv)
     _, trace, _ = normalize(t, SIGMA_ALPHA)
     assert len(probed) == 1
     monkeypatch.undo()
@@ -198,8 +198,8 @@ def test_rule_lookups_per_church_step(k, monkeypatch):
     lookups = [0]
     finder = rewrite._rule_finder
 
-    def counting_finder(rules, memo):
-        rule_at = finder(rules, memo)
+    def counting_finder(rules):
+        rule_at = finder(rules)
 
         def counted(u):
             lookups[0] += 1
@@ -220,14 +220,14 @@ def test_replace_needs_a_found_redex():
 
 
 def test_a_found_redex_is_kept_until_it_is_replaced():
-    lo = LeftmostOutermost(parse_term("x ([y/z] * z)"), _rule_finder(SIGMA, {}))
+    lo = LeftmostOutermost(parse_term("x ([y/z] * z)"), _rule_finder(SIGMA))
     first = lo.next_redex()
     assert first == ((1,), "Var") and lo.next_redex() is first
 
 
 def test_the_walk_stays_ended_and_keeps_the_normal_form():
     t = parse_term(r"\w. x ([y/z] * z)")
-    lo = LeftmostOutermost(t, _rule_finder(SIGMA, {}))
+    lo = LeftmostOutermost(t, _rule_finder(SIGMA))
     while (picked := lo.next_redex()) is not None:
         lo.replace(apply_rule(lo.focus, (), picked[1])[0])
     assert lo.next_redex() is None and lo.next_redex() is None

@@ -1,8 +1,9 @@
 """A one-level rebuild calls the node's constructor with the node's field
 values, one of them replaced.  That builds the value the constructor would
 only while every node class of both calculi is a plain frozen `Value`: its
-slots are exactly its fields, it has no instance __dict__ and no
-__post_init__, and `vars` gives exactly its fields.
+slots are its fields and then its cache slots, which the constructor sets
+to None, it has no instance __dict__ and no __post_init__, and `vars` gives
+exactly its fields.
 """
 
 from __future__ import annotations
@@ -27,16 +28,21 @@ def test_every_node_class_is_found():
 @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
 def test_node_class_is_a_plain_frozen_dataclass(cls):
     # the name is kept from when the nodes were dataclasses; the premise
-    # is the same: a frozen record that holds exactly its fields, now in
-    # slots, with no instance __dict__
+    # is the same: a frozen record whose fields are its annotations, now
+    # in slots, then its cache slots (a term's `fv`, and `clean` on every
+    # class with children), with no instance __dict__
     assert issubclass(cls, Value)
+    fields = list(cls.__annotations__)
+    caches = ["fv"] * (cls in terms.Term.__args__) + ["clean"] * bool(cls.CHILDREN)
     slots = [s for k in cls.__mro__ for s in vars(k).get("__slots__", ())]
-    assert slots == list(cls.__match_args__)
+    assert slots == fields + caches
+    assert list(cls.__match_args__) == fields
     assert cls.__dictoffset__ == 0
     assert not hasattr(cls, "__post_init__")
     kids = set(cls.CHILDREN)
     node = cls(*(LEAVES[terms][0] if f in kids else "x" for f in cls.__match_args__))
-    assert list(vars(node)) == list(cls.__match_args__)
+    assert list(vars(node)) == fields
+    assert all(getattr(node, c) is None for c in caches)
 
 
 @pytest.mark.parametrize("cls", [c for c in NODE_CLASSES if c.CHILDREN],

@@ -12,7 +12,7 @@ the same as theirs.
 The lo walk under a rule set with Alpha asks for a binder's context once
 each time it enters the binder: the rule lookup asks, and answers
 `UNSETTLED` for a binder whose context is undefined, and Alpha's
-contraction reads the memo entry it wrote.
+contraction reads the context that `fv` kept on the binder.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import pytest
 from exsub import rewrite
 from exsub.debruijn import (SYSTEM_RULES, DApp, DBoldLam, DComp, DId, DLam, DLift,
                             DShift, DSlash, One, _db_contract, print_db)
-from exsub.freevars import _fv
+from exsub.freevars import fv
 from exsub.generators import GenConfig, gen_db, gen_db_marked, gen_raw_term, gen_wellformed
 from exsub.rewrite import (ALL_RULES, ALPHA, APP, BETA, FULL, IDSHIFT, IDSHIFTP, IDVAR,
                            LAMBDA, LIFTSHIFT, LIFTSHIFTP, LIFTVAR, SHIFT, SHIFTP, SIGMA,
@@ -65,12 +65,12 @@ def ref_sigma_rule(s, b) -> str | None:
     return None
 
 
-def ref_root_rule(t, rules, memo) -> str | None:
+def ref_root_rule(t, rules) -> str | None:
     match t:
         case App(Lam(_, _), _) if BETA in rules:
             return BETA
         case Lam(x, _) if ALPHA in rules:
-            c = _fv(t, memo)
+            c = fv(t)
             if c is None:
                 return UNSETTLED
             return ALPHA if x in c else None
@@ -80,7 +80,7 @@ def ref_root_rule(t, rules, memo) -> str | None:
     return None
 
 
-def ref_contract(t, rule, memo):
+def ref_contract(t, rule):
     match rule, t:
         case "Beta", App(Lam(x, a), b):
             return Comp(Slash(b, x), a), None
@@ -109,7 +109,7 @@ def ref_contract(t, rule, memo):
         case "W", Comp(Weak(x), VarRef(z)) if x != z:
             return VarRef(z), None
         case "Alpha", Lam(x, a):
-            c = _fv(t, memo)
+            c = fv(t)
             if c is None or x not in c:
                 raise InvalidRedex(f"Alpha does not apply: {x} is not free in the binder")
             y = fresh_var(c, x)
@@ -181,12 +181,11 @@ DB_RULES = tuple(sorted(frozenset().union(*SYSTEM_RULES.values()))) + ("Nope",)
 def test_named_rule_lookup_matches_the_reference():
     found = {name: set() for name in ("full", "sigma", "sigma-alpha")}
     for t in named_terms():
-        memo, ref_memo = {}, {}
-        rule_at = {rules: _rule_finder(rules, memo) for rules in (FULL, SIGMA, SIGMA_ALPHA)}
+        rule_at = {rules: _rule_finder(rules) for rules in (FULL, SIGMA, SIGMA_ALPHA)}
         for u in all_nodes(t):
             for name, rules in (("full", FULL), ("sigma", SIGMA), ("sigma-alpha", SIGMA_ALPHA)):
                 r = rule_at[rules](u)
-                assert r == ref_root_rule(u, rules, ref_memo), (name, u)
+                assert r == ref_root_rule(u, rules), (name, u)
                 found[name].add(r)
     # every rule of each set is found somewhere, and a binder whose context
     # is undefined under each set with Alpha
@@ -199,11 +198,10 @@ def test_named_rule_lookup_matches_the_reference():
 def test_named_contraction_matches_the_reference():
     fired = set()
     for t in named_terms():
-        memo, ref_memo = {}, {}
         for u in all_nodes(t):
             for rule in NAMED_RULES:
-                got = outcome(_contract, u, rule, memo)
-                assert got == outcome(ref_contract, u, rule, ref_memo), (rule, u)
+                got = outcome(_contract, u, rule)
+                assert got == outcome(ref_contract, u, rule), (rule, u)
                 if got[0] == "ok":
                     fired.add(rule)
     assert fired == set(ALL_RULES)
@@ -217,7 +215,7 @@ def test_named_contraction_matches_the_reference():
 ])
 def test_named_mismatch_messages(message, term, rule):
     with pytest.raises(InvalidRedex) as e:
-        _contract(term, rule, {})
+        _contract(term, rule)
     assert str(e.value) == message
 
 
@@ -247,13 +245,13 @@ def test_one_fv_probe_per_binder_entry(monkeypatch):
                 return rule_at(u)
             super().__init__(root, counted, reach)
 
-    def counted_fv(t, memo):
+    def counted_fv(t):
         probed[id(t)] += 1
         alive.append(t)
-        return _fv(t, memo)
+        return fv(t)
 
     monkeypatch.setattr(rewrite, "LeftmostOutermost", CountingWalk)
-    monkeypatch.setattr(rewrite, "_fv", counted_fv)
+    monkeypatch.setattr(rewrite, "fv", counted_fv)
     rng = Random(47)
     cfg = GenConfig(seed=47, size=20)
     terms = [parse_term(r"{w y} * W w * \w. y")]

@@ -159,7 +159,7 @@ def test_every_trial_that_raises_under_a_wrong_rule_keeps_its_term(monkeypatch):
     # Lambda without its lift: [s] * \x. a -> \x. [s] * a.  About half of
     # the failing trials raise, because the contractum no longer derives.
     monkeypatch.setitem(rewrite._CONTRACT, rewrite.LAMBDA,
-                        lambda t, _: Lam(t.body.var, Comp(t.sub, t.body.body)))
+                        lambda t: Lam(t.body.var, Comp(t.sub, t.body.body)))
     report = run_suite("translation-simulation", GenConfig(seed=0, count=200))
     assert [f.trial for f in report.failures] == [
         1, 4, 21, 48, 53, 59, 75, 76, 77, 83, 99, 100, 101, 112, 113, 118, 129, 135,

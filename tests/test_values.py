@@ -220,6 +220,31 @@ def test_assignment_and_deletion_raise(v):
     assert vars(v) == before
 
 
+def test_a_cache_slot_is_no_field():
+    # a term whose cache slots are filled, by `fv` and by a walk's mark,
+    # compares, hashes, prints and copies as one whose slots are empty
+    def make():
+        return App(Lam("x", Comp(Slash(VarRef("y"), "x"), VarRef("x"))), VarRef("z"))
+    t, fresh = make(), make()
+    fv(t)
+    terms.set_cache(t, "clean", len)
+    assert t.fv is not None and t.clean is len
+    assert fresh.fv is None and fresh.clean is None
+    assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+    assert vars(t) == vars(fresh) and list(vars(t)) == ["fn", "arg"]
+    copies = [copy.copy(t), copy.deepcopy(t)]
+    copies += [pickle.loads(pickle.dumps(t, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for c in copies:
+        assert c == t and repr(c) == repr(t)
+        assert c.fv is None and c.clean is None
+    for name in ("fv", "clean"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, None)
+        with pytest.raises(AttributeError):
+            delattr(t, name)
+    assert t.fv == fv(fresh) and t.clean is len
+
+
 def test_no_record_has_an_instance_dict():
     for cls in FIELDS:
         assert cls.__dictoffset__ == 0, cls.__name__
