@@ -20,6 +20,7 @@ import argparse
 import os
 import sys
 from collections import deque
+from functools import cache
 from itertools import islice
 
 from . import __version__
@@ -36,14 +37,12 @@ from .syntax import ParseError, parse_context, parse_term, print_term
 
 
 def _positive_int(text: str) -> int:
-    """Argument type of the numeric flags that count steps, fuel, trials or size."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n <= 0:
+    """Argument type of the numeric flags that count steps, fuel, trials or
+    size: ASCII digits only, as for --strategy index:K, since `int` also
+    reads a sign, spaces, underscores and the digits of other scripts."""
+    if not (text.isascii() and text.isdigit()) or int(text) == 0:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return n
+    return int(text)
 
 
 def _strategy(text: str) -> Strategy:
@@ -137,7 +136,12 @@ def cmd_test(args) -> int:
     return 0 if not report.failures else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of the command line, built on the first call and then kept:
+    building it costs more than parsing most command lines, and a process
+    that calls `main` more than once builds it once.  Parsing does not
+    change it."""
     p = argparse.ArgumentParser(
         prog="exsub",
         description="Lambda calculus with explicit substitutions, weakening, "

@@ -480,4 +480,4 @@ def print_db(a: DBTerm | DBSub, notation: str = "bracket") -> str:
     The printer core of the named calculus prints it from the notation's table."""
     if notation not in _NOTATIONS:
         raise ValueError(f"unknown notation: {notation!r}")
-    return _print(_node(a), None, lambda u: _parts(u, _NOTATIONS[notation]))
+    return _print(_node(a), lambda u: _parts(u, _NOTATIONS[notation]))

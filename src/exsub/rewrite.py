@@ -43,7 +43,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .contexts import Context
 from .freevars import fv
-from .syntax import LengthMemo, child_spans, print_spliced, print_term
+from .syntax import LengthMemo, child_extent, print_spliced, print_term
 from .terms import (UNSETTLED, App, Comp, InvalidRedex, Lam, LeftmostOutermost, Lift, Node,
                     Path, Rename, Slash, Term, Value, Var, VarRef, Weak, refresh, replace_at,
                     subterm_at)
@@ -347,8 +347,12 @@ class Trace(Value):
         above the last contraction, still holding the old child, is rebuilt
         only once a path leaves the zipper below it (`terms.refresh`, as in
         the walk); so a lo step costs the same at any depth, and printing
-        builds no result.  Walking down measures only the first child of a
-        node with two (`syntax.child_spans`).  The zipper alone holds the
+        builds no result.  Walking down places each child by the literal
+        text of its parent's class (`syntax.child_extent`), which measures
+        only an application's function or a composition's substitution,
+        and not even that at a turn, where the path leaves the last one at
+        a node with two children: the extent of the child that the zipper
+        holds places its sibling.  The zipper alone holds the
         redex's extent: it hands the splice where the redex's text starts
         and ends, and takes back the contractum's.  The zipper takes in the
         engine's own redex, whose parts the contractum holds by identity,
@@ -374,15 +378,19 @@ class Trace(Value):
                 at, old, new = s.at, s._redex, s._contractum
                 m = _shared(at, last)
                 refresh(nodes, last, m)
+                n, other = len(text), None
+                if m < len(at) and m < len(last):       # a turn: the old child places the new
+                    other = starts[m + 1], n - tails[m + 1]
                 del nodes[m + 1:], starts[m + 1:], tails[m + 1:]
                 for i in at[m:]:
-                    end = len(text) - tails[-1]
-                    c, start, end = child_spans(nodes[-1], starts[-1], end, memo)[i]
+                    c, start, end = child_extent(nodes[-1], i, starts[-1], n - tails[-1], memo,
+                                                 other)
                     nodes.append(c)
                     starts.append(start)
-                    tails.append(len(text) - end)
+                    tails.append(n - end)
+                    other = None
                 text, starts[-1], end = print_spliced(
-                    text, starts[-1], len(text) - tails[-1], nodes[-2] if at else None,
+                    text, starts[-1], n - tails[-1], nodes[-2] if at else None,
                     at[-1] if at else 0, old, new, memo)
                 tails[-1] = len(text) - end
                 nodes[-1], last = new, at

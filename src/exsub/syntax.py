@@ -147,7 +147,6 @@ def parse_context(text: str) -> Context:
 
 
 # Entries hold the node itself so its id stays valid for the cache key.
-PrintMemo = dict[int, tuple[Node, str]]
 LengthMemo = dict[int, tuple[Node, int]]
 
 _TERMS = frozenset(Term.__args__)
@@ -208,11 +207,10 @@ def _parts(u) -> tuple:
     return f"^{u.var}", u.sub
 
 
-def _print(root, memo: PrintMemo | None, parts=None) -> str:
-    """The text of `root`, whose class the caller has checked, taking the
-    text of each node that `memo` holds from there.  `parts` gives a node's
-    text parts as `_parts` does, and is `_parts` unless given: the de Bruijn
-    printer passes its own.
+def _print(root, parts=None) -> str:
+    """The text of `root`, whose class the caller has checked.  `parts`
+    gives a node's text parts as `_parts` does, and is `_parts` unless
+    given: the de Bruijn printer passes its own.
 
     Pre-order on an explicit stack, so that deep terms do not hit the
     recursion limit.  The stack holds nodes still to print and literal text;
@@ -229,15 +227,13 @@ def _print(root, memo: PrintMemo | None, parts=None) -> str:
             out.append(u)
         elif cls is VarRef:
             out.append(u.name)
-        elif memo is not None and (hit := memo.get(id(u))) is not None and hit[0] is u:
-            out.append(hit[1])
         else:
             stack += parts(u)
     return "".join(out)
 
 
 def _length(root: Node, memo: LengthMemo) -> int:
-    """`len(_print(root, None))`, recording in `memo` the length of every
+    """`len(_print(root))`, recording in `memo` the length of every
     node with children that it measures.  Post-order on an explicit stack:
     a pair (node, start) comes off it once the lengths of the node's parts
     are on `out` from `start` on."""
@@ -271,36 +267,45 @@ def _length(root: Node, memo: LengthMemo) -> int:
     return sum(out)
 
 
-def child_spans(u, start: int, end: int, memo: LengthMemo) -> list[tuple[Node, int, int]]:
-    """The children of `u`, in the order of its ``CHILDREN``, each with
-    where its text starts and ends when the text of `u` spans `start` to
-    `end`.  Every child but the last is measured; the last one ends where
-    `u` does, less the literal text after it.  `memo` records printed
-    lengths (see `_length`)."""
-    found, tail, c = [], 0, None
-    for p in reversed(_parts(u)):
-        if type(p) is str:
-            start += len(p)
-            tail += len(p)
+def child_extent(u, i: int, start: int, end: int, memo: LengthMemo,
+                 other: tuple[int, int] | None = None) -> tuple[Node, int, int]:
+    """Child `i` of `u`, whose text spans `start` to `end`, and where the
+    child's text starts and ends.  Each class places its children by the
+    width of its own literal text, so nothing is measured but the first
+    child of a node with two, an application's function or a composition's
+    substitution (`_length`, which records in `memo`), and that only for
+    want of `other`: where the other child of such a node starts and ends,
+    which the trace printer's zipper holds where a path turns."""
+    cls = type(u)
+    if cls is App:
+        f, a = u.fn, u.arg
+        pf, pa = type(f) not in _BARE_FN, type(a) is not VarRef   # in parentheses
+        if other is None:       # `split`: where the function's text ends, with its ")"
+            split = start + 2 * pf + (len(f.name) if type(f) is VarRef else _length(f, memo))
         else:
-            if c is not None:
-                n = _length(c, memo)
-                found.append((c, at, at + n))
-                start += n
-            c, at, tail = p, start, 0
-    if c is not None:
-        found.append((c, at, end - tail))
-    return found
+            split = other[1] + pf if i else other[0] - pa - 1
+        return (a, split + 1 + pa, end - pa) if i else (f, start + pf, split - pf)
+    if cls is Comp:
+        if other is None:
+            split = start + _length(u.sub, memo)
+        else:
+            split = other[1] if i else other[0] - 3
+        return (u.body, split + 3, end) if i else (u.sub, start, split)
+    if cls is Lam:
+        return u.body, start + len(u.var) + 3, end
+    if cls is Slash:
+        return u.term, start + 1, end - len(u.var) - 2
+    return u.sub, start, end - len(u.var) - 1       # Lift
 
 
 def print_term(t: Term) -> str:
     _expect(t, _TERMS, "term")
-    return _print(t, None)
+    return _print(t)
 
 
 def print_subst(s: Subst) -> str:
     _expect(s, _SUBSTS, "substitution")
-    return _print(s, None)
+    return _print(s)
 
 
 def print_spliced(text: str, start: int, end: int, parent: Node | None, k: int, old: Node,
@@ -311,30 +316,65 @@ def print_spliced(text: str, start: int, end: int, parent: Node | None, k: int, 
 
     `parent` is the node above `old`, whose child `k` it is, or None at
     the root; only the parentheses of that slot are chosen afresh.  `new`
-    is printed by the printer core around the texts of the children and
-    grandchildren of `old`, the parts a rule's contractum reuses, cut out
-    of `text`.  A contractum without children reuses none, and nothing is
-    cut.  Finding where those parts end measures only the first child of
-    each node with two (`child_spans`).  `memo` records printed lengths
-    (see `_length`), that of `new` included.
+    is printed around the texts of the children and grandchildren of `old`
+    that it reuses, cut out of `text` (`_print_reusing`); a contractum
+    without children reuses none.  `memo` records printed lengths (see
+    `_length`), that of `new` included.
     """
     sort = _TERMS if type(old) in _TERMS else _SUBSTS
     _expect(new, sort, "term" if sort is _TERMS else "substitution")
-    cut: PrintMemo | None = None
     if new.CHILDREN:
-        cut = {}
-        for c, s, e in child_spans(old, start, end, memo):
-            if c.CHILDREN:
-                cut[id(c)] = c, text[s:e]
-                for g, s_g, e_g in child_spans(c, s, e, memo):
-                    if g.CHILDREN:
-                        cut[id(g)] = g, text[s_g:e_g]
-    out = _print(new, cut)
-    if cut is not None:
+        out = _print_reusing(new, old, text, start, end, memo)
         memo[id(new)] = (new, len(out))
+    else:
+        out = _print(new)
     if type(parent) is App:
         if _in_parens(k, old):
             start, end = start - 1, end + 1
         if _in_parens(k, new):
             return f"{text[:start]}({out}){text[end:]}", start + 1, start + 1 + len(out)
     return text[:start] + out + text[end:], start, start + len(out)
+
+
+def _print_reusing(new: Node, old: Node, text: str, start: int, end: int,
+                   memo: LengthMemo) -> str:
+    """The text of `new`, a rule's contractum, when the text of the redex
+    `old` spans `start` to `end` of `text`.  The printer core of `_print`,
+    but a child or grandchild of `old` with children, a part that a
+    contractum reuses, is cut out of `text` when the printer meets it, at
+    the extent that `child_extent` gives it.  So only the parts that `new`
+    holds are placed, and a part that it drops costs one entry in
+    `reused`."""
+    # id of a part -> its position in `old`, then in that child or None;
+    # counted by hand, as `enumerate` makes this loop half as slow again
+    reused = {}
+    i = 0
+    for f in old.CHILDREN:
+        c = getattr(old, f)
+        if c.CHILDREN:
+            reused[id(c)] = i, None
+            j = 0
+            for g in c.CHILDREN:
+                g = getattr(c, g)
+                if g.CHILDREN:
+                    reused[id(g)] = i, j
+                j += 1
+        i += 1
+    out: list[str] = []
+    stack: list = [new]
+    while stack:
+        u = stack.pop()
+        cls = type(u)
+        if cls is str:
+            out.append(u)
+        elif cls is VarRef:
+            out.append(u.name)
+        elif (hit := reused.get(id(u))) is not None:
+            i, j = hit
+            c, s, e = child_extent(old, i, start, end, memo)
+            if j is not None:
+                c, s, e = child_extent(c, j, s, e, memo)
+            out.append(text[s:e])
+        else:
+            stack += _parts(u)
+    return "".join(out)

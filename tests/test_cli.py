@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from exsub import __version__, cli
 from exsub.cli import main
 
 
@@ -136,3 +141,49 @@ def test_usage_error_exit_code():
 def test_parse_error_is_clean_exit(capsys):
     with pytest.raises(SystemExit):
         main(["fv", "((("])
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # the first call builds the parser and later calls parse with it; a
+    # usage error, --version and -h leave it as it was, and print what a
+    # parser built for the call prints
+    used = []
+    parse_args = cli.argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        used.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "parse_args", spy)
+    calls = [["fv", "x"], ["reduce"], ["--version"], ["-h"], ["reduce", "-h"],
+             ["reduce", "--steps", "0", "x"], ["good", "x"]]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert len(set(map(id, used))) == len(calls)
+    used.clear()
+    assert [outcome(argv) for argv in calls] == fresh
+    assert len(used) == len(calls) and all(p is used[0] for p in used)
+    assert used[0] is cli.build_parser()
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 0, 0, 2, 0]
+    assert fresh[2][1] == f"exsub {__version__}\n"
+    assert fresh[3][1].startswith("usage: exsub ")
+
+
+def test_importing_the_cli_builds_no_parser():
+    # building the parser is left to the first call of `main`, so an import
+    # costs none of it
+    code = "import exsub.cli as c; print(c.build_parser.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True, env=env, timeout=60)
+    assert out.stdout == "0\n"

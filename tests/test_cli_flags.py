@@ -1,5 +1,5 @@
-"""The numeric flags of the command line accept positive integers only,
-and --strategy accepts lo, ri or index:K with K >= 0.
+"""The numeric flags of the command line accept positive integers written
+in ASCII digits only, and --strategy accepts lo, ri or index:K with K >= 0.
 
 A zero or negative count of steps, fuel, trials or size, or any other
 strategy, is a usage error: exit 2 with a message on stderr, never a
@@ -31,6 +31,20 @@ def test_non_positive_numeric_flag_is_usage_error(capsys, argv, flag, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {flag}: expected a positive integer, got '{value}'" in captured.err
+    assert "Traceback" not in captured.err
+
+
+# int() reads a sign, spaces, underscores and non-ASCII digits, which a
+# count may not hold, as K in --strategy index:K may not
+@pytest.mark.parametrize("value", ["+2", " 2", "2 ", "1_0", "\u0663", "", "2.0"])
+@pytest.mark.parametrize("argv, flag", FLAGS, ids=IDS)
+def test_numeric_flag_takes_ascii_digits_only(capsys, argv, flag, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + [flag, value])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: expected a positive integer, got {value!r}" in captured.err
     assert "Traceback" not in captured.err
 
 

@@ -18,10 +18,11 @@ import pytest
 from exsub import rewrite, syntax
 from exsub.cli import main
 from exsub.generators import GenConfig, gen_raw_subst, gen_raw_term, gen_wellformed
-from exsub.rewrite import FULL, RULE_SETS, SIGMA_ALPHA, Trace, TraceStep, normalize
-from exsub.syntax import child_spans, parse_term, print_spliced, print_subst, print_term
+from exsub.rewrite import (FULL, RULE_SETS, SIGMA, SIGMA_ALPHA, Trace, TraceStep, _shared,
+                           normalize)
+from exsub.syntax import child_extent, parse_term, print_spliced, print_subst, print_term
 from exsub.terms import (App, Comp, Lam, Lift, Rename, Slash, VarRef, Weak, children,
-                         node_size, path_indices, replace_at)
+                         node_size, path_indices, replace_at, subterm_at)
 
 from conftest import mult
 
@@ -70,8 +71,41 @@ def positions(t, text, memo):
     while stack:
         path, parent, k, u, start, end = stack.pop()
         yield path, parent, k, u, start, end
-        for i, (c, at, to) in enumerate(child_spans(u, start, end, memo)):
+        for i in range(len(u.CHILDREN)):
+            c, at, to = child_extent(u, i, start, end, memo)
             stack.append((path + (i,), u, i, c, at, to))
+
+
+def printed(u) -> str:
+    return print_subst(u) if type(u) in (Slash, Weak, Rename, Lift) else print_term(u)
+
+
+def test_child_extents_match_fresh_printing():
+    # each class places its children by its own literal text; an argument
+    # or a function printed in parentheses lies inside them; and given
+    # where one child of a node with two lies, the other is placed without
+    # measuring anything
+    rng, memo = Random(2), {}
+    bare = ((VarRef, App), (VarRef,))      # bare as the function, as the argument
+    for _ in range(1500):
+        for t in (gen_raw_term(rng, rng.randint(1, 30)), gen_raw_subst(rng, rng.randint(1, 15))):
+            text = printed(t)
+            spans = {path: (u, start, end)
+                     for path, _, _, u, start, end in positions(t, text, memo)}
+            for path, (u, start, end) in spans.items():
+                assert u is subterm_at(t, path)
+                assert text[start:end] == printed(u)
+                if not path:
+                    continue
+                parent, p_start, p_end = spans[path[:-1]]
+                k = path[-1]
+                if type(parent) is App and type(u) not in bare[k]:
+                    assert text[start - 1] + text[end] == "()"
+                if len(parent.CHILDREN) == 2:
+                    unmeasured = {}
+                    assert child_extent(parent, 1 - k, p_start, p_end, unmeasured,
+                                        (start, end)) == spans[path[:-1] + (1 - k,)]
+                    assert unmeasured == {}
 
 
 def test_spliced_printing_matches_fresh_printing():
@@ -151,6 +185,40 @@ def test_trace_prints_each_step_as_a_fresh_print(name, strategy):
             _, trace, _ = normalize(t, rules, strategy, 60)
             assert trace.to_text() == fresh_text(trace)
             assert trace.to_json() == fresh_json(trace)
+
+
+def turns(trace) -> set[tuple[str, str]]:
+    """The class of each node where a step's path leaves the last one for
+    another child, with the way it turns there, for a trace already printed
+    (reading a result drops what a splice reads)."""
+    found, last, before = set(), (), trace.initial
+    for s in trace.steps:
+        m = _shared(s.at, last)
+        if m < len(s.at) and m < len(last):
+            found.add((type(subterm_at(before, s.at[:m])).__name__,
+                       "right" if s.at[m] > last[m] else "left"))
+        last, before = s.at, s.result
+    return found
+
+
+def test_traces_that_turn_at_either_child_print_as_fresh_prints():
+    # at a turn the printer places the new child from the old one's extent;
+    # lo turns right at both kinds of frame with two children, after
+    # resuming above a contractum, ri turns left, the composition below
+    # turns left once its body is done, and the last term turns right past
+    # a function printed in parentheses
+    binders = parse_term(r"(\x. \z. x x) (\x. \z. x x)")
+    comp = parse_term(r"[(\x. x) y/z] * ((\x. x) w)")
+    cases = [(mult(4), FULL, "lo"), (binders, FULL, "lo"), (mult(4), FULL, "ri"),
+             (binders, FULL, "ri"), (comp, FULL, "lo"), (comp, FULL, "ri"),
+             (parse_term(r"(\q. [y/x] * x) ([y/x] * x)"), SIGMA, "lo")]
+    seen = set()
+    for term, rules, strategy in cases:
+        _, trace, _ = normalize(term, rules, strategy, 300)
+        assert trace.to_text() == fresh_text(normalize(term, rules, strategy, 300)[1])
+        assert trace.to_json() == fresh_json(trace)
+        seen |= turns(trace)
+    assert seen == {(c, way) for c in ("App", "Comp") for way in ("left", "right")}
 
 
 def test_trace_built_by_hand_prints_each_step_as_a_fresh_print():
@@ -334,28 +402,33 @@ def test_trace_print_memo_follows_the_live_term(term, strategy, fuel, monkeypatc
 
 
 def printer_visits_per_step(k: int, monkeypatch) -> tuple[float, float]:
-    """Nodes that the printer core (`syntax._print`) visits per step of the
-    trace of mult c_k c_k, and nodes that printing, measuring and finding
-    offsets visit together."""
+    """Nodes that the printer cores (`syntax._print_reusing` for a
+    contractum with children, `syntax._print` for one without) visit per
+    step of the trace of mult c_k c_k, not counting what they measure to
+    place a part (`syntax._length`), and nodes that printing and measuring
+    visit together."""
     _, trace, _ = normalize(mult(k), FULL, "lo", 100_000)
-    parts, core = syntax._parts, syntax._print
-    visits, inside = [0, 0], []
+    parts = syntax._parts
+    visits, inside = [0, 0], [False]    # inside[-1]: in a printer core, not measuring
 
     def count(u):
-        visits[0] += bool(inside)
+        visits[0] += inside[-1]
         visits[1] += 1
         return parts(u)
 
-    def printing(root, memo):
-        inside.append(root)
-        try:
-            return core(root, memo)
-        finally:
-            inside.pop()
+    def within(fn, core: bool):
+        def spy(*args):
+            inside.append(core)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return spy
 
     with monkeypatch.context() as m:
         m.setattr(syntax, "_parts", count)
-        m.setattr(syntax, "_print", printing)
+        for name, core in (("_print", True), ("_print_reusing", True), ("_length", False)):
+            m.setattr(syntax, name, within(getattr(syntax, name), core))
         trace.to_json()
     return visits[0] / len(trace.steps), visits[1] / len(trace.steps)
 
