@@ -45,6 +45,16 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _seed(text: str) -> int:
+    """Argument type of --seed: an optional "-", then ASCII digits, as
+    `int` also reads a plus sign, spaces, underscores and the digits of
+    other scripts."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _strategy(text: str) -> Strategy:
     """Argument type of --strategy: lo, ri, or index:K with K >= 0."""
     if text in ("lo", "ri"):
@@ -199,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("test", help="run a property suite")
     c.add_argument("suite", choices=sorted(SUITES))
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_seed, default=0)
     c.add_argument("--count", type=_positive_int, default=1000)
     c.add_argument("--size", type=_positive_int, default=40)
     c.add_argument("--fuel", type=_positive_int, default=10000)

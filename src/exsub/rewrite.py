@@ -237,6 +237,116 @@ _CONTRACT: dict[str, Callable[[Node], Term]] = {
 }
 
 
+# The text of a contractum that reuses parts of its redex, by rule: a
+# recipe takes the redex `t`, whose text spans `start` to `end` of `text`,
+# the contractum and the trace's memo of printed lengths.  It checks the
+# classes of the nodes that it reads, and by identity that the contractum
+# holds each reused part where the recipe puts it; if either check fails,
+# it answers None and the step is printed in full.  Else it cuts each part
+# out of `text` once, where `child_extent` places it by the class of the
+# node above it, and writes the contractum's text in one f-string, reading
+# the names from the contractum.  The rules without a recipe reuse no part
+# with children (ShiftP, IdVar, LiftVar and W give a variable, IdShiftP
+# `W y * z`).
+
+def _halves(t: Node, start: int, end: int, memo: LengthMemo) -> tuple[int, int, int, int]:
+    """Where the texts of both children of `t`, an application or a
+    composition, start and end: the second places the first."""
+    _, i, j = child_extent(t, 1, start, end, memo)
+    _, k, m = child_extent(t, 0, start, end, memo, (i, j))
+    return k, m, i, j
+
+
+def _beta_text(t, new, text, start, end, memo):        # (\x. A) B -> [B/x] * A
+    if (type(t) is App and type(f := t.fn) is Lam and type(new) is Comp
+            and type(s := new.sub) is Slash and s.term is t.arg and new.body is f.body):
+        k, m, i, j = _halves(t, start, end, memo)
+        _, k, m = child_extent(f, 0, k, m, memo)
+        return f"[{text[i:j]}/{s.var}] * {text[k:m]}"
+    return None
+
+
+def _alpha_text(t, new, text, start, end, memo):       # \x. A -> \y. {y x} * A
+    if (type(t) is Lam and type(new) is Lam and type(b := new.body) is Comp
+            and type(r := b.sub) is Rename and b.body is t.body):
+        _, i, j = child_extent(t, 0, start, end, memo)
+        return f"\\{new.var}. {{{r.new} {r.old}}} * {text[i:j]}"
+    return None
+
+
+def _app_text(t, new, text, start, end, memo):         # S * A B -> (S * A) (S * B)
+    if (type(t) is Comp and type(b := t.body) is App and type(new) is App
+            and type(f := new.fn) is Comp and type(a := new.arg) is Comp
+            and f.sub is t.sub is a.sub and f.body is b.fn and a.body is b.arg):
+        k, m, i, j = _halves(t, start, end, memo)
+        p, q, i, j = _halves(b, i, j, memo)
+        s = text[k:m]
+        return f"({s} * {text[p:q]}) ({s} * {text[i:j]})"
+    return None
+
+
+def _lambda_text(t, new, text, start, end, memo):      # S * \x. A -> \x. S^x * A
+    if (type(t) is Comp and type(lam := t.body) is Lam and type(new) is Lam
+            and type(b := new.body) is Comp and type(s := b.sub) is Lift
+            and s.sub is t.sub and b.body is lam.body):
+        k, m, i, j = _halves(t, start, end, memo)
+        _, i, j = child_extent(lam, 0, i, j, memo)
+        return f"\\{new.var}. {text[k:m]}^{s.var} * {text[i:j]}"
+    return None
+
+
+def _var_text(t, new, text, start, end, memo):         # [B/x] * x -> B
+    if type(t) is Comp and type(s := t.sub) is Slash and new is s.term:
+        _, i, j = child_extent(t, 0, start, end, memo)
+        _, i, j = child_extent(s, 0, i, j, memo)
+        return text[i:j]
+    return None
+
+
+def _shift_text(t, new, text, start, end, memo):       # [B/x] * W x * A -> A
+    if type(t) is Comp and type(b := t.body) is Comp and new is b.body:
+        _, i, j = child_extent(t, 1, start, end, memo)
+        _, i, j = child_extent(b, 1, i, j, memo)
+        return text[i:j]
+    return None
+
+
+def _idshift_text(t, new, text, start, end, memo):     # {y x} * W x * A -> W y * A
+    if type(new) is Comp and type(w := new.sub) is Weak:
+        a = _shift_text(t, new.body, text, start, end, memo)
+        if a is not None:
+            return f"W {w.var} * {a}"
+    return None
+
+
+def _liftshift_text(t, new, text, start, end, memo):   # S^x * W x * A -> W x * S * A
+    if (type(t) is Comp and type(lift := t.sub) is Lift and type(b := t.body) is Comp
+            and type(new) is Comp and type(w := new.sub) is Weak and type(c := new.body) is Comp
+            and c.sub is lift.sub and c.body is b.body):
+        k, m, i, j = _halves(t, start, end, memo)
+        _, k, m = child_extent(lift, 0, k, m, memo)
+        _, i, j = child_extent(b, 1, i, j, memo)
+        return f"W {w.var} * {text[k:m]} * {text[i:j]}"
+    return None
+
+
+def _liftshiftp_text(t, new, text, start, end, memo):  # S^x * z -> W x * S * z
+    if (type(t) is Comp and type(lift := t.sub) is Lift and type(new) is Comp
+            and type(w := new.sub) is Weak and type(c := new.body) is Comp
+            and c.sub is lift.sub and c.body is t.body):
+        k, m, i, j = _halves(t, start, end, memo)
+        _, k, m = child_extent(lift, 0, k, m, memo)
+        return f"W {w.var} * {text[k:m]} * {text[i:j]}"
+    return None
+
+
+_SPLICE: dict[str, Callable[[Node, Node, str, int, int, LengthMemo], str | None]] = {
+    BETA: _beta_text, ALPHA: _alpha_text, APP: _app_text, LAMBDA: _lambda_text,
+    VAR: _var_text, SHIFT: _shift_text, IDSHIFT: _idshift_text,
+    LIFTSHIFT: _liftshift_text, LIFTSHIFTP: _liftshiftp_text,
+}
+
+
 def _contract(t: Term, rule: str, matched: bool = False) -> tuple[Term, Var | None]:
     if not matched and _SHAPE_RULE.get(_shape(t)) != rule:
         raise InvalidRedex(f"rule {rule} does not match {print_term(t)}")
@@ -354,11 +464,15 @@ class Trace(Value):
         a node with two children: the extent of the child that the zipper
         holds places its sibling.  The zipper alone holds the
         redex's extent: it hands the splice where the redex's text starts
-        and ends, and takes back the contractum's.  The zipper takes in the
-        engine's own redex, whose parts the contractum holds by identity,
-        in a step linked to the one before it or to none.  Any other step
-        (one linked elsewhere, built by hand, or whose result was read) is
-        printed in full.
+        and ends, and takes back the contractum's.  The contractum's text
+        comes from the rule's recipe in `_SPLICE`, read at every step, which
+        cuts the parts of the redex that the contractum reuses out of the
+        text before; a contractum without children, or one that its rule's
+        recipe does not answer for, is printed in full.  The zipper takes
+        in the engine's own redex, whose parts the contractum holds by
+        identity, in a step linked to the one before it or to none.  Any
+        other step (one linked elsewhere, built by hand, or whose result
+        was read) is printed in full.
 
         One memo of printed lengths serves the whole trace.  Its entries are
         checked by identity, and it is cleared when it holds more entries
@@ -389,9 +503,12 @@ class Trace(Value):
                     starts.append(start)
                     tails.append(n - end)
                     other = None
+                start, end = starts[-1], n - tails[-1]
+                recipe = _SPLICE.get(s.rule) if new.CHILDREN else None
+                out = None if recipe is None else recipe(old, new, text, start, end, memo)
                 text, starts[-1], end = print_spliced(
-                    text, starts[-1], n - tails[-1], nodes[-2] if at else None,
-                    at[-1] if at else 0, old, new, memo)
+                    text, start, end, nodes[-2] if at else None, at[-1] if at else 0, old, new,
+                    out, memo)
                 tails[-1] = len(text) - end
                 nodes[-1], last = new, at
             if len(memo) > len(text):

@@ -309,72 +309,29 @@ def print_subst(s: Subst) -> str:
 
 
 def print_spliced(text: str, start: int, end: int, parent: Node | None, k: int, old: Node,
-                  new: Node, memo: LengthMemo) -> tuple[str, int, int]:
+                  new: Node, out: str | None, memo: LengthMemo) -> tuple[str, int, int]:
     """`text` with the text of `old`, which spans offsets `start` to `end`,
     replaced by the text of `new`, and where the text of `new` starts and
     ends.
 
+    `out` is the text of `new` that the trace printer made from the text
+    of `old` by the contracting rule's recipe (`rewrite._SPLICE`), which
+    has checked the classes of `new`; or None, and then `new`, which must
+    be of the sort of `old`, is printed in full.
     `parent` is the node above `old`, whose child `k` it is, or None at
-    the root; only the parentheses of that slot are chosen afresh.  `new`
-    is printed around the texts of the children and grandchildren of `old`
-    that it reuses, cut out of `text` (`_print_reusing`); a contractum
-    without children reuses none.  `memo` records printed lengths (see
-    `_length`), that of `new` included.
+    the root; only the parentheses of that slot are chosen afresh.  `memo`
+    records printed lengths (see `_length`); that of `new` is recorded
+    when it has children.
     """
-    sort = _TERMS if type(old) in _TERMS else _SUBSTS
-    _expect(new, sort, "term" if sort is _TERMS else "substitution")
-    if new.CHILDREN:
-        out = _print_reusing(new, old, text, start, end, memo)
-        memo[id(new)] = (new, len(out))
-    else:
+    if out is None:
+        sort = _TERMS if type(old) in _TERMS else _SUBSTS
+        _expect(new, sort, "term" if sort is _TERMS else "substitution")
         out = _print(new)
+    if new.CHILDREN:
+        memo[id(new)] = (new, len(out))
     if type(parent) is App:
         if _in_parens(k, old):
             start, end = start - 1, end + 1
         if _in_parens(k, new):
             return f"{text[:start]}({out}){text[end:]}", start + 1, start + 1 + len(out)
     return text[:start] + out + text[end:], start, start + len(out)
-
-
-def _print_reusing(new: Node, old: Node, text: str, start: int, end: int,
-                   memo: LengthMemo) -> str:
-    """The text of `new`, a rule's contractum, when the text of the redex
-    `old` spans `start` to `end` of `text`.  The printer core of `_print`,
-    but a child or grandchild of `old` with children, a part that a
-    contractum reuses, is cut out of `text` when the printer meets it, at
-    the extent that `child_extent` gives it.  So only the parts that `new`
-    holds are placed, and a part that it drops costs one entry in
-    `reused`."""
-    # id of a part -> its position in `old`, then in that child or None;
-    # counted by hand, as `enumerate` makes this loop half as slow again
-    reused = {}
-    i = 0
-    for f in old.CHILDREN:
-        c = getattr(old, f)
-        if c.CHILDREN:
-            reused[id(c)] = i, None
-            j = 0
-            for g in c.CHILDREN:
-                g = getattr(c, g)
-                if g.CHILDREN:
-                    reused[id(g)] = i, j
-                j += 1
-        i += 1
-    out: list[str] = []
-    stack: list = [new]
-    while stack:
-        u = stack.pop()
-        cls = type(u)
-        if cls is str:
-            out.append(u)
-        elif cls is VarRef:
-            out.append(u.name)
-        elif (hit := reused.get(id(u))) is not None:
-            i, j = hit
-            c, s, e = child_extent(old, i, start, end, memo)
-            if j is not None:
-                c, s, e = child_extent(c, j, s, e, memo)
-            out.append(text[s:e])
-        else:
-            stack += _parts(u)
-    return "".join(out)

@@ -1,9 +1,10 @@
 """The numeric flags of the command line accept positive integers written
-in ASCII digits only, and --strategy accepts lo, ri or index:K with K >= 0.
+in ASCII digits only, --seed an integer written as an optional "-" and
+ASCII digits, and --strategy lo, ri or index:K with K >= 0.
 
-A zero or negative count of steps, fuel, trials or size, or any other
-strategy, is a usage error: exit 2 with a message on stderr, never a
-traceback, the exit code for "false" or a silent success.
+A zero or negative count of steps, fuel, trials or size, any other seed,
+or any other strategy, is a usage error: exit 2 with a message on stderr,
+never a traceback, the exit code for "false" or a silent success.
 """
 
 from __future__ import annotations
@@ -52,6 +53,26 @@ def test_numeric_flag_takes_ascii_digits_only(capsys, argv, flag, value):
 def test_smallest_positive_value_is_accepted(capsys, argv, flag):
     assert main(argv + [flag, "1"]) == 0
     assert capsys.readouterr().out
+
+
+# a seed may be negative, but int() also reads a plus sign, spaces,
+# underscores and non-ASCII digits, which a seed may not hold
+@pytest.mark.parametrize("value", ["1_0", " 3", "3 ", "+3", "\u0663", " \u0663", "-\u0663", "",
+                                   "-", "3.0", "- 3"])
+def test_seed_takes_a_minus_and_ascii_digits_only(capsys, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["test", "fv-least", "--count", "2", "--seed", value])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --seed: expected an integer, got {value!r}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("value", ["-3", "0", "10"])
+def test_seed_is_accepted(capsys, value):
+    assert main(["test", "fv-least", "--count", "2", "--seed", value]) == 0
+    assert capsys.readouterr().out.endswith(f"(seed {value})\n")
 
 
 # int() reads a sign, spaces and non-ASCII digits, which K may not hold
