@@ -245,9 +245,14 @@ _CONTRACT: dict[str, Callable[[Node], Term]] = {
 # it answers None and the step is printed in full.  Else it cuts each part
 # out of `text` once, where `child_extent` places it by the class of the
 # node above it, and writes the contractum's text in one f-string, reading
-# the names from the contractum.  The rules without a recipe reuse no part
-# with children (ShiftP, IdVar, LiftVar and W give a variable, IdShiftP
-# `W y * z`).
+# the names from the contractum.  A node that the recipe builds around
+# reused parts, below the contractum's root, has its printed width put in
+# the memo as the sum of extents that the recipe holds (Beta's `[B/x]`,
+# App's `S * A` and `S * B`, Lambda's `S^x` and `S^x * A`, and the inner
+# `S * A` of LiftShift and LiftShiftP), so a later step does not measure
+# it; `print_spliced` records the root's.  The rules without a recipe reuse
+# no part with children (ShiftP, IdVar, LiftVar and W give a variable,
+# IdShiftP `W y * z`).
 
 def _halves(t: Node, start: int, end: int, memo: LengthMemo) -> tuple[int, int, int, int]:
     """Where the texts of both children of `t`, an application or a
@@ -262,6 +267,7 @@ def _beta_text(t, new, text, start, end, memo):        # (\x. A) B -> [B/x] * A
             and type(s := new.sub) is Slash and s.term is t.arg and new.body is f.body):
         k, m, i, j = _halves(t, start, end, memo)
         _, k, m = child_extent(f, 0, k, m, memo)
+        memo[id(s)] = s, j - i + len(s.var) + 3
         return f"[{text[i:j]}/{s.var}] * {text[k:m]}"
     return None
 
@@ -280,6 +286,8 @@ def _app_text(t, new, text, start, end, memo):         # S * A B -> (S * A) (S *
             and f.sub is t.sub is a.sub and f.body is b.fn and a.body is b.arg):
         k, m, i, j = _halves(t, start, end, memo)
         p, q, i, j = _halves(b, i, j, memo)
+        memo[id(f)] = f, m - k + 3 + q - p
+        memo[id(a)] = a, m - k + 3 + j - i
         s = text[k:m]
         return f"({s} * {text[p:q]}) ({s} * {text[i:j]})"
     return None
@@ -291,6 +299,9 @@ def _lambda_text(t, new, text, start, end, memo):      # S * \x. A -> \x. S^x * 
             and s.sub is t.sub and b.body is lam.body):
         k, m, i, j = _halves(t, start, end, memo)
         _, i, j = child_extent(lam, 0, i, j, memo)
+        n = m - k + len(s.var) + 1
+        memo[id(s)] = s, n
+        memo[id(b)] = b, n + 3 + j - i
         return f"\\{new.var}. {text[k:m]}^{s.var} * {text[i:j]}"
     return None
 
@@ -326,6 +337,7 @@ def _liftshift_text(t, new, text, start, end, memo):   # S^x * W x * A -> W x * 
         k, m, i, j = _halves(t, start, end, memo)
         _, k, m = child_extent(lift, 0, k, m, memo)
         _, i, j = child_extent(b, 1, i, j, memo)
+        memo[id(c)] = c, m - k + 3 + j - i
         return f"W {w.var} * {text[k:m]} * {text[i:j]}"
     return None
 
@@ -336,6 +348,7 @@ def _liftshiftp_text(t, new, text, start, end, memo):  # S^x * z -> W x * S * z
             and c.sub is lift.sub and c.body is t.body):
         k, m, i, j = _halves(t, start, end, memo)
         _, k, m = child_extent(lift, 0, k, m, memo)
+        memo[id(c)] = c, m - k + 3 + j - i
         return f"W {w.var} * {text[k:m]} * {text[i:j]}"
     return None
 
@@ -347,21 +360,20 @@ _SPLICE: dict[str, Callable[[Node, Node, str, int, int, LengthMemo], str | None]
 }
 
 
-def _contract(t: Term, rule: str, matched: bool = False) -> tuple[Term, Var | None]:
-    if not matched and _SHAPE_RULE.get(_shape(t)) != rule:
+def _contract(t: Term, rule: str) -> tuple[Term, Var | None]:
+    if _SHAPE_RULE.get(_shape(t)) != rule:
         raise InvalidRedex(f"rule {rule} does not match {print_term(t)}")
     new = _CONTRACT[rule](t)
     return new, (new.var if rule == ALPHA else None)
 
 
-def apply_rule(t: Term, at: Path, rule: str, *, _matched: bool = False) -> tuple[Term, Var | None]:
+def apply_rule(t: Term, at: Path, rule: str) -> tuple[Term, Var | None]:
     """Contract the redex for `rule` at `at`; returns the result and, for
     Alpha, the fresh variable chosen.  Raises InvalidRedex when the rule
-    does not match there, unless `_matched` says that the caller's rule
-    lookup has just matched it there (the engine's stream)."""
+    does not match there."""
     if not at:
-        return _contract(t, rule, _matched)
-    new, fresh = _contract(subterm_at(t, at), rule, _matched)
+        return _contract(t, rule)
+    new, fresh = _contract(subterm_at(t, at), rule)
     return replace_at(t, at, new), fresh
 
 
@@ -421,9 +433,13 @@ class TraceStep:
 
 def _shared(a: Path, b: Path) -> int:
     """The length of the longest common prefix of two paths.  It compares
-    slices, not elements: one comparison when the shorter path is a prefix
-    of the longer, else a binary search."""
+    slices, not elements: first the shorter path whole, then the shorter
+    path without its last position (consecutive lo paths mostly answer
+    one of these two), and only then a binary search."""
     m = min(len(a), len(b))
+    if a[:m] == b[:m]:
+        return m
+    m -= 1
     if a[:m] == b[:m]:
         return m
     top = 0             # a[:top] == b[:top] and a[:m] != b[:m]
@@ -457,8 +473,10 @@ class Trace(Value):
         above the last contraction, still holding the old child, is rebuilt
         only once a path leaves the zipper below it (`terms.refresh`, as in
         the walk); so a lo step costs the same at any depth, and printing
-        builds no result.  Walking down places each child by the literal
-        text of its parent's class (`syntax.child_extent`), which measures
+        builds no result.  A redex on the last path needs no rebuild at
+        all: the contractum takes its frame unread, and the step hands the
+        redex.  Walking down places each child by the literal text of its
+        parent's class (`syntax.child_extent`), which measures
         only an application's function or a composition's substitution,
         and not even that at a turn, where the path leaves the last one at
         a node with two children: the extent of the child that the zipper
@@ -474,10 +492,12 @@ class Trace(Value):
         other step (one linked elsewhere, built by hand, or whose result
         was read) is printed in full.
 
-        One memo of printed lengths serves the whole trace.  Its entries are
-        checked by identity, and it is cleared when it holds more entries
-        than the text has characters, so it follows the live term instead of
-        growing with the trace.
+        One memo of printed lengths serves the whole trace.  The recipes put
+        in it the widths of the nodes they build, which they know without
+        measuring, so a step rarely measures what the step before wrote.
+        Its entries are checked by identity, and it is cleared when it holds
+        more entries than the text has characters, so it follows the live
+        term instead of growing with the trace.
         """
         memo: LengthMemo = {}
         before = self.initial
@@ -491,7 +511,8 @@ class Trace(Value):
             else:
                 at, old, new = s.at, s._redex, s._contractum
                 m = _shared(at, last)
-                refresh(nodes, last, m)
+                if m < len(at):
+                    refresh(nodes, last, m)
                 n, other = len(text), None
                 if m < len(at) and m < len(last):       # a turn: the old child places the new
                     other = starts[m + 1], n - tails[m + 1]
@@ -621,14 +642,15 @@ def _stream(t: Term, rules: frozenset[str], strategy: Strategy
 
 def _steps(red: LeftmostOutermost | _Rescan) -> Iterator[TraceStep]:
     """The steps of `red`, each made when it is asked for.  Its rule lookup
-    has just matched the rule at the redex, so the contraction is not
-    checked again: `apply_rule` reads the rule's entry in `_CONTRACT` at
-    each step, and an edit of the table takes effect at once."""
+    has just matched the rule at the redex, so the step calls the rule's
+    entry in `_CONTRACT` itself, unchecked, and Alpha's fresh name is the
+    contractum's variable.  The table is read at each step, so an edit of
+    it takes effect at once."""
     while (picked := red.next_redex()) is not None:
         path, rule = picked
         redex = red.focus
-        new, fresh = apply_rule(redex, (), rule, _matched=True)
-        s = TraceStep(rule, path, fresh, red.replace(new))
+        new = _CONTRACT[rule](redex)
+        s = TraceStep(rule, path, new.var if rule == ALPHA else None, red.replace(new))
         s._redex, s._contractum = redex, new
         yield s
 

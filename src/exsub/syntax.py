@@ -234,11 +234,17 @@ def _print(root, parts=None) -> str:
 
 def _length(root: Node, memo: LengthMemo) -> int:
     """`len(_print(root))`, recording in `memo` the length of every
-    node with children that it measures.  Post-order on an explicit stack:
-    a pair (node, start) comes off it once the lengths of the node's parts
-    are on `out` from `start` on."""
+    node with children that it measures; a root without children is
+    measured by adding up the lengths of its names.  Post-order on an
+    explicit stack: a pair (node, start) comes off it once the lengths of
+    the node's parts are on `out` from `start` on."""
     if not root.CHILDREN:
-        return len(_parts(root)[0])
+        cls = type(root)
+        if cls is VarRef:
+            return len(root.name)
+        if cls is Weak:
+            return 2 + len(root.var)
+        return 3 + len(root.new) + len(root.old)        # Rename
     hit = memo.get(id(root))
     if hit is not None and hit[0] is root:
         return hit[1]

@@ -114,7 +114,7 @@ def walk_rows(t, rules, reach):
     rows = []
     while (picked := lo.next_redex()) is not None:
         path, rule = picked
-        lo.replace(apply_rule(lo.focus, (), rule, _matched=True)[0])
+        lo.replace(apply_rule(lo.focus, (), rule)[0])
         rows.append((rule, path_indices(path)))
     return rows
 
