@@ -385,12 +385,20 @@ class TraceStep:
     the contractum; in a trace of `normalize` it also holds the step before
     it (or the initial term), and in the engine's stream none.  A linked lo
     step does not hold its result: that is `replace_at(previous result, at,
-    contractum)`, built on first read and then kept.  The replay rebuilds
-    the spine above the redex and shares every other subtree, as an eager
-    rebuild does, so a normalization that reads only its normal form never
-    builds the intermediate terms.  An ri or index:K step holds the term
-    its rescan built.  Reading a result drops the links to the step
-    before.
+    contractum)`, built when read.  The replay rebuilds the spine above the
+    redex and shares every other subtree, as an eager rebuild does, so a
+    normalization that reads only its normal form never builds the
+    intermediate terms.  A read that replays this step alone releases the
+    result it replayed from, so a reader that goes in order holds one
+    intermediate term, not one per step; a longer replay keeps every
+    result it builds, so reading in reverse or at random builds each one
+    once.  A replayed step keeps its links to the step before and to its
+    contractum, and a released result is rebuilt from the nearest earlier
+    one when it is read again.  An ri or index:K step holds the term its
+    rescan built and never releases it; reading it drops its links.  Any
+    read drops the step's redex, so a step that was read prints in full.
+    A step of the engine's stream under lo keeps no term: reading its
+    result raises ValueError, and the reducer's `root` is the term after it.
     """
 
     __slots__ = ("rule", "at", "fresh", "_result", "_before", "_redex", "_contractum")
@@ -401,18 +409,26 @@ class TraceStep:
 
     @property
     def result(self) -> Term:
-        # The unread steps before this one are replayed oldest first, in a
-        # loop, so that reading the last step of a long trace first does
-        # not recurse once per step.
-        pending, before = [], self
-        while isinstance(before, TraceStep) and before._result is None:
-            pending.append(before)
-            before = before._before
-        term = before._result if isinstance(before, TraceStep) else before
+        # The steps after the nearest result kept are replayed oldest
+        # first, in a loop, so that reading the last step of a long trace
+        # first does not recurse once per step.
+        pending, base = [], self
+        while isinstance(base, TraceStep) and base._result is None:
+            if base._before is None:
+                raise ValueError("a step of the engine's stream keeps no term; "
+                                 "read the reducer's root instead")
+            pending.append(base)
+            base = base._before
+        term = base._result if isinstance(base, TraceStep) else base
         for p in reversed(pending):
-            term = replace_at(term, p.at, p._contractum)
-            p._result, p._before, p._redex, p._contractum = term, None, None, None
-        self._before = self._redex = self._contractum = None
+            term = p._result = replace_at(term, p.at, p._contractum)
+            p._redex = None
+        if not pending:
+            if self._redex is not None:     # made with its result: read for the first time
+                self._before = self._redex = self._contractum = None
+        elif (len(pending) == 1 and isinstance(base, TraceStep) and base._redex is None
+              and base._contractum is not None):    # replayed, so it can be again
+            base._result = None
         return self._result
 
     def _key(self) -> tuple:
@@ -427,8 +443,12 @@ class TraceStep:
         return hash(self._key())
 
     def __repr__(self) -> str:
+        try:
+            result = repr(self.result)
+        except ValueError:                  # a step of the engine's stream
+            result = "<not kept>"
         return (f"TraceStep(rule={self.rule!r}, at={self.at!r}, fresh={self.fresh!r}, "
-                f"result={self.result!r})")
+                f"result={result})")
 
 
 def _shared(a: Path, b: Path) -> int:
@@ -505,7 +525,7 @@ class Trace(Value):
         yield None, text, 0
         nodes, starts, tails, last = [before], [0], [0], ()
         for s in self.steps:
-            if s._contractum is None or (s._before is not None and s._before is not before):
+            if s._redex is None or (s._before is not None and s._before is not before):
                 text = print_term(s.result)
                 nodes, starts, tails, last, m = [s.result], [0], [0], (), 0
             else:
@@ -670,9 +690,9 @@ def normalize(t: Term, rules: frozenset[str] = FULL, strategy: Strategy = "lo",
     linked here, and only here, to the step before it.
 
     Under lo one `LeftmostOutermost` walk serves every step: it resumes
-    next to the last contraction instead of rescanning from the root.
-    Under every strategy the trace's results are built only when read (see
-    `TraceStep`).
+    next to the last contraction instead of rescanning from the root, and
+    the trace's results are built only when read; read in order, they hold
+    one intermediate term at a time (see `TraceStep`).
     Returns the final term, the trace, and an exhaustion flag, which says
     whether a redex is left after the last step.  The stream is not asked
     for a step past `fuel`, so none is contracted to find out.  Exhaustion

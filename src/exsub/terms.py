@@ -327,12 +327,6 @@ def subterm_at(node, path: Path):
     return node
 
 
-def _with_child(node, field: str, new):
-    """`node` with the child in `field` replaced by `new` (one level), built
-    by its class's constructor through the class's rebuilder for `field`."""
-    return node._rebuild[field](node, new)
-
-
 def replace_at(node, path: Path, new):
     """Rebuild `node` with the subtree at `path` replaced by `new`.
 

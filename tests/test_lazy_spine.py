@@ -117,24 +117,34 @@ def test_long_trace_resolves_without_recursion():
     assert trace.steps[2500] == e_trace.steps[2500]
 
 
+def counting_replays(monkeypatch) -> list:
+    """Count the engine's calls of `replace_at` from now on."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return terms.replace_at(*args)
+
+    monkeypatch.setattr(rewrite, "replace_at", counting)
+    return calls
+
+
+def held(trace) -> list[int]:
+    """The indices of the steps that hold their result now."""
+    return [i for i, s in enumerate(trace.steps) if s._result is not None]
+
+
 @pytest.mark.parametrize("strategy", ["ri", 1], ids=["ri", "index:1"])
 def test_rescanned_steps_keep_the_term_the_rescan_built(strategy, monkeypatch):
     # the rescan rebuilds the whole term at each step; reading the results
     # must not rebuild it again
     omega = parse_term(r"(\x. x x) (\x. x x)")
     start = omega if strategy == "ri" else App(omega, omega)
-    calls = 0
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return terms.replace_at(*args)
-
-    monkeypatch.setattr(rewrite, "replace_at", counting)
+    calls = counting_replays(monkeypatch)
     nf, trace, exhausted = normalize(start, FULL, strategy, 5000)
-    made = calls
+    made = len(calls)
     results = [s.result for s in trace.steps]
-    assert calls == made
+    assert len(calls) == made
     monkeypatch.undo()
     assert exhausted and results[-1] == nf
     for before, s, result in zip([start] + results, trace.steps, results):
@@ -148,3 +158,66 @@ def test_replayed_step_equals_an_eager_one():
     eager = TraceStep("Beta", (), None, parse_term("[y/x] * x"))
     assert beta == eager and hash(beta) == hash(eager) and repr(beta) == repr(eager)
     assert var != eager
+
+
+def test_an_in_order_read_holds_one_replayed_result(monkeypatch):
+    # each read replays its own step alone, from the result the read before
+    # built, and releases that one
+    _, e_trace, _ = oracle_normalize(mult(8), FULL, 10000)
+    nf, trace, _ = normalize(mult(8), FULL)
+    calls = counting_replays(monkeypatch)
+    results = [s.result for s in trace.steps]
+    assert len(calls) == len(trace.steps) > 100
+    assert held(trace) == [len(trace.steps) - 1]
+    monkeypatch.undo()
+    assert results == [s.result for s in e_trace.steps] and results[-1] == nf
+
+
+def test_released_results_are_rebuilt_when_read_again():
+    _, e_trace, _ = oracle_normalize(mult(8), FULL, 10000)
+    _, trace, _ = normalize(mult(8), FULL)
+    for s in trace.steps:
+        s.result
+    pairs = list(zip(trace.steps, e_trace.steps))
+    for s, e in pairs[::7]:
+        assert s.result == e.result
+    for s, e in reversed(pairs):
+        assert s.result == e.result
+
+
+def test_a_reverse_read_builds_each_result_once(monkeypatch):
+    # the last step replays every step, and keeps every result it builds,
+    # so the reads after it replay nothing
+    _, e_trace, _ = oracle_normalize(mult(8), FULL, 10000)
+    _, trace, _ = normalize(mult(8), FULL)
+    calls = counting_replays(monkeypatch)
+    results = [s.result for s in reversed(trace.steps)]
+    assert len(calls) <= len(trace.steps)
+    assert held(trace) == list(range(len(trace.steps)))
+    monkeypatch.undo()
+    assert results == [s.result for s in reversed(e_trace.steps)]
+
+
+def test_equality_and_hash_after_partial_reads():
+    t = mult(5)
+    _, read, _ = normalize(t, FULL)
+    for s in read.steps[3::4] + read.steps[10:30] + read.steps[50:40:-1]:
+        s.result
+    assert 1 < len(held(read)) < len(read.steps)
+    _, fresh, _ = normalize(t, FULL)
+    assert hash(read) == hash(normalize(t, FULL)[1])
+    assert read == fresh and hash(read) == hash(fresh)
+    assert read == oracle_normalize(t, FULL, 10000)[1]
+
+
+@pytest.mark.parametrize("term", [r"z ((\x. x) y)", r"(\x. x) y"], ids=["below", "root"])
+def test_a_stream_step_under_lo_keeps_no_term(term):
+    # the stream links no step to the one before it, so there is nothing
+    # to replay from; the reducer's root is the term after the step
+    red, stream = rewrite._stream(parse_term(term), FULL, "lo")
+    s = next(stream)
+    assert (s.rule, s.at) == ("Beta", (1,) if term.startswith("z") else ())
+    with pytest.raises(ValueError, match="stream keeps no term.*root"):
+        s.result
+    assert repr(s) == f"TraceStep(rule='Beta', at={s.at!r}, fresh=None, result=<not kept>)"
+    assert red.root == normalize(parse_term(term), FULL, "lo", 1)[1].steps[0].result

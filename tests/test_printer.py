@@ -343,7 +343,7 @@ def test_eager_omega_trace_is_spliced(strategy, monkeypatch):
 
 @pytest.mark.parametrize("strategy", ["lo", "ri", 1], ids=["lo", "ri", "index:1"])
 def test_trace_whose_results_were_read_prints_in_full(strategy, monkeypatch):
-    # reading a result drops the step's contractum, so no step is spliced,
+    # reading a result drops the step's redex, so no step is spliced,
     # and the bytes are those of a trace printed before any result was read
     term = mult(3)
     fresh = normalize(term, FULL, strategy, 300)[1]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from exsub import debruijn, terms
-from exsub.terms import Value, _with_child
+from exsub.terms import Value
 
 NODE_CLASSES = [cls for mod in (terms, debruijn) for cls in vars(mod).values()
                 if isinstance(cls, type) and cls.__module__ == mod.__name__
@@ -53,7 +53,7 @@ def test_rebuild_equals_the_constructor(cls):
     args = {f: old if f in kids else "x" for f in cls.__match_args__}
     node = cls(**args)
     for field in kids:
-        rebuilt = _with_child(node, field, new)
+        rebuilt = node._rebuild[field](node, new)
         expected = cls(**{**args, field: new})
         assert type(rebuilt) is cls and vars(rebuilt) == vars(expected)
         assert rebuilt == expected and hash(rebuilt) == hash(expected)
@@ -90,4 +90,4 @@ def test_a_class_of_a_known_shape_compiles_nothing(monkeypatch):
     assert compiled == []
     assert Pair._rebuild["left"](Pair(1, 2), 3) == Pair(3, 2)
     assert Pair._rebuild["right"](Pair(1, 2), 3) == Pair(1, 3)
-    assert _with_child(Pair(1, 2), "right", 4) == Pair(1, 4)
+    assert Pair(1, 2)._rebuild["right"](Pair(1, 2), 4) == Pair(1, 4)
