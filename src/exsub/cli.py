@@ -12,6 +12,14 @@ what it learns of a node (its free-variable context, that it holds no
 redex) on the node, so memory follows the current term, not the number of
 steps.  A reader that closes the output early has chosen to stop: the
 command exits 0 and writes nothing on stderr.
+
+A command loads only the layers it runs.  This module imports at its top
+the standard library, `syntax`, `judgements` (whose exceptions `main`
+catches, and which loads `contexts` and `freevars`) and the suite registry,
+which loads no layer; each `cmd_*` imports the other layers it uses.  The
+parser's other choices are literals, so building it loads nothing more:
+`exsub fv` never loads the rewrite engine, and no command but `test`,
+`translate` and `equiv` loads the de Bruijn calculi.
 """
 
 from __future__ import annotations
@@ -25,13 +33,8 @@ from itertools import islice
 
 from . import __version__
 from .contexts import format_context
-from .debruijn import UPSILON, UPSILON2, equiv_alpha, equiv_gamma, print_db, translate
 from .freevars import fv
-from .generators import GenConfig
 from .judgements import IllFormed, NotDerivable, derive, format_derivation, is_good, well_formed
-from .normalforms import is_sigma_nf
-from .pure import is_pure
-from .rewrite import RULE_SETS, Strategy, Trace, _stream
 from .suites import SUITES, run_suite
 from .syntax import ParseError, parse_context, parse_term, print_term
 
@@ -55,7 +58,7 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _strategy(text: str) -> Strategy:
+def _strategy(text: str) -> str | int:
     """Argument type of --strategy: lo, ri, or index:K with K >= 0."""
     if text in ("lo", "ri"):
         return text
@@ -90,6 +93,7 @@ def cmd_good(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from .rewrite import RULE_SETS, Trace, _stream
     t = parse_term(args.term)
     if args.context is not None:
         derive(parse_context(args.context), t)
@@ -100,6 +104,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    from .rewrite import RULE_SETS, _stream
     red, steps = _stream(parse_term(args.term), RULE_SETS[args.rules], "lo")
     deque(islice(steps, args.fuel), maxlen=0)
     print(print_term(red.root))
@@ -109,6 +114,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    from .debruijn import print_db, translate
     t = parse_term(args.term)
     d = derive(parse_context(args.context), t)
     print(print_db(translate(d, args.calculus), args.notation))
@@ -116,6 +122,7 @@ def cmd_translate(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    from .debruijn import equiv_alpha, equiv_gamma
     a, b = parse_term(args.a), parse_term(args.b)
     if args.context is None:        # --alpha, or the default
         ok = equiv_alpha(a, b)
@@ -129,6 +136,8 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_nf(args) -> int:
+    from .normalforms import is_sigma_nf
+    from .pure import is_pure
     t = parse_term(args.term)
     sigma = is_sigma_nf(t)
     print(f"sigma-nf: {'yes' if sigma else 'no'}")
@@ -137,6 +146,7 @@ def cmd_nf(args) -> int:
 
 
 def cmd_test(args) -> int:
+    from .generators import GenConfig
     cfg = GenConfig(seed=args.seed, size=args.size, count=args.count, fuel=args.fuel)
     report = run_suite(args.suite, cfg)
     if args.json:
@@ -151,7 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
     """The parser of the command line, built on the first call and then kept:
     building it costs more than parsing most command lines, and a process
     that calls `main` more than once builds it once.  Parsing does not
-    change it."""
+    change it.  --rules names the rule sets of `rewrite.RULE_SETS`, and
+    --calculus the two calculi `translate` takes, as literals that load
+    neither layer; a test checks that they agree."""
     p = argparse.ArgumentParser(
         prog="exsub",
         description="Lambda calculus with explicit substitutions, weakening, "
@@ -175,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("reduce", help="apply up to N reduction steps")
     c.add_argument("term")
     c.add_argument("--context", help="check derivability here before reducing")
-    c.add_argument("--rules", choices=sorted(RULE_SETS), default="full")
+    c.add_argument("--rules", choices=("full", "sigma", "sigma-alpha"), default="full")
     c.add_argument("--strategy", type=_strategy, default="lo", help="lo, ri, or index:K")
     c.add_argument("--steps", type=_positive_int, default=1)
     c.add_argument("--trace", choices=("text", "json"), default="text")
@@ -183,14 +195,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("normalize", help="reduce to normal form, fuel permitting")
     c.add_argument("term")
-    c.add_argument("--rules", choices=sorted(RULE_SETS), default="full")
+    c.add_argument("--rules", choices=("full", "sigma", "sigma-alpha"), default="full")
     c.add_argument("--fuel", type=_positive_int, default=10000)
     c.set_defaults(fn=cmd_normalize)
 
     c = sub.add_parser("translate", help="de Bruijn translation of a derivable term")
     c.add_argument("term")
     c.add_argument("--context", required=True)
-    c.add_argument("--calculus", choices=(UPSILON, UPSILON2), default=UPSILON)
+    c.add_argument("--calculus", choices=("upsilon", "upsilon2"), default="upsilon")
     c.add_argument("--notation", choices=("bracket", "compose"), default="bracket")
     c.set_defaults(fn=cmd_translate)
 

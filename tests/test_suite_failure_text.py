@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from exsub import suites
+from exsub import checks
 from exsub.generators import GenConfig
 from exsub.rewrite import SIGMA_ALPHA, normalize
 from exsub.suites import run_suite
@@ -13,13 +13,13 @@ from exsub.syntax import parse_term
 
 def counting(monkeypatch, name):
     calls = []
-    fn = getattr(suites, name)
+    fn = getattr(checks, name)
 
     def wrapper(*args, **kwargs):
         calls.append(args)
         return fn(*args, **kwargs)
 
-    monkeypatch.setattr(suites, name, wrapper)
+    monkeypatch.setattr(checks, name, wrapper)
     return calls
 
 

@@ -16,7 +16,7 @@ from random import Random
 
 import pytest
 
-from exsub import rewrite, suites
+from exsub import checks, rewrite
 from exsub.cli import main
 from exsub.debruijn import print_db
 from exsub.generators import GenConfig
@@ -33,7 +33,7 @@ CFG = dict(seed=1, count=60, size=30)
 FORCED = NotDerivable((), "forced")
 BLOCK = ContainsBlock(parse_term("[y/z] * x"))
 
-# (suite, name in exsub.suites, k, its wrong answer on every k-th call or
+# (suite, name in exsub.checks, k, its wrong answer on every k-th call or
 #  the exception it raises then, digest of the report)
 BROKEN = [
     ("subject-reduction", "db_check", 3, False,
@@ -113,7 +113,7 @@ def wrong_every(k, real, wrong):
 @pytest.mark.parametrize("suite, name, k, wrong, digest", BROKEN,
                          ids=[f"{s}-{n}-{k}" for s, n, k, _, _ in BROKEN])
 def test_report_of_a_broken_check(monkeypatch, suite, name, k, wrong, digest):
-    monkeypatch.setattr(suites, name, wrong_every(k, getattr(suites, name), wrong))
+    monkeypatch.setattr(checks, name, wrong_every(k, getattr(checks, name), wrong))
     report = run_suite(suite, GenConfig(**CFG))
     assert report.failures or report.inconclusives
     assert report.passes + len(report.failures) + report.inconclusives == report.trials
@@ -131,7 +131,7 @@ def test_report_of_a_starved_suite(suite, fuel, digest):
 def test_a_check_that_raises_fails_its_trial_and_the_suite_goes_on(monkeypatch, capsys):
     # the check raises on its fifth call only; the failure shows the drawn
     # term and context, and the draws go on to every trial that is left
-    calls, real = [0], suites.derive
+    calls, real = [0], checks.derive
 
     def derive(*args):
         calls[0] += 1
@@ -139,7 +139,7 @@ def test_a_check_that_raises_fails_its_trial_and_the_suite_goes_on(monkeypatch, 
             raise FORCED
         return real(*args)
 
-    monkeypatch.setattr(suites, "derive", derive)
+    monkeypatch.setattr(checks, "derive", derive)
     report = run_suite("translation-simulation", GenConfig(**CFG))
     assert report.trials == CFG["count"]
     assert [(f.term, f.context, f.detail) for f in report.failures] == [
@@ -174,8 +174,8 @@ def test_every_trial_that_raises_under_a_wrong_rule_keeps_its_term(monkeypatch):
 def test_a_draw_that_raises_fails_with_no_term_and_the_draws_start_again(monkeypatch):
     # the per-redex draw scans each term it draws; recorded before the
     # suites were split into a draw and a check
-    monkeypatch.setattr(suites, "db_find_redexes",
-                        wrong_every(3, suites.db_find_redexes, RuntimeError("forced")))
+    monkeypatch.setattr(checks, "db_find_redexes",
+                        wrong_every(3, checks.db_find_redexes, RuntimeError("forced")))
     report = run_suite("upsilon-weights", GenConfig(**CFG))
     assert len(report.failures) == 23
     assert {(f.term, f.context, f.detail) for f in report.failures} == {
@@ -187,12 +187,12 @@ def test_a_draw_that_raises_fails_with_no_term_and_the_draws_start_again(monkeyp
 def test_a_join_lemmas_trial_that_raises_shows_its_first_pair(monkeypatch):
     # every trial normalizes ten sides, so each one reaches a raise before
     # its check draws anything: the draws alone replay the trials
-    monkeypatch.setattr(suites, "upsilon_nf",
-                        wrong_every(9, suites.upsilon_nf, RuntimeError("forced")))
+    monkeypatch.setattr(checks, "upsilon_nf",
+                        wrong_every(9, checks.upsilon_nf, RuntimeError("forced")))
     cfg = GenConfig(**CFG)
     report = run_suite("join-lemmas", cfg)
     assert len(report.failures) == cfg.count
-    trials = suites._join_pairs(cfg, Random(cfg.seed))
+    trials = checks._join_pairs(cfg, Random(cfg.seed))
     for f in report.failures:
         left, right, *_ = next(trials)
         assert (f.term, f.context, f.detail) == (

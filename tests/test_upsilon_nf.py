@@ -13,6 +13,7 @@ from random import Random
 
 import pytest
 
+import exsub.checks as checks
 import exsub.suites as suites
 from exsub.debruijn import (_DB_CONTRACT, DApp, DComp, DId, DLam, DLift, DShift,
                             DSlash, FreeName, One, db_check, db_normalize_upsilon,
@@ -95,7 +96,7 @@ def test_every_join_lemma_verdict_is_the_walks(monkeypatch):
                          db_normalize_upsilon(a) == db_normalize_upsilon(b)))
         return verdicts[-1][0]
 
-    monkeypatch.setattr(suites, "_joinable", both)
+    monkeypatch.setattr(checks, "_joinable", both)
     report = suites.run_suite("join-lemmas", GenConfig(seed=0, count=1000))
     assert len(verdicts) > 5000
     assert all(one_pass == walk for one_pass, walk in verdicts)
