@@ -231,17 +231,20 @@ def check_translation_simulation(cfg: GenConfig, rng: Random, t, ctx):
 
 
 def _search_upsilon2(a: DBTerm, goal: DBTerm, bound: int) -> bool | None:
-    """Breadth-first reachability in the marked system; None when the cap
-    was hit before the bound was exhausted (inconclusive)."""
+    """Breadth-first reachability in the marked system, True as soon as
+    the goal is reached; None when the cap was hit before the goal was
+    reached or the bound was exhausted (inconclusive)."""
+    if a == goal:
+        return True
     frontier = [a]
     seen = {a}
     for _ in range(bound):
-        if goal in seen:
-            return True
         nxt = []
         for u in frontier:
             for v in db_one_step_reducts(u, UPSILON2):
                 if v not in seen:
+                    if v == goal:
+                        return True
                     seen.add(v)
                     nxt.append(v)
                     if len(seen) > _SEARCH_CAP:
@@ -249,7 +252,7 @@ def _search_upsilon2(a: DBTerm, goal: DBTerm, bound: int) -> bool | None:
         frontier = nxt
         if not frontier:
             break
-    return goal in seen
+    return False
 
 
 def check_upsilon_weights(cfg: GenConfig, rng: Random, a, no_ctx, path, rule):

@@ -72,8 +72,11 @@ def ctx_sup(a: Context, b: Context) -> Context | None:
     each further local peeled off the other is removed from the first's
     set; the two sets then join by union.  The peeling is one comparison
     of the shorter list with the end of the longer, and one set
-    difference with the rest of the longer.
+    difference with the rest of the longer.  A context joined with itself
+    is returned itself.
     """
+    if a is b:
+        return a
     la, lb = a.locals, b.locals
     if len(la) < len(lb):
         a, b, la, lb = b, a, lb, la
@@ -86,10 +89,11 @@ def ctx_sup(a: Context, b: Context) -> Context | None:
 
 def o_lambda(x: Var, ctx: Context) -> Context | None:
     """Eliminate the binder for x: drop a rightmost local x, or remove x
-    from a pure set.  Undefined when the local list ends in another name."""
+    from a pure set (a set without x is returned itself).  Undefined when
+    the local list ends in another name."""
     if ctx.locals:
         return ctx.pop() if ctx.top == x else None
-    return Context(ctx.globals - {x}, ())
+    return Context(ctx.globals - {x}, ()) if x in ctx.globals else ctx
 
 
 def format_context(ctx: Context) -> str:

@@ -33,6 +33,10 @@ from .terms import App, Comp, Lam, Lift, Node, Rename, Slash, Term, VarRef, Weak
 
 
 _TERMS = frozenset(Term.__args__)
+# The context of a variable, one per name, so that every occurrence of a
+# name shares it; cleared once it holds this many names, so it stays bounded.
+_LEAVES: dict[str, Context] = {}
+_LEAVES_MAX = 256
 
 
 def _operands(u: Term) -> tuple[Term, ...]:
@@ -87,7 +91,8 @@ def fv(t: Term) -> Context | None:
     TypeError on a substitution in a term position.  Each term node's
     context is kept in its cache slot `fv` (False when undefined), and a
     node whose slot is filled is not entered again, so a call reuses what
-    any earlier call computed on a shared subterm.  A patch of `_act`,
+    any earlier call computed on a shared subterm.  Every variable of one
+    name gets the same context, from the table `_LEAVES`.  A patch of `_act`,
     `o_lambda` or `ctx_sup` reaches only the contexts computed after it.
     """
     # Post-order on an explicit stack, so that deep terms do not hit the
@@ -112,7 +117,12 @@ def fv(t: Term) -> Context | None:
             raise TypeError(f"not a term: {u!r}")
         elif u.fv is None:
             if cls is VarRef:
-                set_cache(u, "fv", Context(frozenset((u.name,)), ()))
+                c = _LEAVES.get(u.name)
+                if c is None:
+                    if len(_LEAVES) >= _LEAVES_MAX:
+                        _LEAVES.clear()
+                    c = _LEAVES[u.name] = Context(frozenset((u.name,)), ())
+                set_cache(u, "fv", c)
             else:
                 stack.append((u,))
                 stack += _operands(u)[::-1]

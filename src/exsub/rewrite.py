@@ -396,7 +396,8 @@ class TraceStep:
     contractum, and a released result is rebuilt from the nearest earlier
     one when it is read again.  An ri or index:K step holds the term its
     rescan built and never releases it; reading it drops its links.  Any
-    read drops the step's redex, so a step that was read prints in full.
+    read drops the step's redex; the trace printer then finds it by the
+    step's path, if the step is still linked (see `Trace._printed`).
     A step of the engine's stream under lo keeps no term: reading its
     result raises ValueError, and the reducer's `root` is the term after it.
     """
@@ -508,9 +509,13 @@ class Trace(Value):
         text before; a contractum without children, or one that its rule's
         recipe does not answer for, is printed in full.  The zipper takes
         in the engine's own redex, whose parts the contractum holds by
-        identity, in a step linked to the one before it or to none.  Any
-        other step (one linked elsewhere, built by hand, or whose result
-        was read) is printed in full.
+        identity, in a step linked to the one before it or to none.  A step
+        whose result was read holds no redex; linked to the one before it,
+        it keeps its contractum, and its redex is the zipper's node at its
+        path, rebuilt first (`refresh`) even on the last path, so that the
+        recipe cuts the parts of the live term.  Any other step (one linked
+        elsewhere, built by hand, or read after its links were dropped) is
+        printed in full.
 
         One memo of printed lengths serves the whole trace.  The recipes put
         in it the widths of the nodes they build, which they know without
@@ -525,13 +530,14 @@ class Trace(Value):
         yield None, text, 0
         nodes, starts, tails, last = [before], [0], [0], ()
         for s in self.steps:
-            if s._redex is None or (s._before is not None and s._before is not before):
+            old, new = s._redex, s._contractum
+            if new is None or not (s._before is before or s._before is None and old is not None):
                 text = print_term(s.result)
                 nodes, starts, tails, last, m = [s.result], [0], [0], (), 0
             else:
-                at, old, new = s.at, s._redex, s._contractum
+                at = s.at
                 m = _shared(at, last)
-                if m < len(at):
+                if m < len(at) or old is None:
                     refresh(nodes, last, m)
                 n, other = len(text), None
                 if m < len(at) and m < len(last):       # a turn: the old child places the new
@@ -545,6 +551,8 @@ class Trace(Value):
                     tails.append(n - end)
                     other = None
                 start, end = starts[-1], n - tails[-1]
+                if old is None:         # read, and replayed: the zipper holds the redex
+                    old = nodes[-1]
                 recipe = _SPLICE.get(s.rule) if new.CHILDREN else None
                 out = None if recipe is None else recipe(old, new, text, start, end, memo)
                 text, starts[-1], end = print_spliced(

@@ -142,6 +142,37 @@ def test_fv_reuses_the_contexts_of_a_shared_subterm(monkeypatch):
     assert len(entered) == 1
 
 
+def test_variables_of_one_name_share_their_context():
+    # so joining their contexts, as in `x x`, returns that context itself
+    a, b = VarRef("x"), VarRef("x")
+    t = App(Lam("y", a), b)
+    assert fv(t) == C({"x"}, [])
+    assert a.fv is b.fv is t.fn.fv is t.fv
+    assert fv(VarRef("y")) is not a.fv
+    assert ctx_sup(a.fv, b.fv) is a.fv
+    assert o_lambda("y", a.fv) is a.fv
+    assert o_lambda("x", a.fv) == C({}, [])
+
+
+def test_fv_matches_the_recursive_reference_on_10k_raw_terms():
+    rng = Random(2026)
+    for _ in range(10_000):
+        t = gen_raw_term(rng, rng.randint(1, 24))
+        assert fv(t) == ref_fv(t)
+
+
+def test_the_table_of_variable_contexts_stays_bounded():
+    names = [f"v{i}" for i in range(3 * freevars._LEAVES_MAX)]
+    for x in names:
+        assert fv(VarRef(x)) == C({x}, [])
+        assert len(freevars._LEAVES) <= freevars._LEAVES_MAX
+    t = VarRef(names[0])
+    for x in names[1:]:
+        t = App(t, VarRef(x))
+    assert fv(t) == C(names, [])
+    assert len(freevars._LEAVES) <= freevars._LEAVES_MAX
+
+
 @pytest.mark.parametrize("s", [Slash(VarRef("b"), "x"), Weak("x"), Rename("y", "x"),
                                Lift(Weak("x"), "y")], ids=lambda s: type(s).__name__)
 def test_fv_of_a_substitution_raises(s):

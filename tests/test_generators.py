@@ -11,11 +11,13 @@ import pytest
 from exsub.contexts import format_context
 from exsub.debruijn import db_check
 from exsub import generators
-from exsub.generators import (GenConfig, _choose, gen_db, gen_db_marked, gen_db_sub,
-                              gen_simply_typed, gen_subst, gen_wellformed)
+from exsub.generators import (GenConfig, _draw, _table, gen_context, gen_db, gen_db_marked,
+                              gen_db_sub, gen_simply_typed, gen_subst, gen_term, gen_wellformed)
 from exsub.judgements import derive
 from exsub.pure import classical_normalize, is_pure
 from exsub.terms import VarRef, node_size
+
+import draw_oracle as oracle
 
 
 def test_config_rejects_bad_bounds():
@@ -133,8 +135,53 @@ def test_each_draw_is_the_one_random_choices_makes(mix):
     mix = getattr(generators, mix)
     kinds = tuple(mix)
     for k in (1, 2, len(kinds)):
+        table = _table(kinds[-k:], mix)
         ours, theirs = Random(k), Random(k)
         for _ in range(2000):
-            assert _choose(ours, kinds[-k:], mix) == \
+            assert _draw(ours, table) == \
                 theirs.choices(kinds[-k:], [mix[x] for x in kinds[-k:]])[0]
         assert ours.getstate() == theirs.getstate()
+
+
+# Differential tests against the generators as they were before the kind
+# tables (`draw_oracle.py`): each draw must give an equal value and leave
+# the generator in an equal state, so it made the same `Random` calls.
+
+def _same_draws(seed, draws):
+    """Call each (ours, theirs, args) of `draws` on one of two generators
+    seeded alike, and compare the values and the states after each call."""
+    ours, theirs = Random(seed), Random(seed)
+    for new, old, args in draws:
+        assert new(ours, *args) == old(theirs, *args), (new.__name__, args)
+        assert ours.getstate() == theirs.getstate(), (new.__name__, args)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_named_draws_match_the_oracle(seed):
+    ours, theirs = Random(seed), Random(seed)
+    for size in range(1, 61):
+        for _ in range(4):
+            ctx = gen_context(ours)
+            assert ctx == oracle.gen_context(theirs)
+            assert ours.getstate() == theirs.getstate()
+            for new, old in ((gen_term, oracle.gen_term), (gen_subst, oracle.gen_subst)):
+                assert new(ours, ctx, size) == old(theirs, ctx, size), (new.__name__, size)
+                assert ours.getstate() == theirs.getstate(), (new.__name__, size)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_de_bruijn_draws_match_the_oracle(seed):
+    _same_draws(seed, [(gen_db, oracle.gen_db, (n, size))
+                       for size in range(1, 41) for n in range(4)])
+    _same_draws(seed, [(gen_db_sub, oracle.gen_db_sub, (n, size))
+                       for size in range(1, 13) for n in range(4) for _ in range(3)])
+    _same_draws(seed, [(gen_db_marked, oracle.gen_db_marked, (size,))
+                       for size in range(1, 41) for _ in range(3)])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_simply_typed_draws_match_the_oracle(seed):
+    _same_draws(seed, [(gen_simply_typed, oracle.gen_simply_typed, (GenConfig(size=size),))
+                       for size in (24, 40) for _ in range(20)])
+    _same_draws(seed, [(gen_simply_typed, oracle.gen_simply_typed, (GenConfig(), size))
+                       for size in range(1, 25) for _ in range(3)])

@@ -343,15 +343,36 @@ def test_eager_omega_trace_is_spliced(strategy, monkeypatch):
 
 @pytest.mark.parametrize("strategy", ["lo", "ri", 1], ids=["lo", "ri", "index:1"])
 def test_trace_whose_results_were_read_prints_in_full(strategy, monkeypatch):
-    # reading a result drops the step's redex, so no step is spliced,
-    # and the bytes are those of a trace printed before any result was read
+    # reading a result drops the step's redex; a lo step keeps its links,
+    # so the printer finds the redex by its path and every step is spliced,
+    # while a read drops the links of an ri or index:K step, so none is;
+    # the bytes are those of a trace printed before any result was read
     term = mult(3)
     fresh = normalize(term, FULL, strategy, 300)[1]
     texts = fresh.to_text(), fresh.dumps()
     _, trace, _ = normalize(term, FULL, strategy, 300)
     assert all(s.result is not None for s in trace.steps)
-    assert spliced_steps(trace, monkeypatch) == 0
+    assert spliced_steps(trace, monkeypatch) == (len(trace.steps) if strategy == "lo" else 0)
     assert (trace.to_text(), trace.dumps()) == texts
+
+
+@pytest.mark.parametrize("name", sorted(RULE_SETS))
+def test_a_lo_trace_read_in_any_order_prints_as_before(name):
+    # a read step is spliced at the zipper's node, which must first be
+    # rebuilt from the live term also when it lies on the last path
+    rng, cfg = Random(7), GenConfig(seed=7, size=25)
+    for i in range(200):
+        t = gen_raw_term(rng, rng.randint(2, 30)) if i % 2 else gen_wellformed(cfg, rng)[1]
+        fresh = normalize(t, RULE_SETS[name], "lo", 60)[1]
+        trace = normalize(t, RULE_SETS[name], "lo", 60)[1]
+        read = list(range(len(trace.steps)))
+        if i % 3 == 1:
+            read.reverse()
+        elif i % 3 == 2:
+            read = rng.sample(read, len(read) // 2)
+        for k in read:
+            assert trace.steps[k].result is not None
+        assert (trace.to_text(), trace.dumps()) == (fresh.to_text(), fresh.dumps())
 
 
 @pytest.mark.parametrize("strategy", ["lo", "ri", 1], ids=["lo", "ri", "index:1"])

@@ -197,3 +197,20 @@ def test_a_join_lemmas_trial_that_raises_shows_its_first_pair(monkeypatch):
         left, right, *_ = next(trials)
         assert (f.term, f.context, f.detail) == (
             print_db(left), print_db(right), "raised RuntimeError: forced")
+
+
+def test_the_marked_search_reports_a_goal_it_reached_before_the_cap(monkeypatch):
+    # the term has two one-step reducts; with room for only one of them, the
+    # search reaches either as a goal, but not an unreachable one
+    from exsub.debruijn import UPSILON2, One, db_one_step_reducts, translate
+    from exsub.freevars import fv
+    t = parse_term("([a/x] * x) ([b/y] * y)")
+    a = translate(derive(fv(t), t), UPSILON2)
+    reducts = db_one_step_reducts(a, UPSILON2)
+    assert len(set(reducts)) == 2
+    assert checks._search_upsilon2(a, One(), 8) is False
+    monkeypatch.setattr(checks, "_SEARCH_CAP", 2)
+    for goal in reducts:
+        assert checks._search_upsilon2(a, goal, 8) is True
+    assert checks._search_upsilon2(a, a, 8) is True
+    assert checks._search_upsilon2(a, One(), 8) is None
